@@ -13,6 +13,6 @@ from .errors import (CaptensionError, ConfigError, SolverError,
                      PointOutsideDomainError, DegenerateTangentError,
                      RemainderBlowupError, UnsupportedOrderError,
                      InversionFailureError, InsufficientPointsError,
-                     NonpositiveValueError)
+                     NonpositiveValueError, NonFiniteError, VolumeDefectError)
 
 __version__ = "0.1.0"

@@ -5,8 +5,8 @@ from .fields import (ScalarField, VectorField, BoundaryFunction, DiskMap,
                      identity_map, rotation_map)
 from .calculus import (dx_values, dy_values, gradient, divergence, laplacian,
                        hessian, evaluate_at, evaluate_vector_at, compose,
-                       jacobian_det, map_jacobian, restrict_boundary,
-                       normal_derivative_boundary)
+                       jacobian_det, map_jacobian, inverse_jacobian,
+                       restrict_boundary, normal_derivative_boundary)
 from .elliptic import solve_dirichlet, solve_neumann, harmonic_extension
 from .norms import sobolev_norm_disk, sobolev_norm_boundary, l2_norm_disk
 
@@ -17,6 +17,7 @@ __all__ = [
     "dx_values", "dy_values",
     "gradient", "divergence", "laplacian", "hessian", "evaluate_at",
     "evaluate_vector_at", "compose", "jacobian_det", "map_jacobian",
+    "inverse_jacobian",
     "restrict_boundary", "normal_derivative_boundary",
     "solve_dirichlet", "solve_neumann", "harmonic_extension",
     "sobolev_norm_disk", "sobolev_norm_boundary", "l2_norm_disk",

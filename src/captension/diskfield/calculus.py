@@ -17,7 +17,8 @@ from ..errors import ConfigError, PointOutsideDomainError
 from .fields import BoundaryFunction, DiskMap, ScalarField, VectorField
 
 __all__ = ["gradient", "divergence", "laplacian", "hessian", "evaluate_at",
-           "evaluate_vector_at", "compose", "jacobian_det", "restrict_boundary",
+           "evaluate_vector_at", "compose", "jacobian_det", "map_jacobian",
+           "inverse_jacobian", "restrict_boundary",
            "normal_derivative_boundary", "dx_values", "dy_values"]
 
 
@@ -218,6 +219,13 @@ def map_jacobian(g):
     ay = g.displacement.y.values
     return (1.0 + dx_values(grid, ax), dy_values(grid, ax),
             dx_values(grid, ay), 1.0 + dy_values(grid, ay))
+
+
+def inverse_jacobian(g):
+    """det D(map) and the entries (b11, b12, b21, b22) of D(map)^-1."""
+    j11, j12, j21, j22 = map_jacobian(g)
+    det = j11 * j22 - j12 * j21
+    return det, (j22 / det, -j12 / det, -j21 / det, j11 / det)
 
 
 def restrict_boundary(f):

@@ -2,13 +2,12 @@
 
 Values are stored as read-only numpy arrays in radius-major layout
 values[i_r, j_theta].  Instances are immutable; every operation returns a
-new object, which keeps everything safe under the harness's concurrent
-sweeps.
+new object.
 """
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NonFiniteError
 from .grid import DiskGrid, make_grid
 
 __all__ = ["ScalarField", "VectorField", "BoundaryFunction", "DiskMap",
@@ -31,7 +30,7 @@ class ScalarField:
                 f"scalar sample shape {values.shape} does not match grid "
                 f"({grid.n_r}, {grid.n_theta})")
         if not np.all(np.isfinite(values)):
-            raise ConfigError("non-finite scalar samples")
+            raise NonFiniteError("non-finite scalar samples")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", _freeze(values))
 
@@ -53,23 +52,6 @@ class ScalarField:
         """Sample fn(r, theta) at the nodes."""
         vals = np.asarray(fn(grid.rr, grid.tt), dtype=float)
         return cls(grid, np.broadcast_to(vals, grid.rr.shape))
-
-    def smoothness_defect(self):
-        """Heuristic parity/smoothness indicator.
-
-        Mode m of a function smooth on the disk decays like r^min(m,2)
-        toward the center; the returned number is the worst ratio of the
-        innermost-node mode amplitude against that rate.  Order one for
-        smooth fields, large (roughly 1/r_min^2) when the reflection rule
-        (r,theta) -> (-r,theta+pi) is violated.
-        """
-        g = self.grid
-        C = np.abs(g.to_modes(self.values))
-        peak = C.max(axis=0)
-        scale = peak + 1e-30 + 1e-13 * np.abs(self.values).max()
-        rmin = g.r[0]
-        rates = rmin ** np.minimum(g.modes, 2)
-        return float(np.max(C[0, :] / (scale * rates)))
 
     def __add__(self, other):
         if isinstance(other, ScalarField):
@@ -260,6 +242,10 @@ class DiskMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("DiskMap is immutable")
+
+    def __add__(self, w):
+        """The map with the vector field w added to its displacement."""
+        return DiskMap(self.displacement + w, kind=self.kind)
 
     @classmethod
     def from_arrays(cls, grid, dx, dy, kind="diffeo"):

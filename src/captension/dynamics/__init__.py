@@ -24,7 +24,6 @@ from .fixed import (
     euler_Z,
     invert_disk_map,
     step_fixed_euler,
-    vorticity_oracle_step,
     vorticity_particle_step,
     vorticity_velocity,
 )
@@ -38,6 +37,6 @@ __all__ = [
     "FreeBoundaryRhs", "dt_max", "energy_report", "reconstruct_eta",
     "rhs_free_boundary", "step_free_boundary",
     "euler_Z", "invert_disk_map", "step_fixed_euler",
-    "vorticity_oracle_step", "vorticity_particle_step", "vorticity_velocity",
+    "vorticity_particle_step", "vorticity_velocity",
     "ring_curvature", "step_unsplit", "unsplit_acceleration",
 ]

@@ -13,7 +13,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..diskfield import (
-    DiskMap,
     ScalarField,
     VectorField,
     compose,
@@ -36,7 +35,7 @@ from ..projections import (
 )
 from ..shape import boundary_length, compose_Phi, solve_volume_constraint
 from .pressure import pressure_solve, pullback_velocity
-from .states import EnergyReport, FreeBoundaryState
+from .states import EnergyReport, FreeBoundaryState, rk4
 
 __all__ = [
     "FreeBoundaryRhs",
@@ -139,19 +138,6 @@ def dt_max(k, n_theta, c_cfl=0.5):
     return c_cfl / np.sqrt(k * (n_theta / 2.0) ** 3)
 
 
-def _nudge(state, rhs, h):
-    """Euler displacement used to build the RK stage states."""
-    return FreeBoundaryState(
-        f=state.f + h * rhs.fdot,
-        fdot=state.fdot + h * rhs.fddot,
-        v=state.v + h * rhs.vdot,
-        beta=DiskMap(state.beta.displacement + h * rhs.beta_velocity,
-                     kind="diffeo"),
-        time=state.time + h,
-        k=state.k,
-    )
-
-
 def step_free_boundary(state, dt, c_cfl=0.5):
     """One RK4 step followed by constraint re-projection."""
     bound = dt_max(state.k, state.f.grid.n_theta, c_cfl)
@@ -159,26 +145,19 @@ def step_free_boundary(state, dt, c_cfl=0.5):
         raise ConfigError(
             f"dt = {dt:.3e} exceeds the capillary stability bound {bound:.3e}")
 
-    k1 = rhs_free_boundary(state)
-    k2 = rhs_free_boundary(_nudge(state, k1, 0.5 * dt))
-    k3 = rhs_free_boundary(_nudge(state, k2, 0.5 * dt))
-    k4 = rhs_free_boundary(_nudge(state, k3, dt))
+    def rates(y):
+        # the system is autonomous, so stage states keep the step's time
+        r = rhs_free_boundary(FreeBoundaryState(*y, time=state.time, k=state.k))
+        return r.fdot, r.fddot, r.vdot, r.beta_velocity
 
-    s = dt / 6.0
-    f_new = state.f + s * (k1.fdot + 2.0 * k2.fdot + 2.0 * k3.fdot + k4.fdot)
-    fdot_new = state.fdot + s * (k1.fddot + 2.0 * k2.fddot
-                                 + 2.0 * k3.fddot + k4.fddot)
-    v_new = state.v + s * (k1.vdot + 2.0 * k2.vdot + 2.0 * k3.vdot + k4.vdot)
-    disp_new = state.beta.displacement + s * (
-        k1.beta_velocity + 2.0 * k2.beta_velocity
-        + 2.0 * k3.beta_velocity + k4.beta_velocity)
-
+    f_new, fdot_new, v_new, beta_new = rk4(
+        rates, (state.f, state.fdot, state.v, state.beta), dt)
     pot = solve_volume_constraint(restrict_boundary(f_new))
     return FreeBoundaryState(
         f=pot.f,
         fdot=fdot_new,
         v=hodge_P(v_new),
-        beta=DiskMap(disp_new, kind="diffeo").renormalize_boundary(),
+        beta=beta_new.renormalize_boundary(),
         time=state.time + dt,
         k=state.k,
     )

@@ -9,90 +9,46 @@ cross-check rather than a tautology.
 
 import numpy as np
 
-from ..errors import InversionFailureError
 from ..diskfield import (
-    DiskMap,
     ScalarField,
     VectorField,
     compose,
     dx_values,
     dy_values,
-    evaluate_at,
     evaluate_vector_at,
     gradient,
     solve_dirichlet,
 )
 from ..projections import hodge_P, hodge_Q
+from ..shape import invert_points
 from .evolution import STAGE_CLAMP
-from .states import FixedEulerState
+from .states import FixedEulerState, rk4
 
 __all__ = [
     "invert_disk_map",
     "euler_Z",
     "step_fixed_euler",
     "vorticity_velocity",
-    "vorticity_oracle_step",
     "vorticity_particle_step",
 ]
-
-
-def _project_into_disk(Y, margin=0.0):
-    """Pull points with radius beyond 1 + margin back onto that circle.
-
-    Time-stepper stage maps move the boundary off the unit circle by
-    O(dt^2), so their preimages of boundary nodes can sit slightly
-    outside the closed disk; a nonzero margin leaves those reachable
-    while still preventing runaway iterates.
-    """
-    limit = np.nextafter(1.0 + margin, 0.0) if margin > 0.0 else 1.0
-    rad = np.hypot(Y[:, 0], Y[:, 1])
-    far = rad > limit
-    if np.any(far):
-        scale = limit / rad[far]
-        Y[far, 0] *= scale
-        Y[far, 1] *= scale
 
 
 def invert_disk_map(alpha, tol=1e-12, max_iter=40):
     """Preimages of the grid nodes under a near-identity disk map.
 
-    Pointwise Newton on alpha(y) = x with interpolated displacement
-    derivatives; the result is cached on the (immutable) map, so
-    repeated operator applications at one alpha pay once.
+    Newton on alpha(y) = x from the first guess x - d(x), with the
+    stage-map slack STAGE_CLAMP; the result is cached on the (immutable)
+    map, so repeated operator applications at one alpha pay once.
     """
     cached = alpha._cache.get("inverse_points")
     if cached is not None:
         return cached
     grid = alpha.grid
     d = alpha.displacement
-    d11 = ScalarField(grid, dx_values(grid, d.x.values))
-    d12 = ScalarField(grid, dy_values(grid, d.x.values))
-    d21 = ScalarField(grid, dx_values(grid, d.y.values))
-    d22 = ScalarField(grid, dy_values(grid, d.y.values))
-
     X = np.column_stack([grid.xx.ravel(), grid.yy.ravel()])
-    Y = X - np.column_stack([d.x.values.ravel(), d.y.values.ravel()])
-    _project_into_disk(Y, margin=STAGE_CLAMP)
-    ok = False
-    for _ in range(max_iter):
-        DY = evaluate_vector_at(d, Y, clamp_tol=STAGE_CLAMP)
-        rx = Y[:, 0] + DY[:, 0] - X[:, 0]
-        ry = Y[:, 1] + DY[:, 1] - X[:, 1]
-        if max(np.abs(rx).max(), np.abs(ry).max()) < tol:
-            ok = True
-            break
-        j11 = 1.0 + evaluate_at(d11, Y, clamp_tol=STAGE_CLAMP)
-        j12 = evaluate_at(d12, Y, clamp_tol=STAGE_CLAMP)
-        j21 = evaluate_at(d21, Y, clamp_tol=STAGE_CLAMP)
-        j22 = 1.0 + evaluate_at(d22, Y, clamp_tol=STAGE_CLAMP)
-        det = j11 * j22 - j12 * j21
-        if np.abs(det).min() < 0.2:
-            raise InversionFailureError("disk map is not invertible on the nodes")
-        Y[:, 0] -= (j22 * rx - j12 * ry) / det
-        Y[:, 1] -= (-j21 * rx + j11 * ry) / det
-        _project_into_disk(Y, margin=STAGE_CLAMP)
-    if not ok:
-        raise InversionFailureError("disk map inversion stalled")
+    Y = invert_points(
+        alpha, X, X - np.column_stack([d.x.values.ravel(), d.y.values.ravel()]),
+        margin=STAGE_CLAMP, clamp_tol=STAGE_CLAMP, tol=tol, max_iter=max_iter)
     Y.setflags(write=False)
     alpha._cache["inverse_points"] = Y
     return Y
@@ -123,28 +79,12 @@ def euler_Z(alpha, vel):
     return compose(hodge_Q(adv), alpha, clamp_tol=STAGE_CLAMP)
 
 
-def _stage_map(zeta, w, h):
-    return DiskMap(zeta.displacement + h * w, kind="diffeo")
-
-
 def step_fixed_euler(state, dt):
     """RK4 on (zeta, zetadot) with post-step Leray projection of the
     velocity (transported to labels and back)."""
-    z, zd = state.zeta, state.zetadot
-
-    a1 = euler_Z(z, zd)
-    z2, zd2 = _stage_map(z, zd, 0.5 * dt), zd + 0.5 * dt * a1
-    a2 = euler_Z(z2, zd2)
-    z3, zd3 = _stage_map(z, zd2, 0.5 * dt), zd + 0.5 * dt * a2
-    a3 = euler_Z(z3, zd3)
-    z4, zd4 = _stage_map(z, zd3, dt), zd + dt * a3
-    a4 = euler_Z(z4, zd4)
-
-    s = dt / 6.0
-    disp = z.displacement + s * (zd + 2.0 * zd2 + 2.0 * zd3 + zd4)
-    vel = zd + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-
-    zeta_new = DiskMap(disp, kind="diffeo").renormalize_boundary()
+    zeta, vel = rk4(lambda y: (y[1], euler_Z(*y)),
+                    (state.zeta, state.zetadot), dt)
+    zeta_new = zeta.renormalize_boundary()
     u = _velocity_at_labels(zeta_new, vel)
     vel_proj = compose(hodge_P(u), zeta_new, clamp_tol=STAGE_CLAMP)
     return FixedEulerState(zeta=zeta_new, zetadot=vel_proj,
@@ -165,18 +105,6 @@ def _transport_rate(omega, u):
                                + u.y.values * dy_values(grid, omega.values)))
 
 
-def vorticity_oracle_step(omega, dt):
-    """RK4 step of vorticity transport; circulation is conserved."""
-    w1 = _transport_rate(omega, vorticity_velocity(omega))
-    w2 = _transport_rate(omega + 0.5 * dt * w1,
-                         vorticity_velocity(omega + 0.5 * dt * w1))
-    w3 = _transport_rate(omega + 0.5 * dt * w2,
-                         vorticity_velocity(omega + 0.5 * dt * w2))
-    w4 = _transport_rate(omega + dt * w3,
-                         vorticity_velocity(omega + dt * w3))
-    return omega + (dt / 6.0) * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-
-
 def _move_points(phi, u):
     """Velocity of the particle map: u evaluated along phi."""
     return compose(u, phi, clamp_tol=STAGE_CLAMP)
@@ -188,30 +116,10 @@ def vorticity_particle_step(omega, phi, dt):
     The particle map integrated from the Eulerian oracle velocity is
     what gets compared against the Lagrangian zeta.
     """
-    u1 = vorticity_velocity(omega)
-    w1 = _transport_rate(omega, u1)
-    m1 = _move_points(phi, u1)
+    def rates(y):
+        o, p = y
+        u = vorticity_velocity(o)
+        return _transport_rate(o, u), _move_points(p, u)
 
-    o2 = omega + 0.5 * dt * w1
-    p2 = DiskMap(phi.displacement + 0.5 * dt * m1, kind="diffeo")
-    u2 = vorticity_velocity(o2)
-    w2 = _transport_rate(o2, u2)
-    m2 = _move_points(p2, u2)
-
-    o3 = omega + 0.5 * dt * w2
-    p3 = DiskMap(phi.displacement + 0.5 * dt * m2, kind="diffeo")
-    u3 = vorticity_velocity(o3)
-    w3 = _transport_rate(o3, u3)
-    m3 = _move_points(p3, u3)
-
-    o4 = omega + dt * w3
-    p4 = DiskMap(phi.displacement + dt * m3, kind="diffeo")
-    u4 = vorticity_velocity(o4)
-    w4 = _transport_rate(o4, u4)
-    m4 = _move_points(p4, u4)
-
-    omega_new = omega + (dt / 6.0) * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-    phi_new = DiskMap(phi.displacement
-                      + (dt / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4),
-                      kind="diffeo").renormalize_boundary()
-    return omega_new, phi_new
+    omega_new, phi_new = rk4(rates, (omega, phi), dt)
+    return omega_new, phi_new.renormalize_boundary()

@@ -16,7 +16,7 @@ from ..diskfield import (
     dx_values,
     dy_values,
     gradient,
-    map_jacobian,
+    inverse_jacobian,
 )
 from ..projections import apply_L, solve_pulled_back_laplacian
 from ..shape import curvature_exact
@@ -30,12 +30,6 @@ def pullback_velocity(state):
     return gradient(state.fdot) + apply_L(state.f, state.v)
 
 
-def _inverse_jacobian(grid, disk_map):
-    j11, j12, j21, j22 = map_jacobian(disk_map)
-    det = j11 * j22 - j12 * j21
-    return j22 / det, -j12 / det, -j21 / det, j11 / det
-
-
 def pressure_solve(state, tol=1e-9):
     """Solve both pressure parts and assemble the pulled-back gradient.
 
@@ -47,7 +41,7 @@ def pressure_solve(state, tol=1e-9):
     """
     grid = state.f.grid
     eta = DiskMap(gradient(state.f), kind="embedding")
-    b11, b12, b21, b22 = _inverse_jacobian(grid, eta)
+    _, (b11, b12, b21, b22) = inverse_jacobian(eta)
 
     w = pullback_velocity(state)
     m11 = dx_values(grid, w.x.values)

@@ -1,4 +1,5 @@
-"""State containers for the two flows and their shared initial data."""
+"""State containers for the two flows, their shared initial data, and
+the RK4 step every integrator takes."""
 
 from dataclasses import dataclass
 
@@ -121,3 +122,24 @@ def stream_initial_vorticity(grid, m, amplitude):
 
 def solid_rotation_velocity(grid, rate=1.0):
     return VectorField.from_arrays(grid, -rate * grid.yy, rate * grid.xx)
+
+
+def rk4(rhs, y, dt):
+    """One classical RK4 step of y' = rhs(y) for a tuple state y.
+
+    rhs returns a tuple of rates matching y; each element of y needs
+    only `element + rate` and each rate `float * rate` (a DiskMap adds a
+    displacement rate).  Stages are y + h*k and the step is
+    y + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), element by element; stage one
+    sees y itself, so data cached on its elements is reused.
+    """
+    def stage(k, h):
+        return tuple(yi + h * ki for yi, ki in zip(y, k))
+
+    k1 = rhs(y)
+    k2 = rhs(stage(k1, 0.5 * dt))
+    k3 = rhs(stage(k2, 0.5 * dt))
+    k4 = rhs(stage(k3, dt))
+    s = dt / 6.0
+    return tuple(yi + s * (a + 2.0 * b + 2.0 * c + d)
+                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))

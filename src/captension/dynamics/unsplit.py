@@ -15,7 +15,6 @@ import numpy as np
 from ..errors import DegenerateTangentError
 from ..diskfield import (
     BoundaryFunction,
-    DiskMap,
     ScalarField,
     VectorField,
     dx_values,
@@ -24,6 +23,7 @@ from ..diskfield import (
     map_jacobian,
 )
 from ..projections import solve_pulled_back_laplacian
+from .states import rk4
 
 __all__ = ["ring_curvature", "unsplit_acceleration", "step_unsplit"]
 
@@ -77,22 +77,7 @@ def unsplit_acceleration(eta, etadot, k, tol=1e-9):
     )
 
 
-def _shift(eta, w, h):
-    return DiskMap(eta.displacement + h * w, kind="embedding")
-
-
 def step_unsplit(eta, etadot, dt, k, tol=1e-9):
     """One RK4 step of the unprojected Lagrangian system."""
-    a1 = unsplit_acceleration(eta, etadot, k, tol)
-    e2, v2 = _shift(eta, etadot, 0.5 * dt), etadot + 0.5 * dt * a1
-    a2 = unsplit_acceleration(e2, v2, k, tol)
-    e3, v3 = _shift(eta, v2, 0.5 * dt), etadot + 0.5 * dt * a2
-    a3 = unsplit_acceleration(e3, v3, k, tol)
-    e4, v4 = _shift(eta, v3, dt), etadot + dt * a3
-    a4 = unsplit_acceleration(e4, v4, k, tol)
-
-    s = dt / 6.0
-    eta_new = DiskMap(eta.displacement + s * (etadot + 2.0 * v2 + 2.0 * v3 + v4),
-                      kind="embedding")
-    etadot_new = etadot + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return eta_new, etadot_new
+    return rk4(lambda y: (y[1], unsplit_acceleration(*y, k, tol)),
+               (eta, etadot), dt)

@@ -25,6 +25,14 @@ class CompatibilityError(SolverError):
     """Neumann data violates the divergence-theorem compatibility condition."""
 
 
+class NonFiniteError(SolverError):
+    """A computed field acquired NaN or infinite samples."""
+
+
+class VolumeDefectError(SolverError):
+    """A map handed to a volume-preserving solve is too far from det = 1."""
+
+
 class PointOutsideDomainError(SolverError):
     """Interpolation was requested outside the closed unit disk."""
 

@@ -1,6 +1,7 @@
 """Experiment configuration: flat key = value files plus CLI overrides."""
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -28,10 +29,7 @@ class ExperimentConfig:
     tol_vol: float = 1e-9
     tol_L1: float = 1e-9
     delta0: float = 0.1
-    norms_to_report: tuple = (("nabla_f", 0), ("nabla_f", 1),
-                              ("eta_gap", 1), ("etadot_gap", 1))
     out_dir: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_theta < 8 or self.n_theta % 2:
@@ -51,8 +49,8 @@ class ExperimentConfig:
             raise ConfigError("k_list must be strictly increasing")
         if self.stream_mode < 0:
             raise ConfigError("stream_mode must be >= 0")
-        if self.amplitude < 0:
-            raise ConfigError("amplitude must be >= 0")
+        if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
+            raise ConfigError("amplitude must be finite and >= 0")
         if self.n_outputs < 2:
             raise ConfigError("n_outputs must be >= 2")
         if not self.dt_fixed > 0:
@@ -98,7 +96,7 @@ class ExperimentConfig:
         return dataclasses.replace(self, **updates)
 
 
-_INT_KEYS = {"n_theta", "n_r", "stream_mode", "n_outputs", "seed"}
+_INT_KEYS = {"n_theta", "n_r", "stream_mode", "n_outputs"}
 _FLOAT_KEYS = {"T", "c_cfl", "amplitude", "dt_fixed",
                "tol_ell", "tol_vol", "tol_L1", "delta0"}
 
@@ -113,12 +111,6 @@ def _coerce(key, value):
             if isinstance(value, str):
                 value = value.split(",")
             return tuple(float(v) for v in value)
-        if key == "norms_to_report":
-            if isinstance(value, str):
-                pairs = [p for p in value.split(",") if p.strip()]
-                return tuple((p.split(":")[0].strip(), int(p.split(":")[1]))
-                             for p in pairs)
-            return tuple((str(q), int(s)) for q, s in value)
         return value
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc

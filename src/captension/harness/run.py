@@ -1,8 +1,6 @@
 """Single runs, k-sweeps, and the split-vs-unsplit arbitration record."""
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..errors import NonpositiveValueError, SolverError
@@ -79,16 +77,20 @@ def run_single(config, k):
                               "etadot_gap_H1", "energy_drift")}
 
     def record(f_state, z_state):
+        # every value is computed before any is stored, so a failure
+        # leaves the series as long as times
         gf = gradient(f_state.f)
         eta, etadot = reconstruct_eta(f_state)
-        series["nabla_f_L2"].append(sobolev_norm_disk(gf, 0))
-        series["nabla_f_H1"].append(sobolev_norm_disk(gf, 1))
-        series["eta_gap_H1"].append(sobolev_norm_disk(
-            eta.displacement - z_state.zeta.displacement, 1))
-        series["etadot_gap_H1"].append(sobolev_norm_disk(
-            etadot - z_state.zetadot, 1))
-        series["energy_drift"].append(
-            abs(energy_report(f_state).E - e0) / e_ref)
+        row = {
+            "nabla_f_L2": sobolev_norm_disk(gf, 0),
+            "nabla_f_H1": sobolev_norm_disk(gf, 1),
+            "eta_gap_H1": sobolev_norm_disk(
+                eta.displacement - z_state.zeta.displacement, 1),
+            "etadot_gap_H1": sobolev_norm_disk(etadot - z_state.zetadot, 1),
+            "energy_drift": abs(energy_report(f_state).E - e0) / e_ref,
+        }
+        for q, value in row.items():
+            series[q].append(value)
 
     record(free, fixed)
     converged = True
@@ -99,12 +101,12 @@ def run_single(config, k):
                 free = step_free_boundary(free, dt_free, config.c_cfl)
             for _ in range(n_fix):
                 fixed = step_fixed_euler(fixed, dt_fix)
+            record(free, fixed)
         except SolverError:
             converged = False
             fail_time = free.time
             break
         times.append(free.time)
-        record(free, fixed)
 
     return RunRecord(
         k=float(k),
@@ -120,23 +122,10 @@ def run_single(config, k):
     )
 
 
-def _worker_count(n_tasks):
-    env = os.environ.get("CAPTENSION_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
-
-
 def run_sweep(config):
-    """run_single per k, concurrently when allowed; fit decay exponents
-    over the converged rows (three or more needed for a fit)."""
-    ks = list(config.k_list)
-    workers = _worker_count(len(ks))
-    if workers == 1:
-        rows = [run_single(config, k) for k in ks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda k: run_single(config, k), ks))
-    rows.sort(key=lambda r: r.k)
+    """run_single per k, one after another; fit decay exponents over the
+    converged rows (three or more needed for a fit)."""
+    rows = [run_single(config, k) for k in config.k_list]
 
     fitted = {}
     good = [r for r in rows if r.converged]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoConvergenceError
+from .errors import ConfigError, NoConvergenceError, VolumeDefectError
 from .diskfield import (
     BoundaryFunction,
     ScalarField,
@@ -25,8 +25,8 @@ from .diskfield import (
     dy_values,
     gradient,
     hessian,
+    inverse_jacobian,
     l2_norm_disk,
-    map_jacobian,
     solve_dirichlet,
     solve_neumann,
 )
@@ -141,16 +141,11 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, tol=TOL_ELL, max_iter=400,
     grid = rhs.grid
     if xi.grid is not grid:
         raise ConfigError("map and source live on different grids")
-    j11, j12, j21, j22 = map_jacobian(xi)
-    det = j11 * j22 - j12 * j21
+    det, (b11, b12, b21, b22) = inverse_jacobian(xi)
     if np.abs(det - 1.0).max() > det_tol:
-        raise ConfigError(
+        raise VolumeDefectError(
             "pulled-back Laplacian needs a volume-preserving map "
             f"(max |det - 1| = {np.abs(det - 1.0).max():.3e})")
-    b11 = j22 / det
-    b12 = -j12 / det
-    b21 = -j21 / det
-    b22 = j11 / det
     a11 = b11 * b11 + b12 * b12
     a12 = b11 * b21 + b12 * b22
     a22 = b21 * b21 + b22 * b22

@@ -28,7 +28,6 @@ from .diskfield import (
     BoundaryFunction,
     DiskMap,
     ScalarField,
-    VectorField,
     compose,
     evaluate_at,
     evaluate_vector_at,
@@ -42,7 +41,6 @@ from .diskfield import (
     sobolev_norm_disk,
     solve_dirichlet,
 )
-from .projections import solve_pulled_back_laplacian
 
 __all__ = [
     "VolumePotential",
@@ -53,9 +51,8 @@ __all__ = [
     "decompose_embedding",
     "curvature_exact",
     "curvature_expansion",
-    "boundary_normal",
     "boundary_length",
-    "harmonic_curvature_gradient",
+    "invert_points",
     "TOL_VOL",
     "TOL_FACT",
     "DELTA0",
@@ -252,48 +249,11 @@ def curvature_expansion(pot):
                               M4=mk(m4), M5=mk(m5))
 
 
-def boundary_normal(pot):
-    """Outward unit normal of the deformed curve, (n_theta, 2) samples."""
-    cx, cy, tx, ty, ax, ay, bx, by = _boundary_tangent_data(pot)
-    speed = _check_tangent(tx, ty)
-    # rotate the tangent clockwise: (a, b) -> (b, -a)
-    return np.column_stack([ty / speed, -tx / speed])
-
-
 def boundary_length(pot):
     """Arclength of the deformed boundary; 2*pi exactly for a circle."""
     grid = _field_of(pot).grid
     cx, cy, tx, ty, ax, ay, bx, by = _boundary_tangent_data(pot)
     return (2.0 * np.pi / grid.n_theta) * float(np.hypot(tx, ty).sum())
-
-
-def harmonic_curvature_gradient(pot, tol=1e-9):
-    """Gradient of the harmonic extension of the curvature, pulled back.
-
-    Solves lap_eta A = 0 with boundary data curvature - 1 on the fixed
-    disk through the map eta = id + grad f, then converts the reference
-    gradient by the inverse-transpose Jacobian.  Identically zero when
-    the curvature is constant.
-    """
-    f = _field_of(pot)
-    grid = f.grid
-    eta = DiskMap(gradient(f), kind="embedding")
-    kdata = curvature_exact(pot)
-    shifted = np.array(kdata.coeffs)
-    shifted[0] -= 1.0
-    bdata = BoundaryFunction(grid, shifted)
-    ah = solve_pulled_back_laplacian(eta, ScalarField.zeros(grid), bdata, tol=tol)
-    g = gradient(ah)
-    j11, j12, j21, j22 = map_jacobian(eta)
-    det = j11 * j22 - j12 * j21
-    b11, b12 = j22 / det, -j12 / det
-    b21, b22 = -j21 / det, j11 / det
-    # row-vector chain rule: out = (Deta)^-T grad
-    return VectorField.from_arrays(
-        grid,
-        b11 * g.x.values + b21 * g.y.values,
-        b12 * g.x.values + b22 * g.y.values,
-    )
 
 
 def _radius_function(grid, px, py):
@@ -354,60 +314,57 @@ def decompose_embedding(eta, tol=TOL_FACT, max_iter=60):
         raise NoConvergenceError(
             f"boundary matching stalled at gap {np.abs(gap).max():.3e}")
 
-    beta = _invert_graph_map(pot, ex, ey)
-    return Factorization(beta=beta, potential=pot)
-
-
-def _invert_graph_map(pot, ex, ey):
-    """Solve (id + grad f)(y) = target for every node image by Newton."""
-    grid = pot.f.grid
-    G = gradient(pot.f)
-    fxx, fxy, fyx, fyy = hessian(pot.f)
-    hxx = ScalarField(grid, fxx)
-    hxy = ScalarField(grid, fxy)
-    hyx = ScalarField(grid, fyx)
-    hyy = ScalarField(grid, fyy)
-
-    tgt = np.column_stack([ex.ravel(), ey.ravel()])
-    Y = tgt.copy()
-    _project_into_disk(Y, margin=1e-9)
-    ok = False
-    for _ in range(40):
-        GY = evaluate_vector_at(G, Y, clamp_tol=1e-6)
-        rx = Y[:, 0] + GY[:, 0] - tgt[:, 0]
-        ry = Y[:, 1] + GY[:, 1] - tgt[:, 1]
-        if max(np.abs(rx).max(), np.abs(ry).max()) < 1e-12:
-            ok = True
-            break
-        j11 = 1.0 + evaluate_at(hxx, Y, clamp_tol=1e-6)
-        j12 = evaluate_at(hxy, Y, clamp_tol=1e-6)
-        j21 = evaluate_at(hyx, Y, clamp_tol=1e-6)
-        j22 = 1.0 + evaluate_at(hyy, Y, clamp_tol=1e-6)
-        det = j11 * j22 - j12 * j21
-        if np.abs(det).min() < 0.2:
-            raise InversionFailureError(
-                "graph map is not invertible on the sample set")
-        Y[:, 0] -= (j22 * rx - j12 * ry) / det
-        Y[:, 1] -= (-j21 * rx + j11 * ry) / det
-        _project_into_disk(Y, margin=1e-9)
-    if not ok:
-        raise InversionFailureError("graph-map Newton inversion stalled")
-
+    graph = DiskMap(gradient(pot.f), kind="embedding")
+    targets = np.column_stack([ex.ravel(), ey.ravel()])
+    Y = invert_points(graph, targets, targets, margin=1e-9, clamp_tol=1e-6)
     shape = (grid.n_r, grid.n_theta)
     beta = DiskMap.from_arrays(grid,
                                Y[:, 0].reshape(shape) - grid.xx,
                                Y[:, 1].reshape(shape) - grid.yy,
                                kind="diffeo")
-    return beta.renormalize_boundary()
+    return Factorization(beta=beta.renormalize_boundary(), potential=pot)
 
 
-def _project_into_disk(Y, margin=0.0):
-    # Preimages of boundary nodes sit within roundoff of the circle and
-    # can land just outside it; a hard projection onto |y| <= 1 then
-    # blocks the Newton residual from clearing its tolerance.  A margin
-    # at the matching scale (still far below clamp_tol) lets those
+def invert_points(alpha, targets, start, *, margin, clamp_tol, tol=1e-12,
+                  max_iter=40):
+    """Solve alpha(y) = target for every row of targets by pointwise Newton.
+
+    targets and start (the first guesses) are (P, 2) arrays; the result
+    is a new (P, 2) array of preimages.  The Jacobian of alpha comes from
+    map_jacobian, interpolated at the iterates.  Iterates are pulled back
+    inside radius 1 + margin after every update, and the displacement and
+    Jacobian are evaluated with clamp_tol of boundary overshoot.
+    """
+    grid = alpha.grid
+    d = alpha.displacement
+    jac = [ScalarField(grid, j) for j in map_jacobian(alpha)]
+    Y = np.array(start, dtype=float)
+    _project_into_disk(Y, margin)
+    for _ in range(max_iter):
+        DY = evaluate_vector_at(d, Y, clamp_tol=clamp_tol)
+        rx = Y[:, 0] + DY[:, 0] - targets[:, 0]
+        ry = Y[:, 1] + DY[:, 1] - targets[:, 1]
+        if max(np.abs(rx).max(), np.abs(ry).max()) < tol:
+            return Y
+        j11, j12, j21, j22 = (evaluate_at(j, Y, clamp_tol=clamp_tol)
+                              for j in jac)
+        det = j11 * j22 - j12 * j21
+        if np.abs(det).min() < 0.2:
+            raise InversionFailureError(
+                "map is not invertible at the target points")
+        Y[:, 0] -= (j22 * rx - j12 * ry) / det
+        Y[:, 1] -= (-j21 * rx + j11 * ry) / det
+        _project_into_disk(Y, margin)
+    raise InversionFailureError("Newton inversion of the map stalled")
+
+
+def _project_into_disk(Y, margin):
+    # Preimages of boundary nodes sit within roundoff of the circle (for
+    # a graph map) or O(dt^2) outside it (for a time-step stage map), and
+    # a hard projection onto |y| <= 1 would block the Newton residual
+    # from clearing its tolerance.  A margin at that scale lets those
     # points converge while keeping runaways contained.
-    limit = np.nextafter(1.0 + margin, 0.0) if margin > 0.0 else 1.0
+    limit = np.nextafter(1.0 + margin, 0.0)
     rad = np.hypot(Y[:, 0], Y[:, 1])
     far = rad > limit
     if np.any(far):

@@ -11,6 +11,7 @@ from captension.dynamics import (FixedEulerState, FreeBoundaryState, dt_max,
                                  stream_initial_velocity,
                                  stream_initial_vorticity, unsplit_acceleration,
                                  vorticity_particle_step, vorticity_velocity)
+from captension.dynamics.states import rk4
 from captension.errors import ConfigError
 
 
@@ -40,6 +41,17 @@ def test_step_rejects_unstable_dt(grid):
                                             k=100.0)
     with pytest.raises(ConfigError):
         step_free_boundary(state, 2.0 * dt_max(100.0, grid.n_theta))
+
+
+def test_rk4_is_fourth_order():
+    # y'' = -y as the tuple state (y, y'), from (1, 0) to t = 2
+    def error(n):
+        y, dt = (1.0, 0.0), 2.0 / n
+        for _ in range(n):
+            y = rk4(lambda s: (s[1], -s[0]), y, dt)
+        return abs(y[0] - np.cos(2.0)) + abs(y[1] + np.sin(2.0))
+
+    assert 14.0 <= error(20) / error(40) <= 18.0
 
 
 def test_capillary_bound_formula():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from captension.diskfield import ScalarField, make_grid
+from captension.diskfield import make_grid
 from captension.errors import ConfigError
 
 
@@ -77,10 +77,3 @@ def test_integrate_is_linear(c):
     assert grid.integrate(c * f) == pytest.approx(c * grid.integrate(f),
                                                   rel=1e-12, abs=1e-12)
 
-
-def test_smoothness_defect_flags_rough_data(grid, rng):
-    smooth = ScalarField.from_function(grid, lambda x, y: x * y)
-    rough = ScalarField(grid, rng.standard_normal(smooth.values.shape))
-    # order one for resolved fields, ~1/r_min^2 when parity is broken
-    assert smooth.smoothness_defect() < 10.0
-    assert rough.smoothness_defect() > 50.0

@@ -42,9 +42,10 @@ class TestConfig:
         assert cfg.k_list == (50.0, 100.0)
         assert cfg.amplitude == 0.01
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["n_thetas", "seed", "norms_to_report"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         p = tmp_path / "bad.cfg"
-        p.write_text("n_thetas = 16\n")
+        p.write_text(f"{key} = 16\n")
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(p)
 
@@ -61,7 +62,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(n_theta=7), dict(n_theta=10, n_r=4), dict(T=-1.0),
         dict(k_list=()), dict(k_list=(100.0, 100.0)), dict(k_list=(-5.0,)),
-        dict(n_outputs=1), dict(dt_fixed=0.0),
+        dict(n_outputs=1), dict(dt_fixed=0.0), dict(amplitude=float("nan")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -195,6 +196,20 @@ class TestCli:
         header = out.read_text().splitlines()[0]
         assert header.startswith("time,")
         assert "drift" in capsys.readouterr().out
+
+    def test_mid_run_breakdown_exits_2_with_partial_series(self, tmp_path,
+                                                           capsys):
+        # a large amplitude at k = 1 drives the free flow off the volume
+        # constraint well before T
+        p = tmp_path / "wild.cfg"
+        p.write_text("n_theta = 16\nn_r = 8\nt_final = 0.5\nk_list = 1\n"
+                     "amplitude = 0.5\nn_outputs = 6\n"
+                     f"out_dir = {tmp_path}\n")
+        assert main(["run", "--config", str(p)]) == 2
+        assert "solver failed" in capsys.readouterr().err
+        lines = (tmp_path / "run_k1.csv").read_text().splitlines()
+        assert lines[0].startswith("time,")
+        assert 2 <= len(lines) < 7
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -6,7 +6,7 @@ from helpers import random_poly_field
 from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
                                   compose, divergence, gradient, l2_norm_disk,
                                   laplacian, rotation_map)
-from captension.errors import ConfigError, SolverError
+from captension.errors import SolverError, VolumeDefectError
 from captension.projections import (apply_L, hodge_P, hodge_Q, hodge_split,
                                     solve_L1_inverse, solve_pulled_back_laplacian)
 
@@ -112,5 +112,5 @@ def test_pulled_back_laplacian_rejects_non_volume_map(grid):
     squash = DiskMap(VectorField(
         ScalarField.from_function(grid, lambda x, y: 0.2 * x),
         ScalarField.zeros(grid)), kind="embedding")
-    with pytest.raises(ConfigError):
+    with pytest.raises(VolumeDefectError):
         solve_pulled_back_laplacian(squash, ScalarField.zeros(grid))

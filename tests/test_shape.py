@@ -8,9 +8,8 @@ from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
                                   l2_norm_disk, restrict_boundary, rotation_map,
                                   sobolev_norm_disk)
 from captension.errors import DegenerateTangentError
-from captension.shape import (boundary_length, boundary_normal, compose_Phi,
-                              curvature_exact, curvature_expansion,
-                              decompose_embedding, harmonic_curvature_gradient,
+from captension.shape import (boundary_length, compose_Phi, curvature_exact,
+                              curvature_expansion, decompose_embedding,
                               solve_volume_constraint)
 
 
@@ -107,9 +106,6 @@ def test_degenerate_tangent_raises(grid):
 def test_boundary_length_and_normal(grid):
     pot = solve_volume_constraint(BoundaryFunction.zeros(grid))
     assert boundary_length(pot) == pytest.approx(2.0 * np.pi, abs=1e-12)
-    n = boundary_normal(pot)
-    assert np.allclose(n[:, 0], np.cos(grid.theta), atol=1e-12)
-    assert np.allclose(n[:, 1], np.sin(grid.theta), atol=1e-12)
 
 
 def test_boundary_length_against_dense_quadrature(grid):
@@ -123,12 +119,6 @@ def test_boundary_length_against_dense_quadrature(grid):
     cy = np.sin(t) + by.evaluate(t)
     dense = np.trapezoid(np.hypot(np.gradient(cx, t), np.gradient(cy, t)), t)
     assert boundary_length(pot) == pytest.approx(dense, abs=1e-6)
-
-
-def test_harmonic_curvature_gradient_vanishes_on_disk(grid):
-    pot = solve_volume_constraint(BoundaryFunction.zeros(grid))
-    w = harmonic_curvature_gradient(pot)
-    assert l2_norm_disk(w) < 1e-10
 
 
 def test_factorization_round_trip(grid, rng):
