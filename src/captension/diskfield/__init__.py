@@ -3,7 +3,7 @@
 from .grid import DiskGrid, make_grid
 from .fields import (ScalarField, VectorField, BoundaryFunction, DiskMap,
                      identity_map, rotation_map)
-from .calculus import (dx_values, dy_values, gradient, divergence, laplacian,
+from .calculus import (grad_values, gradient, divergence, laplacian,
                        hessian, evaluate_at, evaluate_vector_at, compose,
                        jacobian_det, map_jacobian, inverse_jacobian,
                        restrict_boundary, normal_derivative_boundary)
@@ -14,10 +14,9 @@ __all__ = [
     "DiskGrid", "make_grid",
     "ScalarField", "VectorField", "BoundaryFunction", "DiskMap",
     "identity_map", "rotation_map",
-    "dx_values", "dy_values",
-    "gradient", "divergence", "laplacian", "hessian", "evaluate_at",
-    "evaluate_vector_at", "compose", "jacobian_det", "map_jacobian",
-    "inverse_jacobian",
+    "grad_values", "gradient", "divergence", "laplacian", "hessian",
+    "evaluate_at", "evaluate_vector_at", "compose", "jacobian_det",
+    "map_jacobian", "inverse_jacobian",
     "restrict_boundary", "normal_derivative_boundary",
     "solve_dirichlet", "solve_neumann", "harmonic_extension",
     "sobolev_norm_disk", "sobolev_norm_boundary", "l2_norm_disk",

@@ -16,35 +16,32 @@ import numpy as np
 from ..errors import ConfigError, PointOutsideDomainError
 from .fields import BoundaryFunction, DiskMap, ScalarField, VectorField
 
-__all__ = ["gradient", "divergence", "laplacian", "hessian", "evaluate_at",
-           "evaluate_vector_at", "compose", "jacobian_det", "map_jacobian",
-           "inverse_jacobian", "restrict_boundary",
-           "normal_derivative_boundary", "dx_values", "dy_values"]
+__all__ = ["grad_values", "gradient", "divergence", "laplacian", "hessian",
+           "evaluate_at", "evaluate_vector_at", "compose", "jacobian_det",
+           "map_jacobian", "inverse_jacobian", "restrict_boundary",
+           "normal_derivative_boundary"]
 
 
-def dx_values(grid, values):
-    A = grid.dr(values)
-    B = grid.dtheta(values) * grid.inv_r
-    return grid.cos_t * A - grid.sin_t * B
+def grad_values(grid, values):
+    """(d_x, d_y) of samples shaped (..., n_r, n_theta), from one polar pass.
 
-
-def dy_values(grid, values):
-    A = grid.dr(values)
-    B = grid.dtheta(values) * grid.inv_r
-    return grid.sin_t * A + grid.cos_t * B
+    Stacking several fields into one call costs one transform each way
+    and gives the same bits as one call per field.
+    """
+    A, B = grid.polar_derivatives(values)
+    B = B * grid.inv_r
+    return grid.cos_t * A - grid.sin_t * B, grid.sin_t * A + grid.cos_t * B
 
 
 def gradient(f):
     g = f.grid
-    A = g.dr(f.values)
-    B = g.dtheta(f.values) * g.inv_r
-    return VectorField.from_arrays(g, g.cos_t * A - g.sin_t * B,
-                                   g.sin_t * A + g.cos_t * B)
+    return VectorField.from_arrays(g, *grad_values(g, f.values))
 
 
 def divergence(w):
     g = w.grid
-    return ScalarField(g, dx_values(g, w.x.values) + dy_values(g, w.y.values))
+    dx, dy = grad_values(g, np.stack([w.x.values, w.y.values]))
+    return ScalarField(g, dx[0] + dy[1])
 
 
 def laplacian(f):
@@ -60,45 +57,44 @@ def hessian(f):
     algebraically consistent with the factored first derivatives.
     """
     g = f.grid
-    fx = dx_values(g, f.values)
-    fy = dy_values(g, f.values)
-    return dx_values(g, fx), dy_values(g, fx), dx_values(g, fy), dy_values(g, fy)
+    dx, dy = grad_values(g, np.stack(grad_values(g, f.values)))
+    return dx[0], dy[0], dx[1], dy[1]
 
 
-def _interp_rings(grid, coeff_rings, r0, theta0):
-    """Barycentric radial interpolation of per-ring Fourier data.
+def _ring_weights(grid, r0, theta0):
+    """What every field evaluated at one point set shares.
 
-    coeff_rings: (n_r, n_modes) rfft coefficients of each ring.
-    Returns values at (r0[i], theta0[i]).
+    The trigonometric rows that sum each ring's Fourier data at theta0
+    and at theta0 + pi (odd modes flip sign there), the barycentric
+    weights over the doubled radial nodes with their sums, and the
+    points that sit on a radial node with that node's index.
     """
     n = grid.n_theta
     phases = np.exp(1j * np.outer(theta0, grid.modes))  # (P, M)
     scale = np.full(grid.n_modes, 2.0 / n)
-    scale[0] = 1.0 / n
-    if n % 2 == 0:
-        scale[-1] = 1.0 / n
+    scale[0] = scale[-1] = 1.0 / n  # n_theta is even: the last mode is Nyquist
     E = phases * scale
-    vals_pos = (E @ coeff_rings.T).real            # (P, n_r) rings at theta0
     signs = np.where(grid.modes % 2 == 0, 1.0, -1.0)
-    vals_neg = ((E * signs) @ coeff_rings.T).real  # rings at theta0 + pi
-
-    # assemble the doubled radial profile per point, full-grid node order
-    nfull = grid.x_full.size
-    prof = np.empty((r0.size, nfull))
-    prof[:, grid.pos_full] = vals_pos
-    prof[:, grid.neg_full] = vals_neg
-
     diff = r0[:, None] - grid.x_full[None, :]
     exact = np.abs(diff) < 1e-14
-    diff_safe = np.where(exact, 1.0, diff)
-    c = grid.bary_weights[None, :] / diff_safe
-    numer = (c * prof).sum(axis=1)
-    denom = c.sum(axis=1)
-    out = numer / denom
+    c = grid.bary_weights[None, :] / np.where(exact, 1.0, diff)
     hit = exact.any(axis=1)
-    if np.any(hit):
-        idx = exact[hit].argmax(axis=1)
-        out[hit] = prof[hit, idx]
+    return E, E * signs, c, c.sum(axis=1), hit, exact[hit].argmax(axis=1)
+
+
+def _interp_rings(grid, coeff_rings, weights):
+    """Barycentric radial interpolation of per-ring Fourier data.
+
+    coeff_rings: (n_r, n_modes) rfft coefficients of each ring.
+    Returns values at the points that weights (_ring_weights) belong to.
+    """
+    E, E_neg, c, denom, hit, idx = weights
+    # the doubled radial profile per point, full-grid node order
+    prof = np.empty((E.shape[0], grid.x_full.size))
+    prof[:, grid.pos_full] = (E @ coeff_rings.T).real      # rings at theta0
+    prof[:, grid.neg_full] = (E_neg @ coeff_rings.T).real  # rings at theta0 + pi
+    out = (c * prof).sum(axis=1) / denom
+    out[hit] = prof[hit, idx]
     return out
 
 
@@ -137,36 +133,36 @@ def _node_snap(grid, r0, theta0):
     return mask, i, j
 
 
-def evaluate_at(f, points, *, clamp_tol=1e-12):
-    """Interpolate a ScalarField at plane points (array-like (P, 2)).
+def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
+    """Interpolate fields at plane points (array-like (P, 2)).
 
-    Exact trigonometric evaluation in theta, barycentric polynomial
-    evaluation in r over the doubled node set.  Points whose radius
-    overshoots 1 by at most clamp_tol are evaluated by the radial
-    polynomial's natural extension (time-stepper stages land there);
-    anything further outside raises.  Grid-node queries reproduce the
-    stored samples bit-exactly.
+    fields is a VectorField or a sequence of ScalarFields on one grid;
+    the result is (P, F), one column per field.  Exact trigonometric
+    evaluation in theta, barycentric polynomial evaluation in r over the
+    doubled node set.  Points whose radius overshoots 1 by at most
+    clamp_tol are evaluated by the radial polynomial's natural extension
+    (time-stepper stages land there); anything further outside raises.
+    Grid-node queries reproduce the stored samples bit-exactly.  The
+    point weights are built once per call and shared by every field.
     """
-    r0, theta0 = _clamp_points(f.grid, points, clamp_tol)
-    C = f.grid.to_modes(f.values)
-    out = _interp_rings(f.grid, C, r0, theta0)
-    mask, i, j = _node_snap(f.grid, r0, theta0)
+    if isinstance(fields, VectorField):
+        fields = (fields.x, fields.y)
+    grid = fields[0].grid
+    r0, theta0 = _clamp_points(grid, points, clamp_tol)
+    weights = _ring_weights(grid, r0, theta0)
+    C = grid.to_modes(np.stack([f.values for f in fields]))
+    out = np.column_stack([_interp_rings(grid, Ck, weights) for Ck in C])
+    mask, i, j = _node_snap(grid, r0, theta0)
     if np.any(mask):
-        out[mask] = f.values[i[mask], j[mask]]
+        i, j = i[mask], j[mask]
+        for k, f in enumerate(fields):
+            out[mask, k] = f.values[i, j]
     return out
 
 
-def evaluate_vector_at(w, points, *, clamp_tol=1e-12):
-    r0, theta0 = _clamp_points(w.grid, points, clamp_tol)
-    Cx = w.grid.to_modes(w.x.values)
-    Cy = w.grid.to_modes(w.y.values)
-    out = np.column_stack([_interp_rings(w.grid, Cx, r0, theta0),
-                           _interp_rings(w.grid, Cy, r0, theta0)])
-    mask, i, j = _node_snap(w.grid, r0, theta0)
-    if np.any(mask):
-        out[mask, 0] = w.x.values[i[mask], j[mask]]
-        out[mask, 1] = w.y.values[i[mask], j[mask]]
-    return out
+def evaluate_at(f, points, *, clamp_tol=1e-12):
+    """evaluate_vector_at of one ScalarField, as a (P,) array."""
+    return evaluate_vector_at((f,), points, clamp_tol=clamp_tol)[:, 0]
 
 
 # Diffeomorphisms of the disk are only required to hold the boundary circle
@@ -188,44 +184,46 @@ def compose(f, g, *, clamp_tol=None):
         raise ConfigError("compose requires a diffeomorphism of the disk")
     if clamp_tol is None:
         clamp_tol = _COMPOSE_CLAMP
-    pts = g.image_points()
-    grid = g.grid
-    shape = (grid.n_r, grid.n_theta)
-    if isinstance(f, ScalarField):
-        return ScalarField(grid, evaluate_at(f, pts, clamp_tol=clamp_tol).reshape(shape))
     if isinstance(f, VectorField):
-        vals = evaluate_vector_at(f, pts, clamp_tol=clamp_tol)
-        return VectorField.from_arrays(grid, vals[:, 0].reshape(shape),
-                                       vals[:, 1].reshape(shape))
-    raise ConfigError("compose expects a ScalarField or VectorField on the left")
+        parts = (f.x, f.y)
+    elif isinstance(f, ScalarField):
+        parts = (f,)
+    else:
+        raise ConfigError("compose expects a ScalarField or VectorField on the left")
+    grid = g.grid
+    vals = evaluate_vector_at(parts, g.image_points(), clamp_tol=clamp_tol)
+    out = [ScalarField(grid, v.reshape(grid.n_r, grid.n_theta)) for v in vals.T]
+    return VectorField(*out) if len(out) == 2 else out[0]
 
 
 def jacobian_det(g):
     """Determinant of D(map) at every node, map = id + displacement."""
-    grid = g.grid
-    ax = g.displacement.x.values
-    ay = g.displacement.y.values
-    j11 = 1.0 + dx_values(grid, ax)
-    j12 = dy_values(grid, ax)
-    j21 = dx_values(grid, ay)
-    j22 = 1.0 + dy_values(grid, ay)
-    return ScalarField(grid, j11 * j22 - j12 * j21)
+    j11, j12, j21, j22 = map_jacobian(g)
+    return ScalarField(g.grid, j11 * j22 - j12 * j21)
 
 
 def map_jacobian(g):
     """The four entries of D(map) as arrays (j11, j12, j21, j22)."""
-    grid = g.grid
-    ax = g.displacement.x.values
-    ay = g.displacement.y.values
-    return (1.0 + dx_values(grid, ax), dy_values(grid, ax),
-            dx_values(grid, ay), 1.0 + dy_values(grid, ay))
+    d = g.displacement
+    dx, dy = grad_values(g.grid, np.stack([d.x.values, d.y.values]))
+    return 1.0 + dx[0], dy[0], dx[1], 1.0 + dy[1]
 
 
 def inverse_jacobian(g):
-    """det D(map) and the entries (b11, b12, b21, b22) of D(map)^-1."""
-    j11, j12, j21, j22 = map_jacobian(g)
-    det = j11 * j22 - j12 * j21
-    return det, (j22 / det, -j12 / det, -j21 / det, j11 / det)
+    """det D(map) and the entries (b11, b12, b21, b22) of D(map)^-1.
+
+    Kept read-only in the map's cache: a map is immutable, and the
+    pressure solve and both of its pulled-back Laplacians ask for it.
+    """
+    cached = g._cache.get("inverse_jacobian")
+    if cached is None:
+        j11, j12, j21, j22 = map_jacobian(g)
+        det = j11 * j22 - j12 * j21
+        cached = det, (j22 / det, -j12 / det, -j21 / det, j11 / det)
+        for a in (det, *cached[1]):
+            a.setflags(write=False)
+        g._cache["inverse_jacobian"] = cached
+    return cached
 
 
 def restrict_boundary(f):

@@ -227,7 +227,8 @@ class DiskMap:
     kind is "diffeo" for volume-preserving maps of the disk to itself
     (beta, zeta) and "embedding" for maps whose image may leave the disk
     (eta, id + grad f).  The _cache slot memoizes expensive derived data
-    (pointwise inverse values) on the immutable instance.
+    (pointwise inverse values, the inverse Jacobian) on the immutable
+    instance.
     """
 
     __slots__ = ("grid", "displacement", "kind", "_cache")

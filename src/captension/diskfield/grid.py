@@ -189,24 +189,23 @@ class DiskGrid:
     # ---- transforms -------------------------------------------------
 
     def to_modes(self, values):
-        """Real samples (n_r, n_theta) -> complex rfft coefficients (n_r, n_modes)."""
-        return np.fft.rfft(values, axis=1)
+        """Real samples (..., n_r, n_theta) -> rfft coefficients (..., n_r, n_modes)."""
+        return np.fft.rfft(values, axis=-1)
 
     def from_modes(self, coeffs):
-        return np.fft.irfft(coeffs, n=self.n_theta, axis=1)
+        return np.fft.irfft(coeffs, n=self.n_theta, axis=-1)
 
-    def dtheta(self, values):
-        """Angular derivative of a sample array."""
-        return self.from_modes(self.to_modes(values) * self.ik[None, :])
+    def polar_derivatives(self, values):
+        """(d_r, d_theta) of samples shaped (..., n_r, n_theta), stacked.
 
-    def dr(self, values):
-        """Radial derivative with per-mode parity folding."""
+        One forward transform, the radial derivative folded per mode by
+        its parity, and one inverse transform of both derivatives.
+        """
         C = self.to_modes(values)
-        out = np.empty_like(C)
-        ev = slice(0, self.n_modes, 2)
-        od = slice(1, self.n_modes, 2)
-        out[:, ev] = self.Dr[+1] @ C[:, ev]
-        out[:, od] = self.Dr[-1] @ C[:, od]
+        out = np.empty((2,) + C.shape, dtype=complex)
+        out[0, ..., 0::2] = self.Dr[+1] @ C[..., 0::2]
+        out[0, ..., 1::2] = self.Dr[-1] @ C[..., 1::2]
+        out[1] = C * self.ik
         return self.from_modes(out)
 
     def apply_modal(self, stack, values):

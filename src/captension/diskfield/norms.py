@@ -5,7 +5,7 @@ import numbers
 import numpy as np
 
 from ..errors import UnsupportedOrderError
-from .calculus import dx_values, dy_values
+from .calculus import grad_values
 from .fields import ScalarField, VectorField
 
 __all__ = ["sobolev_norm_disk", "sobolev_norm_boundary", "l2_norm_disk"]
@@ -14,19 +14,17 @@ MAX_DISK_ORDER = 4
 
 
 def _norm_sq_scalar(grid, values, s):
-    # derivative table D^(a,b) built column by column: b angular-y layers
-    # first, then repeated d_x
-    total = 0.0
-    layer = values
-    for b in range(s + 1):
-        g = layer
-        for a in range(s + 1 - b):
-            total += grid.integrate(g * g)
-            if a < s - b:
-                g = dx_values(grid, g)
-        if b < s:
-            layer = dy_values(grid, layer)
-    return total
+    # derivative table D^(a,b) = d_x^a d_y^b f one order at a time, order
+    # n stacked as b = 0..n: d_x of every entry of order n - 1, then d_y
+    # of its pure d_y entry; summed b-major, the order the bits depend on
+    sq = {(0, 0): grid.integrate(values * values)}
+    order = values[None]
+    for n in range(1, s + 1):
+        gx, gy = grad_values(grid, order)
+        order = np.concatenate([gx, gy[-1:]])
+        for b, g in enumerate(order):
+            sq[n - b, b] = grid.integrate(g * g)
+    return sum(sq[a, b] for b in range(s + 1) for a in range(s + 1 - b))
 
 
 def sobolev_norm_disk(f, s):

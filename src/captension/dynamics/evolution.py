@@ -17,8 +17,7 @@ from ..diskfield import (
     VectorField,
     compose,
     divergence,
-    dx_values,
-    dy_values,
+    grad_values,
     gradient,
     hessian,
     l2_norm_disk,
@@ -66,11 +65,9 @@ class FreeBoundaryRhs:
 def _advect(grid, w):
     """(w . grad) w for a vector field, spectrally."""
     wx, wy = w.x.values, w.y.values
-    return VectorField.from_arrays(
-        grid,
-        wx * dx_values(grid, wx) + wy * dy_values(grid, wx),
-        wx * dx_values(grid, wy) + wy * dy_values(grid, wy),
-    )
+    dx, dy = grad_values(grid, np.stack([wx, wy]))
+    return VectorField.from_arrays(grid, wx * dx[0] + wy * dy[0],
+                                   wx * dx[1] + wy * dy[1])
 
 
 def _second_directional(grid, field, v):

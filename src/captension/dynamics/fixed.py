@@ -13,9 +13,8 @@ from ..diskfield import (
     ScalarField,
     VectorField,
     compose,
-    dx_values,
-    dy_values,
     evaluate_vector_at,
+    grad_values,
     gradient,
     solve_dirichlet,
 )
@@ -71,11 +70,9 @@ def euler_Z(alpha, vel):
     u = _velocity_at_labels(alpha, vel)
     pu = hodge_P(u)
     ux, uy = u.x.values, u.y.values
-    adv = VectorField.from_arrays(
-        grid,
-        ux * dx_values(grid, pu.x.values) + uy * dy_values(grid, pu.x.values),
-        ux * dx_values(grid, pu.y.values) + uy * dy_values(grid, pu.y.values),
-    )
+    dx, dy = grad_values(grid, np.stack([pu.x.values, pu.y.values]))
+    adv = VectorField.from_arrays(grid, ux * dx[0] + uy * dy[0],
+                                  ux * dx[1] + uy * dy[1])
     return compose(hodge_Q(adv), alpha, clamp_tol=STAGE_CLAMP)
 
 
@@ -100,9 +97,8 @@ def vorticity_velocity(omega):
 
 
 def _transport_rate(omega, u):
-    grid = omega.grid
-    return ScalarField(grid, -(u.x.values * dx_values(grid, omega.values)
-                               + u.y.values * dy_values(grid, omega.values)))
+    dx, dy = grad_values(omega.grid, omega.values)
+    return ScalarField(omega.grid, -(u.x.values * dx + u.y.values * dy))
 
 
 def _move_points(phi, u):

@@ -13,8 +13,7 @@ from ..diskfield import (
     DiskMap,
     ScalarField,
     VectorField,
-    dx_values,
-    dy_values,
+    grad_values,
     gradient,
     inverse_jacobian,
 )
@@ -44,10 +43,8 @@ def pressure_solve(state, tol=1e-9):
     _, (b11, b12, b21, b22) = inverse_jacobian(eta)
 
     w = pullback_velocity(state)
-    m11 = dx_values(grid, w.x.values)
-    m12 = dy_values(grid, w.x.values)
-    m21 = dx_values(grid, w.y.values)
-    m22 = dy_values(grid, w.y.values)
+    (m11, m21), (m12, m22) = grad_values(
+        grid, np.stack([w.x.values, w.y.values]))
     g11 = m11 * b11 + m12 * b21
     g12 = m11 * b12 + m12 * b22
     g21 = m21 * b11 + m22 * b21

@@ -17,8 +17,7 @@ from ..diskfield import (
     BoundaryFunction,
     ScalarField,
     VectorField,
-    dx_values,
-    dy_values,
+    grad_values,
     gradient,
     map_jacobian,
 )
@@ -49,10 +48,8 @@ def unsplit_acceleration(eta, etadot, k, tol=1e-9):
     b11, b12 = j22 / det, -j12 / det
     b21, b22 = -j21 / det, j11 / det
 
-    m11 = dx_values(grid, etadot.x.values)
-    m12 = dy_values(grid, etadot.x.values)
-    m21 = dx_values(grid, etadot.y.values)
-    m22 = dy_values(grid, etadot.y.values)
+    (m11, m21), (m12, m22) = grad_values(
+        grid, np.stack([etadot.x.values, etadot.y.values]))
     g11 = m11 * b11 + m12 * b21
     g12 = m11 * b12 + m12 * b22
     g21 = m21 * b11 + m22 * b21

@@ -25,10 +25,6 @@ class ExperimentConfig:
     amplitude: float = 0.05
     n_outputs: int = 21
     dt_fixed: float = 1e-3
-    tol_ell: float = 1e-9
-    tol_vol: float = 1e-9
-    tol_L1: float = 1e-9
-    delta0: float = 0.1
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -36,15 +32,15 @@ class ExperimentConfig:
             raise ConfigError("n_theta must be an even integer >= 8")
         if self.n_r < 8:
             raise ConfigError("n_r must be >= 8")
-        if not self.T > 0:
-            raise ConfigError("T must be positive")
-        if not self.c_cfl > 0:
-            raise ConfigError("c_cfl must be positive")
+        if not _positive(self.T):
+            raise ConfigError("T must be finite and positive")
+        if not _positive(self.c_cfl):
+            raise ConfigError("c_cfl must be finite and positive")
         if not self.k_list:
             raise ConfigError("k_list must not be empty")
         ks = tuple(float(k) for k in self.k_list)
-        if any(k <= 0 for k in ks):
-            raise ConfigError("every k must be positive")
+        if not all(_positive(k) for k in ks):
+            raise ConfigError("every k must be finite and positive")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ConfigError("k_list must be strictly increasing")
         if self.stream_mode < 0:
@@ -53,8 +49,8 @@ class ExperimentConfig:
             raise ConfigError("amplitude must be finite and >= 0")
         if self.n_outputs < 2:
             raise ConfigError("n_outputs must be >= 2")
-        if not self.dt_fixed > 0:
-            raise ConfigError("dt_fixed must be positive")
+        if not _positive(self.dt_fixed):
+            raise ConfigError("dt_fixed must be finite and positive")
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -97,8 +93,11 @@ class ExperimentConfig:
 
 
 _INT_KEYS = {"n_theta", "n_r", "stream_mode", "n_outputs"}
-_FLOAT_KEYS = {"T", "c_cfl", "amplitude", "dt_fixed",
-               "tol_ell", "tol_vol", "tol_L1", "delta0"}
+_FLOAT_KEYS = {"T", "c_cfl", "amplitude", "dt_fixed"}
+
+
+def _positive(x):
+    return 0 < x < math.inf
 
 
 def _coerce(key, value):

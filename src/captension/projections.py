@@ -21,8 +21,7 @@ from .diskfield import (
     ScalarField,
     VectorField,
     divergence,
-    dx_values,
-    dy_values,
+    grad_values,
     gradient,
     hessian,
     inverse_jacobian,
@@ -151,19 +150,10 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, tol=TOL_ELL, max_iter=400,
     a22 = b21 * b21 + b22 * b22
 
     def op(vals):
-        gx = dx_values(grid, vals)
-        gy = dy_values(grid, vals)
-        return (dx_values(grid, a11 * gx + a12 * gy)
-                + dy_values(grid, a12 * gx + a22 * gy))
-
-    def drop_nyquist(vals):
-        # the top angular mode on an even grid has no sine partner, so
-        # the composed-derivative operator and the assembled
-        # preconditioner disagree on it; the iteration corrects the
-        # resolved modes and leaves that aliasing slack alone
-        C = np.fft.rfft(vals, axis=1)
-        C[:, -1] = 0.0
-        return np.fft.irfft(C, n=grid.n_theta, axis=1)
+        gx, gy = grad_values(grid, vals)
+        dx, dy = grad_values(grid, np.stack([a11 * gx + a12 * gy,
+                                             a12 * gx + a22 * gy]))
+        return dx[0] + dy[1]
 
     scale = max(1.0, l2_norm_disk(rhs))
     if bdata is not None:
@@ -173,8 +163,13 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, tol=TOL_ELL, max_iter=400,
     for _ in range(max_iter):
         resid = rhs.values - op(g.values)
         resid[-1, :] = 0.0
-        if grid.n_theta % 2 == 0:
-            resid = drop_nyquist(resid)
+        # the top angular mode (n_theta is even) has no sine partner, so
+        # the composed-derivative operator and the assembled
+        # preconditioner disagree on it; the iteration corrects the
+        # resolved modes and leaves that aliasing slack alone
+        C = grid.to_modes(resid)
+        C[:, -1] = 0.0
+        resid = grid.from_modes(C)
         res = float(np.sqrt(max(grid.l2_inner(resid, resid), 0.0))) / scale
         if res < tol:
             return g

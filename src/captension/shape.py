@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DegenerateTangentError,
     InversionFailureError,
     NoConvergenceError,
@@ -29,7 +28,6 @@ from .diskfield import (
     DiskMap,
     ScalarField,
     compose,
-    evaluate_at,
     evaluate_vector_at,
     gradient,
     harmonic_extension,
@@ -54,13 +52,9 @@ __all__ = [
     "boundary_length",
     "invert_points",
     "TOL_VOL",
-    "TOL_FACT",
-    "DELTA0",
 ]
 
 TOL_VOL = 1e-9
-TOL_FACT = 1e-7
-DELTA0 = 0.1
 
 
 @dataclass(frozen=True)
@@ -112,18 +106,13 @@ def _interior_max(values):
     return float(np.abs(values[:-1, :]).max())
 
 
-def solve_volume_constraint(h, tol=TOL_VOL, delta0=None, max_iter=400):
+def solve_volume_constraint(h, tol=TOL_VOL, max_iter=400):
     """Potential f of the volume-preserved graph: lap f = -det(D^2 f), f|bdry = h.
 
     Fixed-point iteration f <- harmonic_extension(h) - lap^-1(det D^2 f)
     (zero-trace inverse), which contracts at a rate proportional to the
-    amplitude of h.  Pass delta0 to reject h with H^{5/2} norm at or
-    above that admission bound up front; by default only the iteration's
-    own contraction failure rejects data.
+    amplitude of h; data too large for it is rejected by its stalling.
     """
-    if delta0 is not None and sobolev_norm_boundary(h, 2.5) >= delta0:
-        raise ConfigError(
-            f"boundary data outside the admissible ball (delta0 = {delta0})")
     grid = h.grid
     base = harmonic_extension(h)
     f = base
@@ -280,7 +269,7 @@ def _radius_function(grid, px, py):
     return rad_b.evaluate(t)
 
 
-def decompose_embedding(eta, tol=TOL_FACT, max_iter=60):
+def decompose_embedding(eta, max_iter=60):
     """Factor an embedding as (id + grad f) o beta.
 
     The boundary data h is recovered by matching the radius function of
@@ -331,23 +320,23 @@ def invert_points(alpha, targets, start, *, margin, clamp_tol, tol=1e-12,
 
     targets and start (the first guesses) are (P, 2) arrays; the result
     is a new (P, 2) array of preimages.  The Jacobian of alpha comes from
-    map_jacobian, interpolated at the iterates.  Iterates are pulled back
+    map_jacobian, interpolated at the iterates in the same evaluation as
+    the displacement, one per Newton pass.  Iterates are pulled back
     inside radius 1 + margin after every update, and the displacement and
     Jacobian are evaluated with clamp_tol of boundary overshoot.
     """
-    grid = alpha.grid
     d = alpha.displacement
-    jac = [ScalarField(grid, j) for j in map_jacobian(alpha)]
+    fields = [d.x, d.y] + [ScalarField(alpha.grid, j)
+                           for j in map_jacobian(alpha)]
     Y = np.array(start, dtype=float)
     _project_into_disk(Y, margin)
     for _ in range(max_iter):
-        DY = evaluate_vector_at(d, Y, clamp_tol=clamp_tol)
-        rx = Y[:, 0] + DY[:, 0] - targets[:, 0]
-        ry = Y[:, 1] + DY[:, 1] - targets[:, 1]
+        dx, dy, j11, j12, j21, j22 = evaluate_vector_at(
+            fields, Y, clamp_tol=clamp_tol).T
+        rx = Y[:, 0] + dx - targets[:, 0]
+        ry = Y[:, 1] + dy - targets[:, 1]
         if max(np.abs(rx).max(), np.abs(ry).max()) < tol:
             return Y
-        j11, j12, j21, j22 = (evaluate_at(j, Y, clamp_tol=clamp_tol)
-                              for j in jac)
         det = j11 * j22 - j12 * j21
         if np.abs(det).min() < 0.2:
             raise InversionFailureError(

@@ -3,7 +3,7 @@ import pytest
 
 from captension.diskfield import (DiskMap, ScalarField, VectorField, compose,
                                   divergence, evaluate_at, evaluate_vector_at,
-                                  gradient, hessian, identity_map,
+                                  grad_values, gradient, hessian, identity_map,
                                   jacobian_det, laplacian, normal_derivative_boundary,
                                   restrict_boundary, rotation_map)
 from captension.errors import PointOutsideDomainError
@@ -63,11 +63,40 @@ def test_evaluate_outside_raises(grid):
 
 
 def test_evaluate_vector_matches_componentwise(grid, rng):
-    w = VectorField(poly(grid), gradient(poly(grid)).x)
-    pts = rng.uniform(-0.5, 0.5, size=(15, 2))
-    vals = evaluate_vector_at(w, pts)
-    assert np.allclose(vals[:, 0], evaluate_at(w.x, pts), atol=1e-13)
-    assert np.allclose(vals[:, 1], evaluate_at(w.y, pts), atol=1e-13)
+    fields = [poly(grid)] + [ScalarField(grid, rng.standard_normal(grid.xx.shape))
+                             for _ in range(5)]
+    nodes = np.column_stack([grid.xx.ravel(), grid.yy.ravel()])[::5]
+    angles = rng.uniform(0.0, 2.0 * np.pi, 10)
+    past_rim = (1.0 + 5e-13) * np.column_stack([np.cos(angles), np.sin(angles)])
+    pts = np.concatenate([rng.uniform(-0.5, 0.5, size=(15, 2)), nodes, past_rim])
+    vals = evaluate_vector_at(fields, pts)
+    assert vals.shape == (len(pts), 6)
+    for k, f in enumerate(fields):
+        assert np.array_equal(vals[:, k], evaluate_at(f, pts))
+    w = VectorField(fields[0], fields[1])
+    assert np.array_equal(evaluate_vector_at(w, pts), vals[:, :2])
+
+
+def test_grad_values_of_a_stack_matches_each_field(grid, rng):
+    stack = rng.standard_normal((4, grid.n_r, grid.n_theta))
+    dx, dy = grad_values(grid, stack)
+    for k in range(4):
+        fx, fy = grad_values(grid, stack[k])
+        assert np.array_equal(dx[k], fx)
+        assert np.array_equal(dy[k], fy)
+
+
+def test_derivatives_make_one_transform_each_way_per_pass(grid, monkeypatch):
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    gradient(poly(grid))
+    assert calls == {"rfft": 1, "irfft": 1}
+    hessian(poly(grid))
+    assert calls == {"rfft": 3, "irfft": 3}
 
 
 def test_compose_with_rotation(grid):

@@ -26,6 +26,19 @@ def test_pressure_solve_rigid_rotation(grid):
     assert np.abs(sol.grad_p_pullback.y.values - grid.yy).max() < 1e-7
 
 
+def test_pressure_solve_builds_one_jacobian(coarse_grid, monkeypatch):
+    from captension.diskfield import calculus
+
+    calls = []
+    original = calculus.map_jacobian
+    monkeypatch.setattr(calculus, "map_jacobian",
+                        lambda g: calls.append(g) or original(g))
+    state = FreeBoundaryState.from_velocity(
+        coarse_grid, stream_initial_velocity(coarse_grid, 2, 0.05), k=100.0)
+    pressure_solve(state)
+    assert len(calls) == 1
+
+
 def test_rest_state_is_stationary(grid):
     state = FreeBoundaryState.from_velocity(grid, VectorField.zeros(grid),
                                             k=100.0)

@@ -52,14 +52,14 @@ def test_modal_round_trip(grid, rng):
 def test_dtheta_on_single_mode(grid):
     vals = np.cos(4.0 * grid.tt)
     expected = -4.0 * np.sin(4.0 * grid.tt)
-    assert np.allclose(grid.dtheta(vals), expected, atol=1e-12)
+    assert np.allclose(grid.polar_derivatives(vals)[1], expected, atol=1e-12)
 
 
 def test_dr_on_radial_powers(grid):
     # r^3 cos(theta) has odd parity in the doubled variable
     vals = grid.rr ** 3 * np.cos(grid.tt)
     expected = 3.0 * grid.rr ** 2 * np.cos(grid.tt)
-    assert np.allclose(grid.dr(vals), expected, atol=1e-11)
+    assert np.allclose(grid.polar_derivatives(vals)[0], expected, atol=1e-11)
 
 
 def test_l2_inner_matches_integral(grid):

@@ -42,7 +42,8 @@ class TestConfig:
         assert cfg.k_list == (50.0, 100.0)
         assert cfg.amplitude == 0.01
 
-    @pytest.mark.parametrize("key", ["n_thetas", "seed", "norms_to_report"])
+    @pytest.mark.parametrize("key", ["n_thetas", "seed", "norms_to_report",
+                                     "tol_ell", "tol_vol", "tol_L1", "delta0"])
     def test_unknown_key_rejected(self, tmp_path, key):
         p = tmp_path / "bad.cfg"
         p.write_text(f"{key} = 16\n")
@@ -63,6 +64,9 @@ class TestConfig:
         dict(n_theta=7), dict(n_theta=10, n_r=4), dict(T=-1.0),
         dict(k_list=()), dict(k_list=(100.0, 100.0)), dict(k_list=(-5.0,)),
         dict(n_outputs=1), dict(dt_fixed=0.0), dict(amplitude=float("nan")),
+        dict(T=float("inf")), dict(T=float("nan")), dict(c_cfl=float("inf")),
+        dict(dt_fixed=float("inf")), dict(k_list=(100.0, float("inf"))),
+        dict(k_list=(100.0, float("nan"))),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -184,6 +188,12 @@ class TestCli:
         p.write_text("n_theta = 3\n")
         assert main(["run", "--config", str(p)]) == 3
         assert "n_theta" in capsys.readouterr().err
+
+    def test_infinite_k_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text("n_theta = 16\nn_r = 8\nk_list = inf\n")
+        assert main(["run", "--config", str(p)]) == 3
+        assert "every k must be finite" in capsys.readouterr().err
 
     def test_run_writes_series_csv(self, tmp_path, capsys):
         p = tmp_path / "tiny.cfg"

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
-                                  l2_norm_disk, make_grid, sobolev_norm_boundary,
-                                  sobolev_norm_disk)
+                                  grad_values, l2_norm_disk, make_grid,
+                                  sobolev_norm_boundary, sobolev_norm_disk)
 
 
 def test_l2_norm_of_coordinate(grid):
@@ -32,6 +32,20 @@ def test_sobolev_orders_nest(grid):
     norms = [sobolev_norm_disk(f, s) for s in range(4)]
     assert all(b >= a for a, b in zip(norms, norms[1:]))
     assert norms[0] == pytest.approx(l2_norm_disk(f), abs=1e-13)
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_disk_norm_matches_per_entry_loop(grid, s):
+    # reference: each table entry d_x^a d_y^b f derived on its own
+    f = ScalarField.from_function(grid, lambda x, y: x ** 3 * y - 0.3 * y ** 2 + x)
+    total, layer = 0.0, f.values
+    for b in range(s + 1):
+        g = layer
+        for a in range(s + 1 - b):
+            total += grid.integrate(g * g)
+            g = grad_values(grid, g)[0]
+        layer = grad_values(grid, layer)[1]
+    assert sobolev_norm_disk(f, s) == float(np.sqrt(total))
 
 
 def test_boundary_norm_single_mode(grid):
