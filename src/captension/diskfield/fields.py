@@ -29,7 +29,7 @@ class ScalarField:
             raise ConfigError(
                 f"scalar sample shape {values.shape} does not match grid "
                 f"({grid.n_r}, {grid.n_theta})")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NonFiniteError("non-finite scalar samples")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", _freeze(values))

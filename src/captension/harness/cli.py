@@ -62,8 +62,11 @@ def build_parser():
 def _load_config(args):
     cfg = (ExperimentConfig.from_file(args.config) if args.config
            else ExperimentConfig())
+    # a --k run is a one-k config, so --k meets the k_list rules
+    k = getattr(args, "k", None)
     return cfg.with_overrides(n_theta=args.n_theta, t_final=args.t_final,
-                              out_dir=args.out_dir)
+                              out_dir=args.out_dir,
+                              k_list=None if k is None else (k,))
 
 
 def _write_series(record, path):
@@ -80,7 +83,7 @@ def _write_series(record, path):
 
 def _cmd_run(args):
     cfg = _load_config(args)
-    k = args.k if args.k is not None else cfg.k_list[0]
+    k = cfg.k_list[0]
     record = run_single(cfg, k)
     os.makedirs(cfg.out_dir, exist_ok=True)
     series_path = os.path.join(cfg.out_dir, "run_k%g.csv" % k)
@@ -132,7 +135,7 @@ def _cmd_sweep(args):
 
 def _cmd_oracle(args):
     cfg = _load_config(args)
-    k = args.k if args.k is not None else cfg.k_list[0]
+    k = cfg.k_list[0]
     rows = oracle_compare(cfg, k)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "oracle_gap.csv")

@@ -52,22 +52,57 @@ def _substeps(segment, bound):
     return n, segment / n
 
 
-def run_single(config, k):
-    """Integrate the free-surface and fixed-disk flows from one u0.
+class _FixedFlow:
+    """The fixed-disk Euler states of one config at its output times.
+
+    The flow starts from the same u0 as every free run and does not depend
+    on k, so one instance serves all k of a sweep.  State j is stepped on
+    its first request and kept; a solver failure is kept as well and raised
+    again for every later request past it.
+    """
+
+    def __init__(self, config):
+        grid = make_grid(config.n_theta, config.n_r)
+        u0 = stream_initial_velocity(grid, config.stream_mode, config.amplitude)
+        self._states = [FixedEulerState.from_velocity(grid, u0)]
+        self._failure = None
+        segment = config.T / (config.n_outputs - 1)
+        self._n_sub, self._dt = _substeps(segment, config.dt_fixed)
+
+    def at(self, j):
+        while len(self._states) <= j:
+            if self._failure is not None:
+                raise self._failure
+            state = self._states[-1]
+            try:
+                for _ in range(self._n_sub):
+                    state = step_fixed_euler(state, self._dt)
+            except SolverError as exc:
+                self._failure = exc
+                raise
+            self._states.append(state)
+        return self._states[j]
+
+
+def run_single(config, k, fixed_flow=None):
+    """Integrate the free-surface flow at one k and compare it with the
+    fixed-disk flow from the same u0.
 
     Both trajectories share the output time grid; the free solver
     substeps each segment under its capillary bound, the fixed solver
-    under the configured advective step.  A solver failure closes the
-    record early with converged = False and the failing time kept.
+    under the configured advective step.  `fixed_flow` is the k-independent
+    fixed-disk flow that `run_sweep` shares between its k values; alone,
+    run_single integrates its own.  A solver failure in either flow closes
+    the record early with converged = False and the free time kept.
     """
+    if fixed_flow is None:
+        fixed_flow = _FixedFlow(config)
     grid = make_grid(config.n_theta, config.n_r)
     u0 = stream_initial_velocity(grid, config.stream_mode, config.amplitude)
     free = FreeBoundaryState.from_velocity(grid, u0, k)
-    fixed = FixedEulerState.from_velocity(grid, u0)
 
     segment = config.T / (config.n_outputs - 1)
     n_free, dt_free = _substeps(segment, dt_max(k, config.n_theta, config.c_cfl))
-    n_fix, dt_fix = _substeps(segment, config.dt_fixed)
 
     e0 = energy_report(free).E
     e_ref = max(abs(e0), 1e-30)
@@ -92,16 +127,14 @@ def run_single(config, k):
         for q, value in row.items():
             series[q].append(value)
 
-    record(free, fixed)
+    record(free, fixed_flow.at(0))
     converged = True
     fail_time = None
-    for _ in range(config.n_outputs - 1):
+    for j in range(1, config.n_outputs):
         try:
             for _ in range(n_free):
                 free = step_free_boundary(free, dt_free, config.c_cfl)
-            for _ in range(n_fix):
-                fixed = step_fixed_euler(fixed, dt_fix)
-            record(free, fixed)
+            record(free, fixed_flow.at(j))
         except SolverError:
             converged = False
             fail_time = free.time
@@ -123,9 +156,11 @@ def run_single(config, k):
 
 
 def run_sweep(config):
-    """run_single per k, one after another; fit decay exponents over the
+    """run_single per k, one after another, all compared with one fixed-disk
+    flow integrated once for this call; fit decay exponents over the
     converged rows (three or more needed for a fit)."""
-    rows = [run_single(config, k) for k in config.k_list]
+    fixed_flow = _FixedFlow(config)
+    rows = [run_single(config, k, fixed_flow) for k in config.k_list]
 
     fitted = {}
     good = [r for r in rows if r.converged]

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from captension.errors import (ConfigError, InsufficientPointsError,
-                               NonpositiveValueError)
+                               NonpositiveValueError, SolverError)
 from captension.harness import (CSV_HEADER, ExperimentConfig, emit_csv,
                                 emit_plot, fit_rate, main, measure_frequency,
-                                oracle_compare, parse_csv, run_single)
+                                oracle_compare, parse_csv, run_single,
+                                run_sweep)
+from captension.harness import run as run_module
 from captension.harness.run import RunRecord
 
 
@@ -170,6 +174,52 @@ class TestRuns:
         assert rec.sup_nabla_f_L2 == max(rec.series["nabla_f_L2"])
         assert rec.sup_nabla_f_H1 >= rec.sup_nabla_f_L2
 
+    @staticmethod
+    def count_fixed_steps(monkeypatch, fail_from=None):
+        """Count step_fixed_euler calls; from time fail_from on, raise."""
+        calls = []
+        original = run_module.step_fixed_euler
+
+        def counted(state, dt):
+            calls.append(state.time)
+            if fail_from is not None and state.time >= fail_from:
+                raise SolverError("fixed flow breaks down")
+            return original(state, dt)
+
+        monkeypatch.setattr(run_module, "step_fixed_euler", counted)
+        return calls
+
+    def test_sweep_integrates_fixed_flow_once(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path, k_list=(100.0, 200.0, 400.0),
+                           dt_fixed=5e-4)
+        n_fix = math.ceil(cfg.T / (cfg.n_outputs - 1) / cfg.dt_fixed)
+        calls = self.count_fixed_steps(monkeypatch)
+        for _ in range(2):
+            # each call pays for its own flow: nothing is kept across calls
+            calls.clear()
+            run_sweep(cfg)
+            assert len(calls) == (cfg.n_outputs - 1) * n_fix == 4
+
+    def test_sweep_rows_equal_single_runs(self, tmp_path):
+        cfg = small_config(tmp_path, k_list=(100.0, 200.0, 400.0))
+        rows = run_sweep(cfg).rows
+        assert rows == tuple(run_single(cfg, k) for k in cfg.k_list)
+        assert all(r.converged and r.fail_time is None for r in rows)
+
+    def test_fixed_flow_failure_closes_every_row(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path, k_list=(100.0, 200.0, 400.0),
+                           T=3e-3, n_outputs=4)
+        segment = cfg.T / (cfg.n_outputs - 1)
+        calls = self.count_fixed_steps(monkeypatch, fail_from=0.99 * segment)
+        rows = run_sweep(cfg).rows
+        for row in rows:
+            assert not row.converged
+            assert row.fail_time == pytest.approx(2 * segment, rel=1e-12)
+            assert row.times == pytest.approx((0.0, segment), rel=1e-12)
+            assert all(len(v) == len(row.times) for v in row.series.values())
+        # segment 1 once, then the failing call of segment 2 once
+        assert len(calls) == 2
+
     def test_oracle_compare_rows(self, tmp_path):
         cfg = small_config(tmp_path)
         rows = oracle_compare(cfg, k=100.0, t_final=1e-3, n_outputs=2)
@@ -194,6 +244,15 @@ class TestCli:
         p.write_text("n_theta = 16\nn_r = 8\nk_list = inf\n")
         assert main(["run", "--config", str(p)]) == 3
         assert "every k must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "oracle-compare"])
+    @pytest.mark.parametrize("k", ["inf", "nan", "-1", "0"])
+    def test_bad_k_flag_exits_3(self, tmp_path, capsys, command, k):
+        p = tmp_path / "tiny.cfg"
+        p.write_text(f"n_theta = 16\nn_r = 8\nout_dir = {tmp_path}\n")
+        assert main([command, "--config", str(p), f"--k={k}"]) == 3
+        assert "config error: every k must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_run_writes_series_csv(self, tmp_path, capsys):
         p = tmp_path / "tiny.cfg"
