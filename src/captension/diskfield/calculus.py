@@ -165,9 +165,9 @@ def evaluate_at(f, points, *, clamp_tol=1e-12):
     return evaluate_vector_at((f,), points, clamp_tol=clamp_tol)[:, 0]
 
 
-# Diffeomorphisms of the disk are only required to hold the boundary circle
-# to tol_bdry = 1e-9, so composition clamps with a matching slack rather
-# than the raw interpolation default.
+# Boundary-overshoot allowance of compose when the caller gives none: wider
+# than the raw interpolation default, so image points of a diffeomorphism
+# that sit a hair past the circle are still evaluated, not rejected.
 _COMPOSE_CLAMP = 1e-8
 
 

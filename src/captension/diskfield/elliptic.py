@@ -30,13 +30,13 @@ def solve_dirichlet(rhs, bdata=None):
     return ScalarField(grid, grid.from_modes(sol.T))
 
 
-def solve_neumann(rhs, flux=None, tol_compat=TOL_COMPAT):
+def solve_neumann(rhs, flux=None):
     """Solve laplacian(g) = rhs with d_r g = flux on the boundary, zero mean.
 
     The divergence theorem forces integral(rhs) = boundary integral(flux);
-    the measured discrepancy must sit below tol_compat, after which the
-    constant part is removed from rhs so the discrete problem is solvable
-    exactly.
+    the measured discrepancy must sit below TOL_COMPAT relative to the data
+    scale, after which the constant part is removed from rhs so the
+    discrete problem is solvable exactly.
     """
     grid = rhs.grid
     if flux is None:
@@ -45,7 +45,7 @@ def solve_neumann(rhs, flux=None, tol_compat=TOL_COMPAT):
     srf = 2.0 * np.pi * flux.mean()
     gap = vol - srf
     scale = 1.0 + abs(vol) + abs(srf)
-    if abs(gap) > tol_compat * scale:
+    if abs(gap) > TOL_COMPAT * scale:
         raise CompatibilityError(
             f"Neumann data incompatible: integral(rhs) - integral(flux) = {gap:.3e}")
 

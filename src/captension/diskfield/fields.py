@@ -262,12 +262,6 @@ class DiskMap:
         """(n_r*n_theta, 2) array of node images."""
         return np.column_stack([self.map_x().ravel(), self.map_y().ravel()])
 
-    def boundary_defect(self):
-        """max | |map(1,theta)| - 1 | over the boundary ring."""
-        bx = self.map_x()[-1, :]
-        by = self.map_y()[-1, :]
-        return float(np.abs(np.hypot(bx, by) - 1.0).max())
-
     def renormalize_boundary(self):
         """Project the boundary ring radially back onto the unit circle."""
         mx, my = self.map_x(), self.map_y()

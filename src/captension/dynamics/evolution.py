@@ -118,9 +118,11 @@ def rhs_free_boundary(state):
 
     neg_a = -a_field
     fddot = solve_neumann(divergence(neg_a), _normal_trace(neg_a))
-    defect = l2_norm_disk(hodge_P(neg_a))
+    # fddot is the Neumann potential of neg_a and q_conv = Q(conv), so these
+    # are P(neg_a) and P(conv) without solving either projection again
+    defect = l2_norm_disk(neg_a - gradient(fddot))
 
-    vdot = -hodge_P(conv) - solve_L1_inverse(
+    vdot = -(conv - q_conv) - solve_L1_inverse(
         state.f, 2.0 * dv_grad_fdot + dvv_grad_f)
 
     beta_velocity = compose(state.v, state.beta, clamp_tol=STAGE_CLAMP)

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-def invert_disk_map(alpha, tol=1e-12, max_iter=40):
+def invert_disk_map(alpha):
     """Preimages of the grid nodes under a near-identity disk map.
 
     Newton on alpha(y) = x from the first guess x - d(x), with the
@@ -47,7 +47,7 @@ def invert_disk_map(alpha, tol=1e-12, max_iter=40):
     X = np.column_stack([grid.xx.ravel(), grid.yy.ravel()])
     Y = invert_points(
         alpha, X, X - np.column_stack([d.x.values.ravel(), d.y.values.ravel()]),
-        margin=STAGE_CLAMP, clamp_tol=STAGE_CLAMP, tol=tol, max_iter=max_iter)
+        slack=STAGE_CLAMP)
     Y.setflags(write=False)
     alpha._cache["inverse_points"] = Y
     return Y

@@ -29,7 +29,7 @@ def pullback_velocity(state):
     return gradient(state.fdot) + apply_L(state.f, state.v)
 
 
-def pressure_solve(state, tol=1e-9):
+def pressure_solve(state):
     """Solve both pressure parts and assemble the pulled-back gradient.
 
     The interior part obeys lap_eta q0 = -tr(G^2) with zero boundary
@@ -51,13 +51,13 @@ def pressure_solve(state, tol=1e-9):
     g22 = m21 * b12 + m22 * b22
     tr_g2 = g11 * g11 + 2.0 * g12 * g21 + g22 * g22
 
-    q0 = solve_pulled_back_laplacian(eta, ScalarField(grid, -tr_g2), tol=tol)
+    q0 = solve_pulled_back_laplacian(eta, ScalarField(grid, -tr_g2))
 
     kappa = curvature_exact(state.f)
     shifted = np.array(kappa.coeffs)
     shifted[0] -= 1.0
     ah = solve_pulled_back_laplacian(eta, ScalarField.zeros(grid),
-                                     BoundaryFunction(grid, shifted), tol=tol)
+                                     BoundaryFunction(grid, shifted))
 
     s = gradient(q0) + state.k * gradient(ah)
     grad_p = VectorField.from_arrays(

@@ -16,6 +16,7 @@ from ..diskfield import (
     laplacian,
 )
 from ..projections import hodge_P
+from ..shape import _hessian_det
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,6 @@ class FreeBoundaryState:
         div_v = float(np.abs(divergence(self.v).values).max())
         ring = (self.v.x.values[-1, :] * np.cos(grid.theta)
                 + self.v.y.values[-1, :] * np.sin(grid.theta))
-        from ..shape import _hessian_det  # local import, avoids a module cycle
-
         vol = float(np.abs((laplacian(self.f).values
                             + _hessian_det(self.f))[:-1, :]).max())
         return {

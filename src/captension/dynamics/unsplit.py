@@ -40,7 +40,7 @@ def ring_curvature(grid, cx, cy):
     return (tx * ny - ty * nx) / speed ** 3
 
 
-def unsplit_acceleration(eta, etadot, k, tol=1e-9):
+def unsplit_acceleration(eta, etadot, k):
     """-(grad p) o eta from one combined pressure solve."""
     grid = eta.grid
     j11, j12, j21, j22 = map_jacobian(eta)
@@ -65,7 +65,7 @@ def unsplit_acceleration(eta, etadot, k, tol=1e-9):
     # exact pointwise inverse, so only the divergence-form identity
     # carries the O(det - 1) slack
     q = solve_pulled_back_laplacian(eta, ScalarField(grid, rhs), bdata,
-                                    tol=tol, det_tol=1e-5)
+                                    det_tol=1e-5)
     gq = gradient(q)
     return VectorField.from_arrays(
         grid,
@@ -74,7 +74,7 @@ def unsplit_acceleration(eta, etadot, k, tol=1e-9):
     )
 
 
-def step_unsplit(eta, etadot, dt, k, tol=1e-9):
+def step_unsplit(eta, etadot, dt, k):
     """One RK4 step of the unprojected Lagrangian system."""
-    return rk4(lambda y: (y[1], unsplit_acceleration(*y, k, tol)),
+    return rk4(lambda y: (y[1], unsplit_acceleration(*y, k)),
                (eta, etadot), dt)

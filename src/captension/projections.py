@@ -11,8 +11,6 @@ perturbative inverse of L1 = P L on the image of P, plus the pulled-back
 Laplacian lap_xi used by the pressure solves on a deformed domain.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, NoConvergenceError, VolumeDefectError
@@ -31,10 +29,8 @@ from .diskfield import (
 )
 
 __all__ = [
-    "HodgeSplit",
     "hodge_Q",
     "hodge_P",
-    "hodge_split",
     "apply_L",
     "solve_L1_inverse",
     "solve_pulled_back_laplacian",
@@ -44,14 +40,6 @@ __all__ = [
 
 TOL_L1 = 1e-9
 TOL_ELL = 1e-9
-
-
-@dataclass(frozen=True)
-class HodgeSplit:
-    """w = gradient_part + solenoidal_part, orthogonal in L2."""
-
-    gradient_part: VectorField
-    solenoidal_part: VectorField
 
 
 def _normal_trace(w):
@@ -73,11 +61,6 @@ def hodge_P(w):
     return w - hodge_Q(w)
 
 
-def hodge_split(w):
-    q = hodge_Q(w)
-    return HodgeSplit(gradient_part=q, solenoidal_part=w - q)
-
-
 def _hessian_apply(grid, hess, w):
     """Pointwise matrix action (D^2 f) w from precomputed Hessian arrays."""
     fxx, fxy, fyx, fyy = hess
@@ -93,7 +76,7 @@ def apply_L(f, w):
     return w + _hessian_apply(f.grid, hessian(f), w)
 
 
-def solve_L1_inverse(f, target, tol=TOL_L1, max_iter=5000):
+def solve_L1_inverse(f, target):
     """Invert L1 = P L on the image of P by fixed-point iteration.
 
     Iterates w <- P(target - (D^2 f) w); the map contracts when the
@@ -109,10 +92,10 @@ def solve_L1_inverse(f, target, tol=TOL_L1, max_iter=5000):
     tgt = hodge_P(target)
     w = tgt
     history = []
-    for _ in range(max_iter):
+    for _ in range(5000):
         phw = hodge_P(_hessian_apply(grid, hess, w))
         res = l2_norm_disk(w + phw - tgt)
-        if res < tol:
+        if res < TOL_L1:
             return w
         history.append(res)
         if len(history) > 50 and not res < 0.5 * history[-51]:
@@ -120,11 +103,10 @@ def solve_L1_inverse(f, target, tol=TOL_L1, max_iter=5000):
                 f"L1 inverse stalled at residual {res:.3e} (Hessian too large)")
         w = tgt - phw
     raise NoConvergenceError(
-        f"L1 inverse: no convergence in {max_iter} iterations")
+        "L1 inverse: no convergence in 5000 iterations")
 
 
-def solve_pulled_back_laplacian(xi, rhs, bdata=None, tol=TOL_ELL, max_iter=400,
-                                det_tol=1e-6):
+def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
     """Solve lap_xi g = rhs, g = bdata on the boundary circle.
 
     lap_xi g = (lap(g o xi^-1)) o xi for a volume-preserving map xi.  In
@@ -160,7 +142,7 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, tol=TOL_ELL, max_iter=400,
         scale = max(scale, bdata.max_abs())
     g = solve_dirichlet(rhs, bdata)
     history = []
-    for _ in range(max_iter):
+    for _ in range(400):
         resid = rhs.values - op(g.values)
         resid[-1, :] = 0.0
         # the top angular mode (n_theta is even) has no sine partner, so
@@ -171,7 +153,7 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, tol=TOL_ELL, max_iter=400,
         C[:, -1] = 0.0
         resid = grid.from_modes(C)
         res = float(np.sqrt(max(grid.l2_inner(resid, resid), 0.0))) / scale
-        if res < tol:
+        if res < TOL_ELL:
             return g
         history.append(res)
         if len(history) > 20 and not res < 0.9 * history[-21]:
@@ -179,4 +161,4 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, tol=TOL_ELL, max_iter=400,
                 f"pulled-back Laplacian stalled at residual {res:.3e}")
         g = g + solve_dirichlet(ScalarField(grid, resid))
     raise NoConvergenceError(
-        f"pulled-back Laplacian: no convergence in {max_iter} iterations")
+        "pulled-back Laplacian: no convergence in 400 iterations")

@@ -1,12 +1,12 @@
-"""Boundary shape machinery: the volume-constraint potential, the
-embedding factorization and its numerical inverse, and curvature.
+"""Boundary shape machinery: the volume-constraint potential, the graph
+embedding built on it, pointwise inversion of disk maps, and curvature.
 
 A small boundary function h determines a potential f with
 
     lap f + det(D^2 f) = 0,   f = h on the circle,
 
-which makes id + grad f volume preserving; every nearby embedding of the
-disk factors as eta = (id + grad f) o beta with beta a volume-preserving
+which makes id + grad f volume preserving; the moving domain is the
+image of eta = (id + grad f) o beta with beta a volume-preserving
 diffeomorphism of the disk.  The moving boundary's curvature is computed
 two ways: exactly by Fourier differentiation of the boundary curve, and
 through the algebraic expansion M0..M5 whose integral-remainder form is
@@ -34,19 +34,14 @@ from .diskfield import (
     hessian,
     laplacian,
     map_jacobian,
-    restrict_boundary,
-    sobolev_norm_boundary,
-    sobolev_norm_disk,
     solve_dirichlet,
 )
 
 __all__ = [
     "VolumePotential",
-    "Factorization",
     "CurvatureExpansion",
     "solve_volume_constraint",
     "compose_Phi",
-    "decompose_embedding",
     "curvature_exact",
     "curvature_expansion",
     "boundary_length",
@@ -59,26 +54,14 @@ TOL_VOL = 1e-9
 
 @dataclass(frozen=True)
 class VolumePotential:
-    """Converged potential f with trace h and measured diagnostics.
+    """Converged potential f and its residual.
 
     residual is the max norm of lap f + det(D^2 f) over the interior
     rings (on the r = 1 ring the trace condition replaces the equation).
-    elliptic_ratio is the measured H^3(disk) / H^{5/2}(circle) quotient,
-    the constant the linear theory bounds; zero for h = 0.
     """
 
     f: ScalarField
-    boundary_data: BoundaryFunction
     residual: float
-    elliptic_ratio: float
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """eta = (id + grad f) o beta."""
-
-    beta: DiskMap
-    potential: VolumePotential
 
 
 @dataclass(frozen=True)
@@ -106,7 +89,7 @@ def _interior_max(values):
     return float(np.abs(values[:-1, :]).max())
 
 
-def solve_volume_constraint(h, tol=TOL_VOL, max_iter=400):
+def solve_volume_constraint(h):
     """Potential f of the volume-preserved graph: lap f = -det(D^2 f), f|bdry = h.
 
     Fixed-point iteration f <- harmonic_extension(h) - lap^-1(det D^2 f)
@@ -117,14 +100,11 @@ def solve_volume_constraint(h, tol=TOL_VOL, max_iter=400):
     base = harmonic_extension(h)
     f = base
     history = []
-    for _ in range(max_iter):
+    for _ in range(400):
         det = _hessian_det(f)
         res = _interior_max(laplacian(f).values + det)
-        if res < tol:
-            hnorm = sobolev_norm_boundary(h, 2.5)
-            ratio = sobolev_norm_disk(f, 3) / hnorm if hnorm > 0 else 0.0
-            return VolumePotential(f=f, boundary_data=h, residual=res,
-                                   elliptic_ratio=ratio)
+        if res < TOL_VOL:
+            return VolumePotential(f=f, residual=res)
         history.append(res)
         if len(history) > 20 and not res < 0.5 * history[-21]:
             raise NoConvergenceError(
@@ -132,7 +112,7 @@ def solve_volume_constraint(h, tol=TOL_VOL, max_iter=400):
                 "(boundary data too large)")
         f = base - solve_dirichlet(ScalarField(grid, det))
     raise NoConvergenceError(
-        f"volume constraint: no convergence in {max_iter} iterations")
+        "volume constraint: no convergence in 400 iterations")
 
 
 def compose_Phi(beta, pot):
@@ -245,97 +225,27 @@ def boundary_length(pot):
     return (2.0 * np.pi / grid.n_theta) * float(np.hypot(tx, ty).sum())
 
 
-def _radius_function(grid, px, py):
-    """Radius of a near-circular closed curve at the equispaced polar angles.
-
-    The curve arrives as samples (px, py) at parameters theta_j; its
-    polar angle is a small periodic perturbation of the parameter, so
-    the radius at prescribed angles follows from a fixed-point solve of
-    the angle relation plus trigonometric interpolation.
-    """
-    ang = np.arctan2(py, px)
-    dev = np.unwrap(ang - grid.theta + np.pi) - np.pi
-    dev_b = BoundaryFunction.from_samples(grid, dev)
-    rad_b = BoundaryFunction.from_samples(grid, np.hypot(px, py))
-    t = grid.theta.copy()
-    for _ in range(60):
-        t_new = grid.theta - dev_b.evaluate(t)
-        if np.abs(t_new - t).max() < 1e-14:
-            t = t_new
-            break
-        t = t_new
-    else:
-        raise NoConvergenceError("polar angle inversion did not settle")
-    return rad_b.evaluate(t)
-
-
-def decompose_embedding(eta, max_iter=60):
-    """Factor an embedding as (id + grad f) o beta.
-
-    The boundary data h is recovered by matching the radius function of
-    the image curve (a parameterization-free comparison, so the
-    tangential ambiguity lands in beta where it belongs), updating
-    Fourier modes through the harmonic-extension response d(r^m)/dr = m.
-    beta then comes from pointwise Newton inversion of id + grad f at
-    the image nodes.  h carries the zero-mean gauge.
-    """
-    grid = eta.grid
-    ex, ey = eta.map_x(), eta.map_y()
-    rho_target = _radius_function(grid, ex[-1, :], ey[-1, :])
-
-    h = BoundaryFunction.zeros(grid)
-    pot = solve_volume_constraint(h)
-    converged = False
-    for _ in range(max_iter):
-        cx, cy, tx, ty, ax, ay, bx, by = _boundary_tangent_data(pot)
-        rho = _radius_function(grid, cx, cy)
-        gap = rho_target - rho
-        if np.abs(gap).max() < 1e-12:
-            converged = True
-            break
-        C = np.fft.rfft(gap) / grid.n_theta
-        C[-1] *= 0.5
-        C[1:] /= grid.modes[1:]
-        C[0] = 0.0
-        h = h + BoundaryFunction(grid, C)
-        pot = solve_volume_constraint(h)
-    if not converged:
-        raise NoConvergenceError(
-            f"boundary matching stalled at gap {np.abs(gap).max():.3e}")
-
-    graph = DiskMap(gradient(pot.f), kind="embedding")
-    targets = np.column_stack([ex.ravel(), ey.ravel()])
-    Y = invert_points(graph, targets, targets, margin=1e-9, clamp_tol=1e-6)
-    shape = (grid.n_r, grid.n_theta)
-    beta = DiskMap.from_arrays(grid,
-                               Y[:, 0].reshape(shape) - grid.xx,
-                               Y[:, 1].reshape(shape) - grid.yy,
-                               kind="diffeo")
-    return Factorization(beta=beta.renormalize_boundary(), potential=pot)
-
-
-def invert_points(alpha, targets, start, *, margin, clamp_tol, tol=1e-12,
-                  max_iter=40):
+def invert_points(alpha, targets, start, *, slack):
     """Solve alpha(y) = target for every row of targets by pointwise Newton.
 
     targets and start (the first guesses) are (P, 2) arrays; the result
     is a new (P, 2) array of preimages.  The Jacobian of alpha comes from
     map_jacobian, interpolated at the iterates in the same evaluation as
-    the displacement, one per Newton pass.  Iterates are pulled back
-    inside radius 1 + margin after every update, and the displacement and
-    Jacobian are evaluated with clamp_tol of boundary overshoot.
+    the displacement, one per Newton pass.  Iterates may overshoot the
+    circle by slack: they are pulled back inside radius 1 + slack after
+    every update, and evaluated with that much clamp allowance.
     """
     d = alpha.displacement
     fields = [d.x, d.y] + [ScalarField(alpha.grid, j)
                            for j in map_jacobian(alpha)]
     Y = np.array(start, dtype=float)
-    _project_into_disk(Y, margin)
-    for _ in range(max_iter):
+    _project_into_disk(Y, slack)
+    for _ in range(40):
         dx, dy, j11, j12, j21, j22 = evaluate_vector_at(
-            fields, Y, clamp_tol=clamp_tol).T
+            fields, Y, clamp_tol=slack).T
         rx = Y[:, 0] + dx - targets[:, 0]
         ry = Y[:, 1] + dy - targets[:, 1]
-        if max(np.abs(rx).max(), np.abs(ry).max()) < tol:
+        if max(np.abs(rx).max(), np.abs(ry).max()) < 1e-12:
             return Y
         det = j11 * j22 - j12 * j21
         if np.abs(det).min() < 0.2:
@@ -343,17 +253,16 @@ def invert_points(alpha, targets, start, *, margin, clamp_tol, tol=1e-12,
                 "map is not invertible at the target points")
         Y[:, 0] -= (j22 * rx - j12 * ry) / det
         Y[:, 1] -= (-j21 * rx + j11 * ry) / det
-        _project_into_disk(Y, margin)
+        _project_into_disk(Y, slack)
     raise InversionFailureError("Newton inversion of the map stalled")
 
 
-def _project_into_disk(Y, margin):
-    # Preimages of boundary nodes sit within roundoff of the circle (for
-    # a graph map) or O(dt^2) outside it (for a time-step stage map), and
-    # a hard projection onto |y| <= 1 would block the Newton residual
-    # from clearing its tolerance.  A margin at that scale lets those
-    # points converge while keeping runaways contained.
-    limit = np.nextafter(1.0 + margin, 0.0)
+def _project_into_disk(Y, slack):
+    # Preimages of boundary nodes under a time-step stage map sit O(dt^2)
+    # outside the circle, and a hard projection onto |y| <= 1 would block
+    # the Newton residual from clearing its tolerance.  A slack at that
+    # scale lets those points converge while keeping runaways contained.
+    limit = np.nextafter(1.0 + slack, 0.0)
     rad = np.hypot(Y[:, 0], Y[:, 1])
     far = rad > limit
     if np.any(far):

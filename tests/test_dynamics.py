@@ -49,6 +49,25 @@ def test_rest_state_is_stationary(grid):
     assert l2_norm_disk(nxt.beta.displacement) < 1e-12
 
 
+def test_constraint_defects_of_rest_state_are_zero(grid):
+    state = FreeBoundaryState.from_velocity(grid, VectorField.zeros(grid),
+                                            k=100.0)
+    defects = state.constraint_defects()
+    assert sorted(defects) == ["beta_jacobian", "div_v", "v_normal",
+                               "volume_residual"]
+    assert all(value == 0.0 for value in defects.values())
+
+
+def test_constraint_defects_stay_small_over_free_steps(grid):
+    state = FreeBoundaryState.from_velocity(
+        grid, stream_initial_velocity(grid, 2, 0.05), k=100.0)
+    dt = 0.9 * dt_max(100.0, grid.n_theta)
+    for _ in range(3):
+        state = step_free_boundary(state, dt)
+    for name, value in state.constraint_defects().items():
+        assert value < 1e-9, name
+
+
 def test_step_rejects_unstable_dt(grid):
     state = FreeBoundaryState.from_velocity(grid, VectorField.zeros(grid),
                                             k=100.0)

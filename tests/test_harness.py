@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from captension.harness import (CSV_HEADER, ExperimentConfig, emit_csv,
                                 emit_plot, fit_rate, main, measure_frequency,
                                 oracle_compare, parse_csv, run_single,
                                 run_sweep)
+import captension
 from captension.harness import run as run_module
 from captension.harness.run import RunRecord
 
@@ -279,6 +283,17 @@ class TestCli:
         lines = (tmp_path / "run_k1.csv").read_text().splitlines()
         assert lines[0].startswith("time,")
         assert 2 <= len(lines) < 7
+
+    def test_python_m_captension_starts_without_warning(self):
+        src = os.path.dirname(os.path.dirname(captension.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "captension",
+             "--help"], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "selftest" in done.stdout
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

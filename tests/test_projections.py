@@ -7,21 +7,14 @@ from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
                                   compose, divergence, gradient, l2_norm_disk,
                                   laplacian, rotation_map)
 from captension.errors import SolverError, VolumeDefectError
-from captension.projections import (apply_L, hodge_P, hodge_Q, hodge_split,
-                                    solve_L1_inverse, solve_pulled_back_laplacian)
+from captension.projections import (apply_L, hodge_P, hodge_Q, solve_L1_inverse,
+                                    solve_pulled_back_laplacian)
 
 
 def normal_trace(grid, w):
     ring = (w.x.values[-1, :] * np.cos(grid.theta)
             + w.y.values[-1, :] * np.sin(grid.theta))
     return np.abs(ring).max()
-
-
-def test_split_reconstructs(grid, rng):
-    w = random_poly_field(grid, rng)
-    split = hodge_split(w)
-    err = l2_norm_disk(split.gradient_part + split.solenoidal_part - w)
-    assert err < 1e-10
 
 
 def test_projection_identities(grid, rng):

@@ -5,12 +5,10 @@ from helpers import random_boundary
 
 from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
                                   gradient, identity_map, jacobian_det,
-                                  l2_norm_disk, restrict_boundary, rotation_map,
-                                  sobolev_norm_disk)
+                                  l2_norm_disk, restrict_boundary, rotation_map)
 from captension.errors import DegenerateTangentError
 from captension.shape import (boundary_length, compose_Phi, curvature_exact,
-                              curvature_expansion, decompose_embedding,
-                              solve_volume_constraint)
+                              curvature_expansion, solve_volume_constraint)
 
 
 def graph_map(pot):
@@ -42,7 +40,6 @@ def test_mode_two_constraint(grid):
     assert np.abs(det[:-1, :] - 1.0).max() < 1e-7
     trace_gap = np.abs(restrict_boundary(pot.f).samples() - h.samples()).max()
     assert trace_gap < 1e-10
-    assert pot.elliptic_ratio > 0.0
 
 
 def test_constraint_residual_reported(grid, rng):
@@ -121,25 +118,6 @@ def test_boundary_length_against_dense_quadrature(grid):
     assert boundary_length(pot) == pytest.approx(dense, abs=1e-6)
 
 
-def test_factorization_round_trip(grid, rng):
-    h = random_boundary(grid, rng, 0.03)
-    pot = solve_volume_constraint(h)
-    beta = rotation_map(grid, 0.5)
-    eta = compose_Phi(beta, pot)
-    fact = decompose_embedding(eta)
-    grad_gap = sobolev_norm_disk(gradient(fact.potential.f) - gradient(pot.f), 0)
-    beta_gap = sobolev_norm_disk(fact.beta.displacement - beta.displacement, 0)
-    assert grad_gap < 1e-7
-    assert beta_gap < 1e-7
-
-
-def test_factorization_of_identity(grid):
-    fact = decompose_embedding(DiskMap(
-        gradient(ScalarField.zeros(grid)), kind="embedding"))
-    assert l2_norm_disk(fact.potential.f) < 1e-12
-    assert l2_norm_disk(fact.beta.displacement) < 1e-12
-
-
 def test_compose_Phi_identity_is_graph_map(grid, rng):
     h = random_boundary(grid, rng, 0.03)
     pot = solve_volume_constraint(h)
@@ -147,3 +125,16 @@ def test_compose_Phi_identity_is_graph_map(grid, rng):
     g = gradient(pot.f)
     assert np.allclose(eta.displacement.x.values, g.x.values, atol=1e-12)
     assert np.allclose(eta.displacement.y.values, g.y.values, atol=1e-12)
+
+
+def test_compose_Phi_with_node_rotation(grid, rng):
+    # a rotation by three angular steps maps nodes onto nodes, so the
+    # composition samples grad f at stored nodes, three steps on in theta
+    pot = solve_volume_constraint(random_boundary(grid, rng, 0.03))
+    beta = rotation_map(grid, 2.0 * np.pi * 3 / grid.n_theta)
+    eta = compose_Phi(beta, pot)
+    g = gradient(pot.f)
+    for got, moved, shifted in ((eta.displacement.x, beta.displacement.x, g.x),
+                                (eta.displacement.y, beta.displacement.y, g.y)):
+        expected = moved.values + np.roll(shifted.values, -3, axis=1)
+        assert np.abs(got.values - expected).max() < 1e-13
