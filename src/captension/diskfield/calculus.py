@@ -35,12 +35,12 @@ def grad_values(grid, values):
 
 def gradient(f):
     g = f.grid
-    return VectorField.from_arrays(g, *grad_values(g, f.values))
+    return VectorField(g, grad_values(g, f.values))
 
 
 def divergence(w):
     g = w.grid
-    dx, dy = grad_values(g, np.stack([w.x.values, w.y.values]))
+    dx, dy = grad_values(g, w.values)
     return ScalarField(g, dx[0] + dy[1])
 
 
@@ -52,9 +52,12 @@ def laplacian(f):
 def hessian(f):
     """Second Cartesian derivatives as raw arrays (fxx, fxy, fyx, fyy).
 
-    The two mixed entries are computed independently; they agree to
-    spectral roundoff and both are kept so determinant formulas stay
-    algebraically consistent with the factored first derivatives.
+    f is a ScalarField or a VectorField; each entry keeps the field's
+    leading axes, so the Hessians of both components of a vector field
+    come from one pair of derivative passes.  The two mixed entries are
+    computed independently; they agree to spectral roundoff and both are
+    kept so determinant formulas stay algebraically consistent with the
+    factored first derivatives.
     """
     g = f.grid
     dx, dy = grad_values(g, np.stack(grad_values(g, f.values)))
@@ -136,8 +139,9 @@ def _node_snap(grid, r0, theta0):
 def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
     """Interpolate fields at plane points (array-like (P, 2)).
 
-    fields is a VectorField or a sequence of ScalarFields on one grid;
-    the result is (P, F), one column per field.  Exact trigonometric
+    fields is one field or a sequence of fields on one grid; the result
+    is (P, F), one column per component, in the order of the fields and,
+    within a VectorField, x then y.  Exact trigonometric
     evaluation in theta, barycentric polynomial evaluation in r over the
     doubled node set.  Points whose radius overshoots 1 by at most
     clamp_tol are evaluated by the radial polynomial's natural extension
@@ -145,24 +149,23 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
     Grid-node queries reproduce the stored samples bit-exactly.  The
     point weights are built once per call and shared by every field.
     """
-    if isinstance(fields, VectorField):
-        fields = (fields.x, fields.y)
+    if isinstance(fields, (ScalarField, VectorField)):
+        fields = (fields,)
     grid = fields[0].grid
+    values = np.concatenate(
+        [f.values.reshape(-1, grid.n_r, grid.n_theta) for f in fields])
     r0, theta0 = _clamp_points(grid, points, clamp_tol)
     weights = _ring_weights(grid, r0, theta0)
-    C = grid.to_modes(np.stack([f.values for f in fields]))
+    C = grid.to_modes(values)
     out = np.column_stack([_interp_rings(grid, Ck, weights) for Ck in C])
     mask, i, j = _node_snap(grid, r0, theta0)
-    if np.any(mask):
-        i, j = i[mask], j[mask]
-        for k, f in enumerate(fields):
-            out[mask, k] = f.values[i, j]
+    out[mask] = values[:, i[mask], j[mask]].T
     return out
 
 
 def evaluate_at(f, points, *, clamp_tol=1e-12):
     """evaluate_vector_at of one ScalarField, as a (P,) array."""
-    return evaluate_vector_at((f,), points, clamp_tol=clamp_tol)[:, 0]
+    return evaluate_vector_at(f, points, clamp_tol=clamp_tol)[:, 0]
 
 
 # Boundary-overshoot allowance of compose when the caller gives none: wider
@@ -182,18 +185,12 @@ def compose(f, g, *, clamp_tol=None):
         raise ConfigError("compose expects a DiskMap on the right")
     if g.kind != "diffeo":
         raise ConfigError("compose requires a diffeomorphism of the disk")
+    if not isinstance(f, (ScalarField, VectorField)):
+        raise ConfigError("compose expects a ScalarField or VectorField on the left")
     if clamp_tol is None:
         clamp_tol = _COMPOSE_CLAMP
-    if isinstance(f, VectorField):
-        parts = (f.x, f.y)
-    elif isinstance(f, ScalarField):
-        parts = (f,)
-    else:
-        raise ConfigError("compose expects a ScalarField or VectorField on the left")
-    grid = g.grid
-    vals = evaluate_vector_at(parts, g.image_points(), clamp_tol=clamp_tol)
-    out = [ScalarField(grid, v.reshape(grid.n_r, grid.n_theta)) for v in vals.T]
-    return VectorField(*out) if len(out) == 2 else out[0]
+    vals = evaluate_vector_at(f, g.image_points(), clamp_tol=clamp_tol)
+    return type(f)(g.grid, vals.T.reshape(f.values.shape))
 
 
 def jacobian_det(g):
@@ -204,8 +201,7 @@ def jacobian_det(g):
 
 def map_jacobian(g):
     """The four entries of D(map) as arrays (j11, j12, j21, j22)."""
-    d = g.displacement
-    dx, dy = grad_values(g.grid, np.stack([d.x.values, d.y.values]))
+    dx, dy = grad_values(g.grid, g.displacement.values)
     return 1.0 + dx[0], dy[0], dx[1], 1.0 + dy[1]
 
 

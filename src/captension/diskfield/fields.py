@@ -1,45 +1,69 @@
 """Field containers: scalar and vector samples, boundary Fourier series, maps.
 
-Values are stored as read-only numpy arrays in radius-major layout
-values[i_r, j_theta].  Instances are immutable; every operation returns a
-new object.
+A field stores one read-only numpy array values[..., i_r, j_theta] in
+radius-major layout.  A ScalarField has no leading axis; a VectorField
+has one of length 2 holding its Cartesian components, values[0] = x and
+values[1] = y, so derivative passes and evaluations take every component
+in one call.  Instances are immutable; every operation returns a new
+object.
 """
 
 import numpy as np
 
 from ..errors import ConfigError, NonFiniteError
-from .grid import DiskGrid, make_grid
 
 __all__ = ["ScalarField", "VectorField", "BoundaryFunction", "DiskMap",
            "identity_map", "rotation_map"]
 
 
-def _freeze(a):
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
+class _Field:
+    """Samples of one field on a grid; _lead is the shape of the axes
+    in front of (n_r, n_theta)."""
 
-
-class ScalarField:
     __slots__ = ("grid", "values")
+    _lead = ()
 
     def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_r, grid.n_theta):
+        values = np.ascontiguousarray(values, dtype=float)
+        shape = self._lead + (grid.n_r, grid.n_theta)
+        if values.shape != shape:
             raise ConfigError(
-                f"scalar sample shape {values.shape} does not match grid "
-                f"({grid.n_r}, {grid.n_theta})")
+                f"{type(self).__name__} sample shape {values.shape} does not "
+                f"match {shape}")
         if not np.isfinite(values).all():
-            raise NonFiniteError("non-finite scalar samples")
+            raise NonFiniteError(f"non-finite {type(self).__name__} samples")
+        values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", values)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ScalarField is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros((grid.n_r, grid.n_theta)))
+        return cls(grid, np.zeros(cls._lead + (grid.n_r, grid.n_theta)))
+
+    def __add__(self, other):
+        return type(self)(self.grid, self.values + _samples(other))
+
+    def __sub__(self, other):
+        return type(self)(self.grid, self.values - _samples(other))
+
+    def __mul__(self, other):
+        return type(self)(self.grid, self.values * _samples(other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return type(self)(self.grid, -self.values)
+
+
+def _samples(operand):
+    return operand.values if isinstance(operand, _Field) else operand
+
+
+class ScalarField(_Field):
+    __slots__ = ()
 
     @classmethod
     def from_function(cls, grid, fn):
@@ -53,72 +77,16 @@ class ScalarField:
         vals = np.asarray(fn(grid.rr, grid.tt), dtype=float)
         return cls(grid, np.broadcast_to(vals, grid.rr.shape))
 
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.grid, self.values + other.values)
-        return ScalarField(self.grid, self.values + other)
 
-    def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.grid, self.values - other.values)
-        return ScalarField(self.grid, self.values - other)
+class VectorField(_Field):
+    """Cartesian components on a shared grid: values[0] is x, values[1] is y."""
 
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.grid, self.values * other.values)
-        return ScalarField(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
-
-
-class VectorField:
-    """Cartesian components on a shared grid."""
-
-    __slots__ = ("grid", "x", "y")
-
-    def __init__(self, x, y):
-        if not isinstance(x, ScalarField) or not isinstance(y, ScalarField):
-            raise ConfigError("VectorField components must be ScalarFields")
-        if x.grid is not y.grid:
-            raise ConfigError("VectorField components must share one grid")
-        object.__setattr__(self, "grid", x.grid)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(ScalarField.zeros(grid), ScalarField.zeros(grid))
+    __slots__ = ()
+    _lead = (2,)
 
     @classmethod
     def from_arrays(cls, grid, vx, vy):
-        return cls(ScalarField(grid, vx), ScalarField(grid, vy))
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        """Sample fn(x, y) -> (vx, vy) at the nodes."""
-        vx, vy = fn(grid.xx, grid.yy)
-        return cls.from_arrays(grid, np.broadcast_to(vx, grid.xx.shape),
-                               np.broadcast_to(vy, grid.xx.shape))
-
-    def __add__(self, other):
-        return VectorField(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        return VectorField(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, scalar):
-        return VectorField(self.x * scalar, self.y * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return VectorField(-self.x, -self.y)
+        return cls(grid, [vx, vy])
 
 
 class BoundaryFunction:
@@ -161,10 +129,6 @@ class BoundaryFunction:
         C = np.fft.rfft(ring) / grid.n_theta
         C[-1] *= 0.5
         return cls(grid, C)
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls.from_samples(grid, fn(grid.theta))
 
     @classmethod
     def single_mode(cls, grid, m, amplitude=1.0, phase="cos"):
@@ -248,30 +212,19 @@ class DiskMap:
         """The map with the vector field w added to its displacement."""
         return DiskMap(self.displacement + w, kind=self.kind)
 
-    @classmethod
-    def from_arrays(cls, grid, dx, dy, kind="diffeo"):
-        return cls(VectorField.from_arrays(grid, dx, dy), kind=kind)
-
-    def map_x(self):
-        return self.grid.xx + self.displacement.x.values
-
-    def map_y(self):
-        return self.grid.yy + self.displacement.y.values
+    def image(self):
+        """Node images as one (2, n_r, n_theta) array, x then y."""
+        return self.grid.xy + self.displacement.values
 
     def image_points(self):
         """(n_r*n_theta, 2) array of node images."""
-        return np.column_stack([self.map_x().ravel(), self.map_y().ravel()])
+        return self.image().reshape(2, -1).T
 
     def renormalize_boundary(self):
         """Project the boundary ring radially back onto the unit circle."""
-        mx, my = self.map_x(), self.map_y()
-        scale = 1.0 / np.hypot(mx[-1, :], my[-1, :])
-        mx = mx.copy()
-        my = my.copy()
-        mx[-1, :] *= scale
-        my[-1, :] *= scale
-        return DiskMap.from_arrays(self.grid, mx - self.grid.xx, my - self.grid.yy,
-                                   kind=self.kind)
+        m = self.image()
+        m[:, -1, :] *= 1.0 / np.hypot(m[0, -1, :], m[1, -1, :])
+        return DiskMap(VectorField(self.grid, m - self.grid.xy), kind=self.kind)
 
 
 def identity_map(grid, kind="diffeo"):
@@ -282,4 +235,4 @@ def rotation_map(grid, alpha, kind="diffeo"):
     ca, sa = np.cos(alpha), np.sin(alpha)
     dx = ca * grid.xx - sa * grid.yy - grid.xx
     dy = sa * grid.xx + ca * grid.yy - grid.yy
-    return DiskMap.from_arrays(grid, dx, dy, kind=kind)
+    return DiskMap(VectorField.from_arrays(grid, dx, dy), kind=kind)

@@ -16,17 +16,15 @@ Laplacian
     Delta = d_rr + (1/r) d_r + (1/r^2) d_thth      (per mode m: d_thth -> -m^2)
 
 needs.  All per-mode solve operators are built eagerly here and cached, so
-a constructed grid is immutable and safe to share between threads.
+a constructed grid is never modified and one instance serves every field
+of its shape.
 """
-
-import threading
 
 import numpy as np
 
 from ..errors import ConfigError
 
 _GRID_CACHE = {}
-_GRID_LOCK = threading.Lock()
 
 
 def _cheb_lobatto_diff(x):
@@ -111,8 +109,9 @@ class DiskGrid:
         # meshes (radius-major layout: values[i_r, j_theta])
         self.rr = self.r[:, None] * np.ones((1, n_theta))
         self.tt = np.ones((n_r, 1)) * self.theta[None, :]
-        self.xx = self.rr * np.cos(self.tt)
-        self.yy = self.rr * np.sin(self.tt)
+        # node positions, x then y, in the layout of a VectorField
+        self.xy = np.stack([self.rr * np.cos(self.tt), self.rr * np.sin(self.tt)])
+        self.xx, self.yy = self.xy
         self.cos_t = np.cos(self.theta)[None, :]
         self.sin_t = np.sin(self.theta)[None, :]
         self.inv_r = (1.0 / self.r)[:, None]
@@ -181,7 +180,7 @@ class DiskGrid:
         self.harmonic_profiles = r[None, :] ** self.modes[:, None]
 
         for name in ("x_full", "bary_weights", "pos_full", "neg_full", "r", "theta",
-                     "rr", "tt", "xx", "yy", "weights_r", "modes", "ik",
+                     "rr", "tt", "xy", "xx", "yy", "weights_r", "modes", "ik",
                      "lap_stack", "dirichlet_inv", "neumann_inv",
                      "dr_boundary_rows", "neumann0_inv", "harmonic_profiles"):
             getattr(self, name).setflags(write=False)
@@ -231,9 +230,8 @@ class DiskGrid:
 def make_grid(n_theta=32, n_r=16):
     """Shared cached grid; construction happens at most once per shape."""
     key = (int(n_theta), int(n_r))
-    with _GRID_LOCK:
-        grid = _GRID_CACHE.get(key)
-        if grid is None:
-            grid = DiskGrid(*key)
-            _GRID_CACHE[key] = grid
+    grid = _GRID_CACHE.get(key)
+    if grid is None:
+        grid = DiskGrid(*key)
+        _GRID_CACHE[key] = grid
     return grid

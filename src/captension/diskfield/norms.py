@@ -34,12 +34,13 @@ def sobolev_norm_disk(f, s):
     s = int(s)
     if s < 0 or s > MAX_DISK_ORDER:
         raise UnsupportedOrderError(f"disk Sobolev order {s} outside 0..{MAX_DISK_ORDER}")
-    if isinstance(f, ScalarField):
-        return float(np.sqrt(_norm_sq_scalar(f.grid, f.values, s)))
-    if isinstance(f, VectorField):
-        return float(np.sqrt(_norm_sq_scalar(f.grid, f.x.values, s)
-                             + _norm_sq_scalar(f.grid, f.y.values, s)))
-    raise UnsupportedOrderError("sobolev_norm_disk expects a ScalarField or VectorField")
+    if not isinstance(f, (ScalarField, VectorField)):
+        raise UnsupportedOrderError(
+            "sobolev_norm_disk expects a ScalarField or VectorField")
+    grid = f.grid
+    # components summed one after another, x before y
+    parts = f.values.reshape(-1, grid.n_r, grid.n_theta)
+    return float(np.sqrt(sum(_norm_sq_scalar(grid, v, s) for v in parts)))
 
 
 def l2_norm_disk(f):

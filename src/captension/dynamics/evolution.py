@@ -64,21 +64,18 @@ class FreeBoundaryRhs:
 
 def _advect(grid, w):
     """(w . grad) w for a vector field, spectrally."""
-    wx, wy = w.x.values, w.y.values
-    dx, dy = grad_values(grid, np.stack([wx, wy]))
-    return VectorField.from_arrays(grid, wx * dx[0] + wy * dy[0],
-                                   wx * dx[1] + wy * dy[1])
+    wx, wy = w.values
+    dx, dy = grad_values(grid, w.values)
+    return VectorField(grid, wx * dx + wy * dy)
 
 
 def _second_directional(grid, field, v):
     """v^j v^l d_jl of each component of a vector field (third derivatives
     of the underlying potential when field is a gradient)."""
-    vx, vy = v.x.values, v.y.values
-    out = []
-    for comp in (field.x, field.y):
-        cxx, cxy, cyx, cyy = hessian(comp)
-        out.append(vx * vx * cxx + vx * vy * (cxy + cyx) + vy * vy * cyy)
-    return VectorField.from_arrays(grid, out[0], out[1])
+    vx, vy = v.values
+    cxx, cxy, cyx, cyy = hessian(field)
+    return VectorField(
+        grid, vx * vx * cxx + vx * vy * (cxy + cyx) + vy * vy * cyy)
 
 
 def rhs_free_boundary(state):

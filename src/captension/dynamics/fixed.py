@@ -7,21 +7,18 @@ disjoint machinery, so their particle maps agreeing is a meaningful
 cross-check rather than a tautology.
 """
 
-import numpy as np
-
 from ..diskfield import (
     ScalarField,
     VectorField,
     compose,
     evaluate_vector_at,
     grad_values,
-    gradient,
     solve_dirichlet,
 )
 from ..projections import hodge_P, hodge_Q
 from ..shape import invert_points
 from .evolution import STAGE_CLAMP
-from .states import FixedEulerState, rk4
+from .states import FixedEulerState, rk4, rotated_gradient
 
 __all__ = [
     "invert_disk_map",
@@ -42,12 +39,9 @@ def invert_disk_map(alpha):
     cached = alpha._cache.get("inverse_points")
     if cached is not None:
         return cached
-    grid = alpha.grid
-    d = alpha.displacement
-    X = np.column_stack([grid.xx.ravel(), grid.yy.ravel()])
-    Y = invert_points(
-        alpha, X, X - np.column_stack([d.x.values.ravel(), d.y.values.ravel()]),
-        slack=STAGE_CLAMP)
+    X = alpha.grid.xy.reshape(2, -1).T
+    Y = invert_points(alpha, X, X - alpha.displacement.values.reshape(2, -1).T,
+                      slack=STAGE_CLAMP)
     Y.setflags(write=False)
     alpha._cache["inverse_points"] = Y
     return Y
@@ -55,12 +49,8 @@ def invert_disk_map(alpha):
 
 def _velocity_at_labels(alpha, vel):
     """vel o alpha^-1 as a field on the disk."""
-    grid = alpha.grid
-    Y = invert_disk_map(alpha)
-    vals = evaluate_vector_at(vel, Y, clamp_tol=STAGE_CLAMP)
-    shape = (grid.n_r, grid.n_theta)
-    return VectorField.from_arrays(grid, vals[:, 0].reshape(shape),
-                                   vals[:, 1].reshape(shape))
+    vals = evaluate_vector_at(vel, invert_disk_map(alpha), clamp_tol=STAGE_CLAMP)
+    return VectorField(alpha.grid, vals.T.reshape(vel.values.shape))
 
 
 def euler_Z(alpha, vel):
@@ -68,11 +58,9 @@ def euler_Z(alpha, vel):
     with u = v o alpha^-1."""
     grid = alpha.grid
     u = _velocity_at_labels(alpha, vel)
-    pu = hodge_P(u)
-    ux, uy = u.x.values, u.y.values
-    dx, dy = grad_values(grid, np.stack([pu.x.values, pu.y.values]))
-    adv = VectorField.from_arrays(grid, ux * dx[0] + uy * dy[0],
-                                  ux * dx[1] + uy * dy[1])
+    ux, uy = u.values
+    dx, dy = grad_values(grid, hodge_P(u).values)
+    adv = VectorField(grid, ux * dx + uy * dy)
     return compose(hodge_Q(adv), alpha, clamp_tol=STAGE_CLAMP)
 
 
@@ -91,14 +79,13 @@ def step_fixed_euler(state, dt):
 def vorticity_velocity(omega):
     """u = rotated gradient of the stream function: lap psi = omega,
     psi = 0 on the circle."""
-    psi = solve_dirichlet(omega)
-    g = gradient(psi)
-    return VectorField(-g.y, g.x)
+    return rotated_gradient(solve_dirichlet(omega))
 
 
 def _transport_rate(omega, u):
     dx, dy = grad_values(omega.grid, omega.values)
-    return ScalarField(omega.grid, -(u.x.values * dx + u.y.values * dy))
+    ux, uy = u.values
+    return ScalarField(omega.grid, -(ux * dx + uy * dy))
 
 
 def _move_points(phi, u):

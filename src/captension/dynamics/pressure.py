@@ -43,8 +43,7 @@ def pressure_solve(state):
     _, (b11, b12, b21, b22) = inverse_jacobian(eta)
 
     w = pullback_velocity(state)
-    (m11, m21), (m12, m22) = grad_values(
-        grid, np.stack([w.x.values, w.y.values]))
+    (m11, m21), (m12, m22) = grad_values(grid, w.values)
     g11 = m11 * b11 + m12 * b21
     g12 = m11 * b12 + m12 * b22
     g21 = m21 * b11 + m22 * b21
@@ -59,10 +58,6 @@ def pressure_solve(state):
     ah = solve_pulled_back_laplacian(eta, ScalarField.zeros(grid),
                                      BoundaryFunction(grid, shifted))
 
-    s = gradient(q0) + state.k * gradient(ah)
-    grad_p = VectorField.from_arrays(
-        grid,
-        b11 * s.x.values + b21 * s.y.values,
-        b12 * s.x.values + b22 * s.y.values,
-    )
+    sx, sy = (gradient(q0) + state.k * gradient(ah)).values
+    grad_p = VectorField(grid, [b11 * sx + b21 * sy, b12 * sx + b22 * sy])
     return PressureSolution(q0=q0, AH_hat=ah, grad_p_pullback=grad_p)

@@ -15,7 +15,7 @@ from ..diskfield import (
     jacobian_det,
     laplacian,
 )
-from ..projections import hodge_P
+from ..projections import _normal_trace, hodge_P
 from ..shape import _hessian_det
 
 
@@ -50,15 +50,12 @@ class FreeBoundaryState:
     def constraint_defects(self):
         """Measured invariant violations: div v, v tangency, volume residual,
         beta Jacobian."""
-        grid = self.f.grid
         div_v = float(np.abs(divergence(self.v).values).max())
-        ring = (self.v.x.values[-1, :] * np.cos(grid.theta)
-                + self.v.y.values[-1, :] * np.sin(grid.theta))
         vol = float(np.abs((laplacian(self.f).values
                             + _hessian_det(self.f))[:-1, :]).max())
         return {
             "div_v": div_v,
-            "v_normal": float(np.abs(ring).max()),
+            "v_normal": _normal_trace(self.v).max_abs(),
             "volume_residual": vol,
             "beta_jacobian": float(np.abs(jacobian_det(self.beta).values - 1.0).max()),
         }
@@ -109,9 +106,13 @@ def stream_function_field(grid, m, amplitude):
 
 def stream_initial_velocity(grid, m, amplitude):
     """Divergence-free, boundary-tangent velocity from the stream function."""
-    psi = stream_function_field(grid, m, amplitude)
-    g = gradient(psi)
-    return VectorField(-g.y, g.x)
+    return rotated_gradient(stream_function_field(grid, m, amplitude))
+
+
+def rotated_gradient(psi):
+    """The velocity (-d_y psi, d_x psi) of a stream function psi."""
+    gx, gy = gradient(psi).values
+    return VectorField(psi.grid, [-gy, gx])
 
 
 def stream_initial_vorticity(grid, m, amplitude):

@@ -48,15 +48,14 @@ def unsplit_acceleration(eta, etadot, k):
     b11, b12 = j22 / det, -j12 / det
     b21, b22 = -j21 / det, j11 / det
 
-    (m11, m21), (m12, m22) = grad_values(
-        grid, np.stack([etadot.x.values, etadot.y.values]))
+    (m11, m21), (m12, m22) = grad_values(grid, etadot.values)
     g11 = m11 * b11 + m12 * b21
     g12 = m11 * b12 + m12 * b22
     g21 = m21 * b11 + m22 * b21
     g22 = m21 * b12 + m22 * b22
     rhs = -(g11 * g11 + 2.0 * g12 * g21 + g22 * g22)
 
-    kappa = ring_curvature(grid, eta.map_x()[-1, :], eta.map_y()[-1, :])
+    kappa = ring_curvature(grid, *eta.image()[:, -1, :])
     # a constant added to Dirichlet data shifts q by that constant and
     # leaves grad q alone; dropping the mean keeps the solve well scaled
     bdata = BoundaryFunction.from_samples(grid, k * (kappa - kappa.mean()))
@@ -66,12 +65,8 @@ def unsplit_acceleration(eta, etadot, k):
     # carries the O(det - 1) slack
     q = solve_pulled_back_laplacian(eta, ScalarField(grid, rhs), bdata,
                                     det_tol=1e-5)
-    gq = gradient(q)
-    return VectorField.from_arrays(
-        grid,
-        -(b11 * gq.x.values + b21 * gq.y.values),
-        -(b12 * gq.x.values + b22 * gq.y.values),
-    )
+    qx, qy = gradient(q).values
+    return VectorField(grid, [-(b11 * qx + b21 * qy), -(b12 * qx + b22 * qy)])
 
 
 def step_unsplit(eta, etadot, dt, k):

@@ -1,15 +1,12 @@
-"""Command line entry points: run, sweep, selftest, oracle-compare."""
+"""Command line entry points: run, sweep, oracle-compare."""
 
 import argparse
 import os
 import sys
 
-import numpy as np
-
 from ..errors import ConfigError, SolverError
 from .config import ExperimentConfig
 from .emit import emit_csv, emit_plot
-from .rates import fit_rate
 from .run import SWEEP_QUANTITIES, oracle_compare, run_single, run_sweep
 
 __all__ = ["main", "build_parser"]
@@ -45,10 +42,6 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", help="run every k in k_list and fit rates")
     common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_self = sub.add_parser("selftest", help="fast built-in consistency checks")
-    common(p_self)
-    p_self.set_defaults(func=_cmd_selftest)
 
     p_oc = sub.add_parser("oracle-compare",
                           help="split integrator vs one-piece Lagrangian law")
@@ -152,98 +145,6 @@ def _cmd_oracle(args):
     return 0
 
 
-def _cmd_selftest(args):
-    cfg = _load_config(args)
-    checks = []
-
-    def check(name, fn):
-        try:
-            detail = fn()
-            checks.append((name, True, detail))
-        except Exception as exc:  # noqa: BLE001 - report, do not crash
-            checks.append((name, False, "%s: %s" % (type(exc).__name__, exc)))
-
-    from ..diskfield import (BoundaryFunction, DiskMap, ScalarField,
-                             VectorField, divergence, gradient, jacobian_det,
-                             make_grid, l2_norm_disk, sobolev_norm_disk)
-    from ..projections import hodge_Q
-    from ..shape import curvature_exact, curvature_expansion, solve_volume_constraint
-    from ..dynamics import FreeBoundaryState, dt_max, step_free_boundary
-
-    grid = make_grid(24, 12)
-
-    def quadrature():
-        one = ScalarField.from_function(grid, lambda x, y: np.ones_like(x))
-        err = abs(grid.integrate(one.values) - np.pi)
-        assert err < 1e-12, err
-        return "|area - pi| = %.2e" % err
-
-    def projections():
-        w = VectorField(
-            ScalarField.from_function(grid, lambda x, y: 0.3 + x * y - 0.2 * y ** 2),
-            ScalarField.from_function(grid, lambda x, y: x - 0.1 * x ** 2 + 0.4 * y))
-        q = hodge_Q(w)
-        p = w - q
-        recon = l2_norm_disk(p + q - w)
-        div_p = l2_norm_disk(divergence(p))
-        flux = BoundaryFunction.from_samples(
-            grid, p.x.values[-1] * grid.cos_t[0] + p.y.values[-1] * grid.sin_t[0])
-        ortho = abs(grid.l2_inner(p.x.values, q.x.values)
-                    + grid.l2_inner(p.y.values, q.y.values))
-        worst = max(recon, div_p, flux.max_abs(), ortho)
-        assert worst < 1e-8, worst
-        return "worst identity residual = %.2e" % worst
-
-    def volume():
-        h = BoundaryFunction.single_mode(grid, 2, 0.05)
-        pot = solve_volume_constraint(h)
-        det = jacobian_det(DiskMap(gradient(pot.f), kind="embedding")).values
-        err = float(np.max(np.abs(det[:-1, :] - 1.0)))
-        assert err < 1e-7, err
-        return "sup |J - 1| = %.2e" % err
-
-    def curvature():
-        h = BoundaryFunction.single_mode(grid, 2, 0.05)
-        pot = solve_volume_constraint(h)
-        exact = curvature_exact(pot).samples()
-        m5 = curvature_expansion(pot).M5.samples()
-        err = float(np.max(np.abs((m5 + 1.0) - exact)))
-        assert err < 1e-9, err
-        return "max |(M5+1) - kappa| = %.2e" % err
-
-    def rest():
-        state = FreeBoundaryState.from_velocity(grid, VectorField.zeros(grid), 10.0)
-        state = step_free_boundary(state, 0.9 * dt_max(10.0, grid.n_theta))
-        moved = max(sobolev_norm_disk(gradient(state.f), 0),
-                    sobolev_norm_disk(state.v, 0))
-        assert moved < 1e-12, moved
-        return "post-step motion = %.2e" % moved
-
-    def rates():
-        pts = [(k, 2.5 * k ** -3.0) for k in (100.0, 200.0, 400.0, 800.0)]
-        slope, quality = fit_rate(pts)
-        assert abs(slope - 3.0) < 1e-10 and quality > 1.0 - 1e-12
-        return "slope = %.3f quality = %.4f" % (slope, quality)
-
-    check("quadrature", quadrature)
-    check("projections", projections)
-    check("volume-constraint", volume)
-    check("curvature-expansion", curvature)
-    check("rest-state", rest)
-    check("rate-fit", rates)
-
-    failed = 0
-    for name, ok, detail in checks:
-        print("%s %-20s %s" % ("PASS" if ok else "FAIL", name, detail))
-        failed += 0 if ok else 1
-    if failed:
-        print("%d of %d selftests failed" % (failed, len(checks)),
-              file=sys.stderr)
-        return 2
-    print("all %d selftests passed" % len(checks))
-    return 0
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -255,3 +156,7 @@ def main(argv=None):
     except SolverError as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,8 +45,8 @@ TOL_ELL = 1e-9
 def _normal_trace(w):
     """<w, nu> on the r = 1 ring as a BoundaryFunction."""
     g = w.grid
-    ring = (w.x.values[-1, :] * np.cos(g.theta)
-            + w.y.values[-1, :] * np.sin(g.theta))
+    ring = (w.values[0, -1, :] * np.cos(g.theta)
+            + w.values[1, -1, :] * np.sin(g.theta))
     return BoundaryFunction.from_samples(g, ring)
 
 
@@ -64,11 +64,8 @@ def hodge_P(w):
 def _hessian_apply(grid, hess, w):
     """Pointwise matrix action (D^2 f) w from precomputed Hessian arrays."""
     fxx, fxy, fyx, fyy = hess
-    return VectorField.from_arrays(
-        grid,
-        fxx * w.x.values + fxy * w.y.values,
-        fyx * w.x.values + fyy * w.y.values,
-    )
+    wx, wy = w.values
+    return VectorField(grid, [fxx * wx + fxy * wy, fyx * wx + fyy * wy])
 
 
 def apply_L(f, w):

@@ -117,11 +117,8 @@ def solve_volume_constraint(h):
 
 def compose_Phi(beta, pot):
     """The embedding (id + grad f) o beta as a DiskMap."""
-    grid = beta.grid
     moved = compose(gradient(_field_of(pot)), beta)
-    dx = beta.displacement.x.values + moved.x.values
-    dy = beta.displacement.y.values + moved.y.values
-    return DiskMap.from_arrays(grid, dx, dy, kind="embedding")
+    return DiskMap(beta.displacement + moved, kind="embedding")
 
 
 def _boundary_tangent_data(pot):
@@ -133,8 +130,8 @@ def _boundary_tangent_data(pot):
     f = _field_of(pot)
     grid = f.grid
     G = gradient(f)
-    gx = BoundaryFunction.from_samples(grid, G.x.values[-1, :])
-    gy = BoundaryFunction.from_samples(grid, G.y.values[-1, :])
+    gx = BoundaryFunction.from_samples(grid, G.values[0, -1, :])
+    gy = BoundaryFunction.from_samples(grid, G.values[1, -1, :])
     ax_b = gx.derivative()
     ay_b = gy.derivative()
     ax, ay = ax_b.samples(), ay_b.samples()
@@ -235,9 +232,8 @@ def invert_points(alpha, targets, start, *, slack):
     circle by slack: they are pulled back inside radius 1 + slack after
     every update, and evaluated with that much clamp allowance.
     """
-    d = alpha.displacement
-    fields = [d.x, d.y] + [ScalarField(alpha.grid, j)
-                           for j in map_jacobian(alpha)]
+    fields = [alpha.displacement] + [ScalarField(alpha.grid, j)
+                                     for j in map_jacobian(alpha)]
     Y = np.array(start, dtype=float)
     _project_into_disk(Y, slack)
     for _ in range(40):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
+from captension.diskfield import (BoundaryFunction, VectorField,
                                   sobolev_norm_boundary)
 
 
@@ -33,6 +33,6 @@ def random_poly_field(grid, rng, degree=5, scale=1.0):
         for i in range(degree + 1):
             for j in range(degree + 1 - i):
                 vals += rng.standard_normal() * grid.xx ** i * grid.yy ** j
-        return ScalarField(grid, scale * vals)
+        return scale * vals
 
-    return VectorField(component(), component())
+    return VectorField.from_arrays(grid, component(), component())

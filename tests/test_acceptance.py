@@ -72,11 +72,11 @@ def test_criterion_02_projection_algebra(grid, rng):
                                     l2_norm_disk(hodge_P(Pw) - Pw))
         worst["Q idempotent"] = max(worst["Q idempotent"],
                                     l2_norm_disk(hodge_Q(Qw) - Qw))
-        inner = grid.integrate(Pw.x.values * Qw.x.values
-                               + Pw.y.values * Qw.y.values)
+        inner = grid.integrate(Pw.values[0] * Qw.values[0]
+                               + Pw.values[1] * Qw.values[1])
         worst["orthogonality"] = max(worst["orthogonality"], abs(inner))
         worst["div P"] = max(worst["div P"], l2_norm_disk(divergence(Pw)))
-        ring = Pw.x.values[-1, :] * nx + Pw.y.values[-1, :] * ny
+        ring = Pw.values[0, -1, :] * nx + Pw.values[1, -1, :] * ny
         worst["tangency"] = max(worst["tangency"], float(np.abs(ring).max()))
     bad = {name: val for name, val in worst.items() if not val < 1e-8}
     detail = ", ".join(f"{name} {val:.2e}" for name, val in worst.items())
@@ -230,6 +230,15 @@ def test_criterion_08_decay_sweep(sweep_first):
     report(8, ok, f"k in {{100,200,400,800}}: strictly decreasing: {mono}; "
                   f"sup|grad f| exponent = {slope:.3f} (>= 1.0), "
                   f"fit quality = {quality:.5f} (>= 0.9)")
+
+
+def test_sweep_exponents_match_linear_theory(sweep_first):
+    # a boundary mode driven from rest moves by O(1/k) at a rate O(k^-1/2)
+    result, _ = sweep_first
+    eta, _ = result.fitted_exponents["sup_eta_gap_H1"]
+    etadot, _ = result.fitted_exponents["sup_etadot_gap_H1"]
+    assert abs(eta - 1.0) <= 0.05, eta
+    assert abs(etadot - 0.5) <= 0.05, etadot
 
 
 def test_criterion_09_arbitration_oracle():

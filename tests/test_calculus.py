@@ -18,8 +18,8 @@ def test_gradient_of_polynomial(grid):
     g = gradient(poly(grid))
     gx = 3.0 * grid.xx ** 2 - 2.0 * grid.yy ** 2
     gy = -4.0 * grid.xx * grid.yy + 0.5
-    assert np.allclose(g.x.values, gx, atol=1e-12)
-    assert np.allclose(g.y.values, gy, atol=1e-12)
+    assert np.allclose(g.values[0], gx, atol=1e-12)
+    assert np.allclose(g.values[1], gy, atol=1e-12)
 
 
 def test_divergence_and_laplacian_agree(grid):
@@ -73,7 +73,7 @@ def test_evaluate_vector_matches_componentwise(grid, rng):
     assert vals.shape == (len(pts), 6)
     for k, f in enumerate(fields):
         assert np.array_equal(vals[:, k], evaluate_at(f, pts))
-    w = VectorField(fields[0], fields[1])
+    w = VectorField.from_arrays(grid, fields[0].values, fields[1].values)
     assert np.array_equal(evaluate_vector_at(w, pts), vals[:, :2])
 
 

@@ -22,8 +22,8 @@ def test_pressure_solve_rigid_rotation(grid):
     rr = grid.xx ** 2 + grid.yy ** 2
     assert np.abs(sol.q0.values - 0.5 * (rr - 1.0)).max() < 1e-8
     assert np.abs(sol.AH_hat.values).max() < 1e-10
-    assert np.abs(sol.grad_p_pullback.x.values - grid.xx).max() < 1e-7
-    assert np.abs(sol.grad_p_pullback.y.values - grid.yy).max() < 1e-7
+    assert np.abs(sol.grad_p_pullback.values[0] - grid.xx).max() < 1e-7
+    assert np.abs(sol.grad_p_pullback.values[1] - grid.yy).max() < 1e-7
 
 
 def test_pressure_solve_builds_one_jacobian(coarse_grid, monkeypatch):
@@ -106,9 +106,9 @@ def test_rigid_rotation_keeps_flat_surface(grid):
     # the node at x started at R(-t)x, so its velocity is R'(t)R(-t)x
     gap = VectorField.from_arrays(
         grid,
-        etadot.x.values + np.sin(state.time) * grid.xx
+        etadot.values[0] + np.sin(state.time) * grid.xx
         + np.cos(state.time) * grid.yy,
-        etadot.y.values - np.cos(state.time) * grid.xx
+        etadot.values[1] - np.cos(state.time) * grid.xx
         + np.sin(state.time) * grid.yy,
     )
     assert sobolev_norm_disk(gap, 1) < 1e-6
@@ -134,8 +134,8 @@ def test_reconstruct_eta_at_start(grid):
 
 def test_euler_Z_rotation_is_centripetal(grid):
     acc = euler_Z(identity_map(grid), solid_rotation_velocity(grid))
-    assert np.abs(acc.x.values + grid.xx).max() < 1e-8
-    assert np.abs(acc.y.values + grid.yy).max() < 1e-8
+    assert np.abs(acc.values[0] + grid.xx).max() < 1e-8
+    assert np.abs(acc.values[1] + grid.yy).max() < 1e-8
 
 
 def test_invert_rotation_map(grid):

@@ -51,7 +51,8 @@ def test_neumann_green_identity(grid, rng):
     u = solve_neumann(rhs)
     v = ScalarField.from_function(grid, lambda x, y: x ** 2 + 0.3 * y)
     gu, gv = gradient(u), gradient(v)
-    lhs = grid.l2_inner(gu.x.values, gv.x.values) + grid.l2_inner(gu.y.values, gv.y.values)
+    lhs = (grid.l2_inner(gu.values[0], gv.values[0])
+           + grid.l2_inner(gu.values[1], gv.values[1]))
     flux = normal_derivative_boundary(u).samples()
     ring_v = v.values[-1, :]
     rhs_val = -grid.l2_inner(rhs.values, v.values) + grid.boundary_integrate(flux * ring_v)

@@ -1,0 +1,58 @@
+"""The sample-array contract that ScalarField and VectorField share."""
+
+import numpy as np
+import pytest
+
+from captension.diskfield import ScalarField, VectorField
+from captension.errors import ConfigError, NonFiniteError
+
+KINDS = pytest.mark.parametrize("cls", [ScalarField, VectorField])
+OTHER_KIND = {ScalarField: VectorField, VectorField: ScalarField}
+
+
+def sample_shape(cls, grid):
+    return cls.zeros(grid).values.shape
+
+
+@KINDS
+def test_wrong_shape_is_a_config_error(grid, cls):
+    shape = sample_shape(cls, grid)
+    with pytest.raises(ConfigError):
+        cls(grid, np.zeros(shape[:-1] + (grid.n_theta + 1,)))
+    with pytest.raises(ConfigError):
+        cls(grid, np.zeros(sample_shape(OTHER_KIND[cls], grid)))
+
+
+@KINDS
+def test_nan_sample_is_rejected(grid, cls):
+    values = np.zeros(sample_shape(cls, grid))
+    values.flat[7] = np.nan
+    with pytest.raises(NonFiniteError):
+        cls(grid, values)
+
+
+@KINDS
+def test_fields_are_immutable(grid, cls):
+    f = cls(grid, np.ones(sample_shape(cls, grid)))
+    with pytest.raises(AttributeError):
+        f.values = np.zeros_like(f.values)
+    assert not f.values.flags.writeable
+    with pytest.raises(ValueError):
+        f.values[...] = 0.0
+
+
+@KINDS
+def test_arithmetic_keeps_the_kind(grid, cls, rng):
+    a = cls(grid, rng.standard_normal(sample_shape(cls, grid)))
+    b = cls(grid, rng.standard_normal(sample_shape(cls, grid)))
+    for got, want in ((a + b, a.values + b.values), (a - b, a.values - b.values),
+                      (2.0 * a, 2.0 * a.values), (a * 2.0, 2.0 * a.values),
+                      (-a, -a.values)):
+        assert type(got) is cls
+        assert np.array_equal(got.values, want)
+
+
+def test_vector_components_sit_on_the_leading_axis(grid, rng):
+    a, b = rng.standard_normal((2, grid.n_r, grid.n_theta))
+    w = VectorField.from_arrays(grid, a, b)
+    assert np.array_equal(w.values, np.stack([a, b]))

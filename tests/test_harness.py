@@ -284,19 +284,23 @@ class TestCli:
         assert lines[0].startswith("time,")
         assert 2 <= len(lines) < 7
 
-    def test_python_m_captension_starts_without_warning(self):
+    @staticmethod
+    def run_module(*argv):
         src = os.path.dirname(os.path.dirname(captension.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        done = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "captension",
-             "--help"], env=env, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert "selftest" in done.stdout
+        return subprocess.run([sys.executable, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
 
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "FAIL" not in out
+    def test_python_m_captension_starts_without_warning(self):
+        done = self.run_module("-W", "error::RuntimeWarning", "-m",
+                               "captension", "--help")
+        assert done.returncode == 0, done.stderr
+        assert "oracle-compare" in done.stdout
+
+    def test_python_m_harness_cli_runs_the_cli(self, tmp_path):
+        done = self.run_module("-m", "captension.harness.cli", "run",
+                               "--config", str(tmp_path / "absent.cfg"))
+        assert done.returncode == 3, done.stderr
+        assert "config error" in done.stderr

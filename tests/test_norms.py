@@ -14,8 +14,7 @@ def test_l2_norm_of_coordinate(grid):
 
 
 def test_l2_norm_of_vector_field(grid):
-    w = VectorField(ScalarField.from_function(grid, lambda x, y: x),
-                    ScalarField.from_function(grid, lambda x, y: y))
+    w = VectorField.from_arrays(grid, grid.xx, grid.yy)
     assert l2_norm_disk(w) == pytest.approx(np.sqrt(np.pi / 2.0), abs=1e-13)
 
 

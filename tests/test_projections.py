@@ -12,8 +12,8 @@ from captension.projections import (apply_L, hodge_P, hodge_Q, solve_L1_inverse,
 
 
 def normal_trace(grid, w):
-    ring = (w.x.values[-1, :] * np.cos(grid.theta)
-            + w.y.values[-1, :] * np.sin(grid.theta))
+    ring = (w.values[0, -1, :] * np.cos(grid.theta)
+            + w.values[1, -1, :] * np.sin(grid.theta))
     return np.abs(ring).max()
 
 
@@ -26,8 +26,8 @@ def test_projection_identities(grid, rng):
         assert l2_norm_disk(hodge_Q(q) - q) < 1e-9
         assert l2_norm_disk(divergence(p)) < 1e-9           # solenoidal
         assert normal_trace(grid, p) < 1e-9                 # tangent
-        inner = (grid.l2_inner(p.x.values, q.x.values)
-                 + grid.l2_inner(p.y.values, q.y.values))
+        inner = (grid.l2_inner(p.values[0], q.values[0])
+                 + grid.l2_inner(p.values[1], q.values[1]))
         assert abs(inner) < 1e-9                            # orthogonal
 
 
@@ -41,8 +41,7 @@ def test_q_reproduces_admissible_gradients(grid):
 
 
 def test_p_keeps_rigid_rotation(grid):
-    w = VectorField(ScalarField.from_function(grid, lambda x, y: -y),
-                    ScalarField.from_function(grid, lambda x, y: x))
+    w = VectorField.from_arrays(grid, -grid.yy, grid.xx)
     assert l2_norm_disk(hodge_P(w) - w) < 1e-11
     assert l2_norm_disk(hodge_Q(w)) < 1e-11
 
@@ -102,8 +101,7 @@ def test_pulled_back_laplacian_rotation_oracle(grid):
 
 def test_pulled_back_laplacian_rejects_non_volume_map(grid):
     from captension.diskfield import DiskMap
-    squash = DiskMap(VectorField(
-        ScalarField.from_function(grid, lambda x, y: 0.2 * x),
-        ScalarField.zeros(grid)), kind="embedding")
+    squash = DiskMap(VectorField.from_arrays(
+        grid, 0.2 * grid.xx, np.zeros_like(grid.xx)), kind="embedding")
     with pytest.raises(VolumeDefectError):
         solve_pulled_back_laplacian(squash, ScalarField.zeros(grid))

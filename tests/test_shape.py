@@ -79,8 +79,8 @@ def test_curvature_against_finite_differences(grid):
     h = BoundaryFunction.single_mode(grid, 3, 0.02)
     pot = solve_volume_constraint(h)
     g = gradient(pot.f)
-    bx = BoundaryFunction.from_samples(grid, g.x.values[-1, :])
-    by = BoundaryFunction.from_samples(grid, g.y.values[-1, :])
+    bx = BoundaryFunction.from_samples(grid, g.values[0, -1, :])
+    by = BoundaryFunction.from_samples(grid, g.values[1, -1, :])
     dt = 1e-4
 
     def curve(t):
@@ -109,8 +109,8 @@ def test_boundary_length_against_dense_quadrature(grid):
     h = BoundaryFunction.single_mode(grid, 2, 0.04)
     pot = solve_volume_constraint(h)
     g = gradient(pot.f)
-    bx = BoundaryFunction.from_samples(grid, g.x.values[-1, :])
-    by = BoundaryFunction.from_samples(grid, g.y.values[-1, :])
+    bx = BoundaryFunction.from_samples(grid, g.values[0, -1, :])
+    by = BoundaryFunction.from_samples(grid, g.values[1, -1, :])
     t = np.linspace(0.0, 2.0 * np.pi, 20001)
     cx = np.cos(t) + bx.evaluate(t)
     cy = np.sin(t) + by.evaluate(t)
@@ -123,8 +123,8 @@ def test_compose_Phi_identity_is_graph_map(grid, rng):
     pot = solve_volume_constraint(h)
     eta = compose_Phi(identity_map(grid), pot)
     g = gradient(pot.f)
-    assert np.allclose(eta.displacement.x.values, g.x.values, atol=1e-12)
-    assert np.allclose(eta.displacement.y.values, g.y.values, atol=1e-12)
+    assert np.allclose(eta.displacement.values[0], g.values[0], atol=1e-12)
+    assert np.allclose(eta.displacement.values[1], g.values[1], atol=1e-12)
 
 
 def test_compose_Phi_with_node_rotation(grid, rng):
@@ -134,7 +134,5 @@ def test_compose_Phi_with_node_rotation(grid, rng):
     beta = rotation_map(grid, 2.0 * np.pi * 3 / grid.n_theta)
     eta = compose_Phi(beta, pot)
     g = gradient(pot.f)
-    for got, moved, shifted in ((eta.displacement.x, beta.displacement.x, g.x),
-                                (eta.displacement.y, beta.displacement.y, g.y)):
-        expected = moved.values + np.roll(shifted.values, -3, axis=1)
-        assert np.abs(got.values - expected).max() < 1e-13
+    expected = beta.displacement.values + np.roll(g.values, -3, axis=2)
+    assert np.abs(eta.displacement.values - expected).max() < 1e-13
