@@ -65,40 +65,41 @@ def hessian(f):
 
 
 def _ring_weights(grid, r0, theta0):
-    """What every field evaluated at one point set shares.
+    """The evaluation plan that every field at one point set shares.
 
-    The trigonometric rows that sum each ring's Fourier data at theta0
-    and at theta0 + pi (odd modes flip sign there), the barycentric
-    weights over the doubled radial nodes with their sums, and the
-    points that sit on a radial node with that node's index.
+    Returns (radial, angular), each a pair (even modes, odd modes).
+    radial[p] (P, n_r): barycentric weights of the doubled radial nodes,
+    folded onto the positive ones by the parity of F(-r, theta) =
+    (-1)^m F(r, theta) (positive plus negative node for even m, minus
+    for odd) and normalised; one-hot on a radial node.  angular[p]
+    (P, 2 M_p): (cos, sin) pairs of s_m e^{i m theta0} for the M_p modes
+    of that parity, raised from one exp per point by multiplication.
     """
-    n = grid.n_theta
-    phases = np.exp(1j * np.outer(theta0, grid.modes))  # (P, M)
-    scale = np.full(grid.n_modes, 2.0 / n)
-    scale[0] = scale[-1] = 1.0 / n  # n_theta is even: the last mode is Nyquist
-    E = phases * scale
-    signs = np.where(grid.modes % 2 == 0, 1.0, -1.0)
-    diff = r0[:, None] - grid.x_full[None, :]
-    exact = np.abs(diff) < 1e-14
-    c = grid.bary_weights[None, :] / np.where(exact, 1.0, diff)
-    hit = exact.any(axis=1)
-    return E, E * signs, c, c.sum(axis=1), hit, exact[hit].argmax(axis=1)
-
-
-def _interp_rings(grid, coeff_rings, weights):
-    """Barycentric radial interpolation of per-ring Fourier data.
-
-    coeff_rings: (n_r, n_modes) rfft coefficients of each ring.
-    Returns values at the points that weights (_ring_weights) belong to.
-    """
-    E, E_neg, c, denom, hit, idx = weights
-    # the doubled radial profile per point, full-grid node order
-    prof = np.empty((E.shape[0], grid.x_full.size))
-    prof[:, grid.pos_full] = (E @ coeff_rings.T).real      # rings at theta0
-    prof[:, grid.neg_full] = (E_neg @ coeff_rings.T).real  # rings at theta0 + pi
-    out = (c * prof).sum(axis=1) / denom
-    out[hit] = prof[hit, idx]
-    return out
+    # w_k / (r0 - x_k) in place, so the plan allocates little beyond itself
+    pos = r0[:, None] - grid.x_full[grid.pos_full]
+    neg = r0[:, None] - grid.x_full[grid.neg_full]
+    on_node = np.abs(pos) < 1e-14  # r0 >= 0 meets no negative node
+    pos[on_node] = 1.0
+    np.divide(grid.bary_weights[grid.pos_full], pos, out=pos)
+    np.divide(grid.bary_weights[grid.neg_full], neg, out=neg)
+    even = pos + neg
+    radial = (even, np.subtract(pos, neg, out=neg))
+    total = even.sum(axis=1, keepdims=True)
+    hit = on_node.any(axis=1)
+    for rows in radial:
+        rows /= total
+        rows[hit] = on_node[hit]
+    P, M, n = r0.size, grid.n_modes, grid.n_theta
+    z = np.exp(1j * theta0)
+    angular = [np.empty((P, (M + 1 - p) // 2), dtype=complex) for p in (0, 1)]
+    power = np.full(P, 2.0 / n, dtype=complex)
+    for m in range(1, M):
+        power *= z
+        angular[m % 2][:, m // 2] = power
+    # s_m = 2/n but 1/n at m = 0 and at the Nyquist mode m = n/2
+    angular[0][:, 0] = 1.0 / n
+    angular[(M - 1) % 2][:, -1] *= 0.5
+    return radial, tuple(a.view(float) for a in angular)
 
 
 def _clamp_points(grid, points, tol):
@@ -107,13 +108,10 @@ def _clamp_points(grid, points, tol):
         points = points[None, :]
     x, y = points[:, 0], points[:, 1]
     r0 = np.hypot(x, y)
-    over = r0 > 1.0 + tol
-    if np.any(over):
-        worst = float(r0.max())
-        raise PointOutsideDomainError(
-            f"evaluation point outside the closed disk (|p| = {worst:.6g})")
-    theta0 = np.arctan2(y, x)
-    return r0, theta0
+    if np.any(r0 > 1.0 + tol):
+        raise PointOutsideDomainError("evaluation point outside the closed "
+                                      f"disk (|p| = {r0.max():.6g})")
+    return r0, np.arctan2(y, x)
 
 
 def _node_snap(grid, r0, theta0):
@@ -122,18 +120,13 @@ def _node_snap(grid, r0, theta0):
     Returns (mask, i_idx, j_idx); snapped queries return stored samples
     bit-exactly rather than going through the interpolation arithmetic.
     """
-    dtheta = 2.0 * np.pi / grid.n_theta
-    j = np.round(theta0 / dtheta).astype(int) % grid.n_theta
-    ang_err = np.abs(theta0 - 2.0 * np.pi * np.round(theta0 / dtheta) / grid.n_theta)
-    i = np.clip(np.searchsorted(grid.r, r0), 0, grid.n_r - 1)
-    i_lo = np.clip(i - 1, 0, grid.n_r - 1)
-    rad_err = np.abs(grid.r[i] - r0)
-    rad_err_lo = np.abs(grid.r[i_lo] - r0)
-    use_lo = rad_err_lo < rad_err
-    i = np.where(use_lo, i_lo, i)
-    rad_err = np.minimum(rad_err, rad_err_lo)
-    mask = (rad_err < 1e-13) & (ang_err < 1e-13)
-    return mask, i, j
+    k = np.round(theta0 / (2.0 * np.pi / grid.n_theta))
+    ang_err = np.abs(theta0 - 2.0 * np.pi * k / grid.n_theta)
+    # the nearer of the two radial nodes around r0
+    i = np.clip(np.searchsorted(grid.r, r0), 1, grid.n_r - 1)
+    i -= np.abs(grid.r[i - 1] - r0) < np.abs(grid.r[i] - r0)
+    mask = (np.abs(grid.r[i] - r0) < 1e-13) & (ang_err < 1e-13)
+    return mask, i, k.astype(int) % grid.n_theta
 
 
 def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
@@ -146,8 +139,10 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
     doubled node set.  Points whose radius overshoots 1 by at most
     clamp_tol are evaluated by the radial polynomial's natural extension
     (time-stepper stages land there); anything further outside raises.
-    Grid-node queries reproduce the stored samples bit-exactly.  The
-    point weights are built once per call and shared by every field.
+    Grid-node queries reproduce the stored samples bit-exactly.  One
+    plan is built per call and shared by every field; each component
+    then takes one (P, n_r) @ (n_r, 2 M_p) product per parity, shapes
+    free of F, so a column has the bits of its field evaluated alone.
     """
     if isinstance(fields, (ScalarField, VectorField)):
         fields = (fields,)
@@ -155,9 +150,14 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
     values = np.concatenate(
         [f.values.reshape(-1, grid.n_r, grid.n_theta) for f in fields])
     r0, theta0 = _clamp_points(grid, points, clamp_tol)
-    weights = _ring_weights(grid, r0, theta0)
+    radial, angular = _ring_weights(grid, r0, theta0)
     C = grid.to_modes(values)
-    out = np.column_stack([_interp_rings(grid, Ck, weights) for Ck in C])
+    # per parity, (F, n_r, 2 M_p): each ring's (Re, -Im) pairs
+    rings = [np.conj(C[..., p::2]).view(float) for p in (0, 1)]
+    out = np.empty((r0.size, len(values)))
+    for k in range(len(values)):
+        out[:, k] = sum(np.einsum("pk,pk->p", W @ R[k], T)
+                        for W, R, T in zip(radial, rings, angular))
     mask, i, j = _node_snap(grid, r0, theta0)
     out[mask] = values[:, i[mask], j[mask]].T
     return out

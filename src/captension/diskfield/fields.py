@@ -154,13 +154,6 @@ class BoundaryFunction:
         C[-1] *= 2.0
         return C
 
-    def evaluate(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        phases = np.exp(1j * np.outer(theta, self.grid.modes))
-        two_sided = np.full(self.grid.n_modes, 2.0)
-        two_sided[0] = 1.0
-        return (phases @ (two_sided * self.coeffs)).real
-
     def derivative(self):
         """d/dtheta; the Nyquist mode's derivative vanishes at the samples."""
         C = self.coeffs * (1j * self.grid.modes)

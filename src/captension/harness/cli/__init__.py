@@ -4,10 +4,10 @@ import argparse
 import os
 import sys
 
-from ..errors import ConfigError, SolverError
-from .config import ExperimentConfig
-from .emit import emit_csv, emit_plot
-from .run import SWEEP_QUANTITIES, oracle_compare, run_single, run_sweep
+from ...errors import ConfigError, SolverError
+from ..config import ExperimentConfig
+from ..emit import emit_csv, emit_plot
+from ..run import SWEEP_QUANTITIES, oracle_compare, run_single, run_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -156,7 +156,3 @@ def main(argv=None):
     except SolverError as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,6 +22,15 @@ def random_boundary(grid, rng, norm_bound, s=2.5, max_mode=8):
     return BoundaryFunction(grid, coeffs * scale)
 
 
+def boundary_values(b, theta):
+    """The Fourier series of the BoundaryFunction b summed at angles theta."""
+    theta = np.asarray(theta, dtype=float)
+    phases = np.exp(1j * np.outer(theta, b.grid.modes))
+    two_sided = np.full(b.grid.n_modes, 2.0)
+    two_sided[0] = 1.0
+    return (phases @ (two_sided * b.coeffs)).real
+
+
 def random_poly_field(grid, rng, degree=5, scale=1.0):
     """Vector field whose components are random polynomials in (x, y).
 

@@ -68,13 +68,36 @@ def test_evaluate_vector_matches_componentwise(grid, rng):
     nodes = np.column_stack([grid.xx.ravel(), grid.yy.ravel()])[::5]
     angles = rng.uniform(0.0, 2.0 * np.pi, 10)
     past_rim = (1.0 + 5e-13) * np.column_stack([np.cos(angles), np.sin(angles)])
-    pts = np.concatenate([rng.uniform(-0.5, 0.5, size=(15, 2)), nodes, past_rim])
-    vals = evaluate_vector_at(fields, pts)
-    assert vals.shape == (len(pts), 6)
-    for k, f in enumerate(fields):
-        assert np.array_equal(vals[:, k], evaluate_at(f, pts))
+    # on a radial node, between angular nodes
+    on_ring = grid.r[[0, 5, 15], None] * np.column_stack(
+        [np.cos(angles[:3] + 0.05), np.sin(angles[:3] + 0.05)])
+    pts = np.concatenate([rng.uniform(-0.5, 0.5, size=(15, 2)), nodes,
+                          past_rim, on_ring])
     w = VectorField.from_arrays(grid, fields[0].values, fields[1].values)
-    assert np.array_equal(evaluate_vector_at(w, pts), vals[:, :2])
+    for sample in (pts, pts[:1], pts[-2:], on_ring):
+        vals = evaluate_vector_at(fields, sample)
+        assert vals.shape == (len(sample), 6)
+        for k, f in enumerate(fields):
+            assert np.array_equal(vals[:, k], evaluate_at(f, sample))
+        assert np.array_equal(evaluate_vector_at(w, sample), vals[:, :2])
+
+
+@pytest.mark.parametrize("grid_name", ["grid", "coarse_grid"])
+def test_evaluate_every_angular_mode(grid_name, request, rng):
+    # r^m cos(m theta + phase) is exact on the grid for m <= n_theta/2;
+    # at the Nyquist mode only the cosine is sampled, so its phase is 0
+    g = request.getfixturevalue(grid_name)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 40)
+    radii = np.concatenate([np.sqrt(rng.uniform(0.0, 1.0, 30)),
+                            np.full(10, 1.0 + 5e-13)])
+    pts = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    for m in range(g.n_theta // 2 + 1):
+        phase = 0.3 if m < g.n_theta // 2 else 0.0
+        f = ScalarField.from_function(
+            g, lambda x, y: np.hypot(x, y) ** m
+            * np.cos(m * np.arctan2(y, x) + phase))
+        exact = radii ** m * np.cos(m * angles + phase)
+        assert np.abs(evaluate_at(f, pts) - exact).max() < 1e-12, m
 
 
 def test_grad_values_of_a_stack_matches_each_field(grid, rng):

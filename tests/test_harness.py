@@ -299,6 +299,12 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert "oracle-compare" in done.stdout
 
+    def test_python_m_harness_cli_starts_without_warning(self):
+        done = self.run_module("-W", "error::RuntimeWarning", "-m",
+                               "captension.harness.cli", "--help")
+        assert done.returncode == 0, done.stderr
+        assert "oracle-compare" in done.stdout
+
     def test_python_m_harness_cli_runs_the_cli(self, tmp_path):
         done = self.run_module("-m", "captension.harness.cli", "run",
                                "--config", str(tmp_path / "absent.cfg"))

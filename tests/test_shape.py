@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_boundary
+from helpers import boundary_values, random_boundary
 
 from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
                                   gradient, identity_map, jacobian_det,
@@ -84,7 +84,8 @@ def test_curvature_against_finite_differences(grid):
     dt = 1e-4
 
     def curve(t):
-        return np.cos(t) + bx.evaluate(t), np.sin(t) + by.evaluate(t)
+        return (np.cos(t) + boundary_values(bx, t),
+                np.sin(t) + boundary_values(by, t))
 
     t = grid.theta
     xp = (np.array(curve(t + dt)) - np.array(curve(t - dt))) / (2.0 * dt)
@@ -112,8 +113,8 @@ def test_boundary_length_against_dense_quadrature(grid):
     bx = BoundaryFunction.from_samples(grid, g.values[0, -1, :])
     by = BoundaryFunction.from_samples(grid, g.values[1, -1, :])
     t = np.linspace(0.0, 2.0 * np.pi, 20001)
-    cx = np.cos(t) + bx.evaluate(t)
-    cy = np.sin(t) + by.evaluate(t)
+    cx = np.cos(t) + boundary_values(bx, t)
+    cy = np.sin(t) + boundary_values(by, t)
     dense = np.trapezoid(np.hypot(np.gradient(cx, t), np.gradient(cy, t)), t)
     assert boundary_length(pot) == pytest.approx(dense, abs=1e-6)
 
