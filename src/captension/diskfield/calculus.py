@@ -67,18 +67,24 @@ def hessian(f):
 def _ring_weights(grid, r0, theta0):
     """The evaluation plan that every field at one point set shares.
 
-    Returns (radial, angular), each a pair (even modes, odd modes).
+    Returns (radial, angular, nearest); radial and angular are each a
+    pair (even modes, odd modes).
     radial[p] (P, n_r): barycentric weights of the doubled radial nodes,
     folded onto the positive ones by the parity of F(-r, theta) =
     (-1)^m F(r, theta) (positive plus negative node for even m, minus
     for odd) and normalised; one-hot on a radial node.  angular[p]
     (P, 2 M_p): (cos, sin) pairs of s_m e^{i m theta0} for the M_p modes
     of that parity, raised from one exp per point by multiplication.
+    nearest = (i, gap): index into grid.r of each point's nearest radial
+    node and the distance to it.
     """
     # w_k / (r0 - x_k) in place, so the plan allocates little beyond itself
     pos = r0[:, None] - grid.x_full[grid.pos_full]
     neg = r0[:, None] - grid.x_full[grid.neg_full]
-    on_node = np.abs(pos) < 1e-14  # r0 >= 0 meets no negative node
+    dist = np.abs(pos)
+    near = dist.argmin(axis=1)
+    nearest = near, dist[np.arange(r0.size), near]
+    on_node = dist < 1e-14  # r0 >= 0 meets no negative node
     pos[on_node] = 1.0
     np.divide(grid.bary_weights[grid.pos_full], pos, out=pos)
     np.divide(grid.bary_weights[grid.neg_full], neg, out=neg)
@@ -99,7 +105,7 @@ def _ring_weights(grid, r0, theta0):
     # s_m = 2/n but 1/n at m = 0 and at the Nyquist mode m = n/2
     angular[0][:, 0] = 1.0 / n
     angular[(M - 1) % 2][:, -1] *= 0.5
-    return radial, tuple(a.view(float) for a in angular)
+    return radial, tuple(a.view(float) for a in angular), nearest
 
 
 def _clamp_points(grid, points, tol):
@@ -114,19 +120,17 @@ def _clamp_points(grid, points, tol):
     return r0, np.arctan2(y, x)
 
 
-def _node_snap(grid, r0, theta0):
+def _node_snap(grid, gap, theta0):
     """Detect queries that coincide with grid nodes (up to roundoff).
 
-    Returns (mask, i_idx, j_idx); snapped queries return stored samples
+    gap is each query's distance to its nearest radial node, from the
+    plan.  Returns (mask, j_idx); snapped queries return stored samples
     bit-exactly rather than going through the interpolation arithmetic.
     """
     k = np.round(theta0 / (2.0 * np.pi / grid.n_theta))
     ang_err = np.abs(theta0 - 2.0 * np.pi * k / grid.n_theta)
-    # the nearer of the two radial nodes around r0
-    i = np.clip(np.searchsorted(grid.r, r0), 1, grid.n_r - 1)
-    i -= np.abs(grid.r[i - 1] - r0) < np.abs(grid.r[i] - r0)
-    mask = (np.abs(grid.r[i] - r0) < 1e-13) & (ang_err < 1e-13)
-    return mask, i, k.astype(int) % grid.n_theta
+    mask = (gap < 1e-13) & (ang_err < 1e-13)
+    return mask, k.astype(int) % grid.n_theta
 
 
 def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
@@ -150,7 +154,7 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
     values = np.concatenate(
         [f.values.reshape(-1, grid.n_r, grid.n_theta) for f in fields])
     r0, theta0 = _clamp_points(grid, points, clamp_tol)
-    radial, angular = _ring_weights(grid, r0, theta0)
+    radial, angular, (i, gap) = _ring_weights(grid, r0, theta0)
     C = grid.to_modes(values)
     # per parity, (F, n_r, 2 M_p): each ring's (Re, -Im) pairs
     rings = [np.conj(C[..., p::2]).view(float) for p in (0, 1)]
@@ -158,7 +162,7 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
     for k in range(len(values)):
         out[:, k] = sum(np.einsum("pk,pk->p", W @ R[k], T)
                         for W, R, T in zip(radial, rings, angular))
-    mask, i, j = _node_snap(grid, r0, theta0)
+    mask, j = _node_snap(grid, gap, theta0)
     out[mask] = values[:, i[mask], j[mask]].T
     return out
 
@@ -209,7 +213,7 @@ def inverse_jacobian(g):
     """det D(map) and the entries (b11, b12, b21, b22) of D(map)^-1.
 
     Kept read-only in the map's cache: a map is immutable, and the
-    pressure solve and both of its pulled-back Laplacians ask for it.
+    pressure and its pulled-back Laplacian both ask for it.
     """
     cached = g._cache.get("inverse_jacobian")
     if cached is None:

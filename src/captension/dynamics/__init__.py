@@ -5,13 +5,12 @@ from .states import (
     EnergyReport,
     FixedEulerState,
     FreeBoundaryState,
-    PressureSolution,
     solid_rotation_velocity,
     stream_function_field,
     stream_initial_velocity,
     stream_initial_vorticity,
 )
-from .pressure import pressure_solve, pullback_velocity
+from .pressure import pressure_gradient, pullback_velocity
 from .evolution import (
     FreeBoundaryRhs,
     dt_max,
@@ -27,16 +26,16 @@ from .fixed import (
     vorticity_particle_step,
     vorticity_velocity,
 )
-from .unsplit import ring_curvature, step_unsplit, unsplit_acceleration
+from .unsplit import step_unsplit, unsplit_acceleration
 
 __all__ = [
-    "EnergyReport", "FixedEulerState", "FreeBoundaryState", "PressureSolution",
+    "EnergyReport", "FixedEulerState", "FreeBoundaryState",
     "solid_rotation_velocity", "stream_function_field",
     "stream_initial_velocity", "stream_initial_vorticity",
-    "pressure_solve", "pullback_velocity",
+    "pressure_gradient", "pullback_velocity",
     "FreeBoundaryRhs", "dt_max", "energy_report", "reconstruct_eta",
     "rhs_free_boundary", "step_free_boundary",
     "euler_Z", "invert_disk_map", "step_fixed_euler",
     "vorticity_particle_step", "vorticity_velocity",
-    "ring_curvature", "step_unsplit", "unsplit_acceleration",
+    "step_unsplit", "unsplit_acceleration",
 ]

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..diskfield import (
+    DiskMap,
     ScalarField,
     VectorField,
     compose,
@@ -33,7 +34,7 @@ from ..projections import (
     solve_L1_inverse,
 )
 from ..shape import boundary_length, compose_Phi, solve_volume_constraint
-from .pressure import pressure_solve, pullback_velocity
+from .pressure import pressure_gradient, pullback_velocity
 from .states import EnergyReport, FreeBoundaryState, rk4
 
 __all__ = [
@@ -96,17 +97,18 @@ def rhs_free_boundary(state):
     unsplit integrator serves as the arbitration oracle for that choice.
     """
     grid = state.f.grid
-    pres = pressure_solve(state)
+    grad_f = gradient(state.f)
+    grad_p = pressure_gradient(DiskMap(grad_f, kind="embedding"),
+                               pullback_velocity(state), state.k)
 
     hess_fdot = hessian(state.fdot)
     dv_grad_fdot = _hessian_apply(grid, hess_fdot, state.v)
-    grad_f = gradient(state.f)
     dvv_grad_f = _second_directional(grid, grad_f, state.v)
     conv = _advect(grid, state.v)
     q_conv = hodge_Q(conv)
 
     bracket = (2.0 * dv_grad_fdot + dvv_grad_f
-               + apply_L(state.f, q_conv) + pres.grad_p_pullback)
+               + apply_L(state.f, q_conv) + grad_p)
     p_bracket = hodge_P(bracket)
     q_bracket = bracket - p_bracket
     m = solve_L1_inverse(state.f, p_bracket)

@@ -1,16 +1,26 @@
-"""The split pressure of the free-surface flow, on the reference disk.
+"""The capillary pressure of the free-surface flow, on the reference disk.
 
-The pressure is a sum p = p0 + k*A_H: an interior part driven by the
-velocity and a boundary part that harmonically extends the curvature.
-Both solves happen on the fixed disk through the graph map
-eta = id + grad f, so no inverse map is ever formed.
+Both integrators take their pressure from pressure_gradient.  Seen
+through an embedding eta of the reference disk, the pressure q = p o eta
+solves one Dirichlet problem
+
+    lap_eta q = -tr(G^2),   q = k (kappa - mean kappa) on the circle,
+
+with G the velocity gradient transported through eta and kappa the
+curvature of the moving boundary.  The analysis splits p = p0 + k A_H
+into a velocity part and a harmonic curvature part; both parts share
+the operator, so their sum is one linear solve.  The solve happens on
+the fixed disk, so no inverse map is ever formed.
+
+What pins this routine is analytic: the rigid-rotation pressure
+grad p = (x, y), criterion 04 (rotation tracked), criterion 05 (energy)
+and criterion 07 (omega^2 = k m (m^2 - 1)).  The split-vs-unsplit
+oracle of criterion 09 arbitrates only what the two integrators do
+differently around it.
 """
-
-import numpy as np
 
 from ..diskfield import (
     BoundaryFunction,
-    DiskMap,
     ScalarField,
     VectorField,
     grad_values,
@@ -18,10 +28,9 @@ from ..diskfield import (
     inverse_jacobian,
 )
 from ..projections import apply_L, solve_pulled_back_laplacian
-from ..shape import curvature_exact
-from .states import PressureSolution
+from ..shape import boundary_curvature
 
-__all__ = ["pressure_solve", "pullback_velocity"]
+__all__ = ["pressure_gradient", "pullback_velocity"]
 
 
 def pullback_velocity(state):
@@ -29,20 +38,17 @@ def pullback_velocity(state):
     return gradient(state.fdot) + apply_L(state.f, state.v)
 
 
-def pressure_solve(state):
-    """Solve both pressure parts and assemble the pulled-back gradient.
+def pressure_gradient(eta, w, k, det_tol=1e-6):
+    """(Deta)^-T grad q: the pressure gradient at eta, pulled back.
 
-    The interior part obeys lap_eta q0 = -tr(G^2) with zero boundary
-    data, where G is the velocity gradient transported through eta; the
-    identity keeps the source first order in derivatives.  The boundary
-    part is harmonic with trace curvature - 1.  The assembled gradient
-    is (Deta)^-T (grad q0 + k grad AH_hat).
+    w is the velocity seen at reference points.  The source uses
+    G = (Dw)(Deta)^-1; the identity tr(G^2) = -lap p keeps it first
+    order in derivatives.  A constant in the boundary data shifts q and
+    leaves grad q alone, so dropping the mean of kappa keeps the solve
+    well scaled.  det_tol bounds |det Deta - 1| for the solve.
     """
-    grid = state.f.grid
-    eta = DiskMap(gradient(state.f), kind="embedding")
+    grid = eta.grid
     _, (b11, b12, b21, b22) = inverse_jacobian(eta)
-
-    w = pullback_velocity(state)
     (m11, m21), (m12, m22) = grad_values(grid, w.values)
     g11 = m11 * b11 + m12 * b21
     g12 = m11 * b12 + m12 * b22
@@ -50,14 +56,9 @@ def pressure_solve(state):
     g22 = m21 * b12 + m22 * b22
     tr_g2 = g11 * g11 + 2.0 * g12 * g21 + g22 * g22
 
-    q0 = solve_pulled_back_laplacian(eta, ScalarField(grid, -tr_g2))
-
-    kappa = curvature_exact(state.f)
-    shifted = np.array(kappa.coeffs)
-    shifted[0] -= 1.0
-    ah = solve_pulled_back_laplacian(eta, ScalarField.zeros(grid),
-                                     BoundaryFunction(grid, shifted))
-
-    sx, sy = (gradient(q0) + state.k * gradient(ah)).values
-    grad_p = VectorField(grid, [b11 * sx + b21 * sy, b12 * sx + b22 * sy])
-    return PressureSolution(q0=q0, AH_hat=ah, grad_p_pullback=grad_p)
+    kappa = boundary_curvature(eta.displacement)
+    bdata = BoundaryFunction.from_samples(grid, k * (kappa - kappa.mean()))
+    q = solve_pulled_back_laplacian(eta, ScalarField(grid, -tr_g2), bdata,
+                                    det_tol=det_tol)
+    qx, qy = gradient(q).values
+    return VectorField(grid, [b11 * qx + b21 * qy, b12 * qx + b22 * qy])

@@ -62,20 +62,6 @@ class FreeBoundaryState:
 
 
 @dataclass(frozen=True)
-class PressureSolution:
-    """Split pressure pulled back to the reference disk.
-
-    q0 is the velocity part (zero boundary trace), AH_hat the harmonic
-    curvature part minus its circle value, and grad_p_pullback the full
-    pressure gradient transported to reference coordinates.
-    """
-
-    q0: ScalarField
-    AH_hat: ScalarField
-    grad_p_pullback: VectorField
-
-
-@dataclass(frozen=True)
 class FixedEulerState:
     """Fixed-disk incompressible flow by its Lagrangian map zeta."""
 

@@ -6,7 +6,7 @@ import sys
 
 from ...errors import ConfigError, SolverError
 from ..config import ExperimentConfig
-from ..emit import emit_csv, emit_plot
+from ..emit import emit_csv, emit_plot, write_csv
 from ..run import SWEEP_QUANTITIES, oracle_compare, run_single, run_sweep
 
 __all__ = ["main", "build_parser"]
@@ -65,13 +65,9 @@ def _load_config(args):
 def _write_series(record, path):
     names = ("nabla_f_L2", "nabla_f_H1", "eta_gap_H1", "etadot_gap_H1",
              "energy_drift")
-    lines = ["time," + ",".join(names)]
-    for i, t in enumerate(record.times):
-        lines.append(",".join([repr(float(t))]
-                              + [repr(float(record.series[n][i]))
-                                 for n in names]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "time," + ",".join(names),
+              [[t] + [record.series[n][i] for n in names]
+               for i, t in enumerate(record.times)])
 
 
 def _cmd_run(args):
@@ -132,15 +128,11 @@ def _cmd_oracle(args):
     rows = oracle_compare(cfg, k)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "oracle_gap.csv")
-    lines = ["time,eta_gap_H1,etadot_gap_H1"]
     print("split vs one-piece law at k = %g" % k)
     for t, ge, gd in rows:
         print("  t = %-8.4f eta gap H1 = %.6e  etadot gap H1 = %.6e"
               % (t, ge, gd))
-        lines.append("%s,%s,%s" % (repr(float(t)), repr(float(ge)),
-                                   repr(float(gd))))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "time,eta_gap_H1,etadot_gap_H1", rows)
     print("wrote %s" % path)
     return 0
 

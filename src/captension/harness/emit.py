@@ -2,31 +2,36 @@
 
 import math
 
-__all__ = ["CSV_HEADER", "emit_csv", "parse_csv", "emit_plot"]
+__all__ = ["CSV_HEADER", "write_csv", "emit_csv", "parse_csv", "emit_plot"]
 
 CSV_HEADER = ("k,sup_nabla_f_L2,sup_nabla_f_H1,"
               "sup_eta_gap_H1,sup_etadot_gap_H1,energy_drift,converged")
 
 
-def emit_csv(rows, path):
-    """Write sweep rows with full float round-trip precision.
+def write_csv(path, header, rows):
+    """Write a header line and one line per row of numbers.
 
-    repr() of a Python float is the shortest string that parses back to
-    the same double, which keeps reruns byte-comparable.
+    Booleans are written true/false and everything else as repr() of a
+    Python float, the shortest string that parses back to the same
+    double, which keeps reruns byte-comparable.
     """
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            repr(float(r.k)),
-            repr(float(r.sup_nabla_f_L2)),
-            repr(float(r.sup_nabla_f_H1)),
-            repr(float(r.sup_eta_gap_H1)),
-            repr(float(r.sup_etadot_gap_H1)),
-            repr(float(r.energy_drift)),
-            "true" if r.converged else "false",
-        ]))
+    lines = [header] + [",".join(_cell(v) for v in row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(float(value))
+
+
+def emit_csv(rows, path):
+    """Write sweep rows with full float round-trip precision."""
+    write_csv(path, CSV_HEADER,
+              [(r.k, r.sup_nabla_f_L2, r.sup_nabla_f_H1, r.sup_eta_gap_H1,
+                r.sup_etadot_gap_H1, r.energy_drift, r.converged)
+               for r in rows])
 
 
 def parse_csv(path):

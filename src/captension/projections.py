@@ -8,7 +8,7 @@ Qw = grad g where g solves the Neumann problem
 
 and P = I - Q.  On the split sit the operators L = id + D^2 f and the
 perturbative inverse of L1 = P L on the image of P, plus the pulled-back
-Laplacian lap_xi used by the pressure solves on a deformed domain.
+Laplacian lap_xi used by the pressure solve on a deformed domain.
 """
 
 import numpy as np

@@ -42,6 +42,7 @@ __all__ = [
     "CurvatureExpansion",
     "solve_volume_constraint",
     "compose_Phi",
+    "boundary_curvature",
     "curvature_exact",
     "curvature_expansion",
     "boundary_length",
@@ -121,50 +122,43 @@ def compose_Phi(beta, pot):
     return DiskMap(beta.displacement + moved, kind="embedding")
 
 
-def _boundary_tangent_data(pot):
-    """Ring samples of the deformed boundary curve and its theta-derivatives.
+def _boundary_tangent_data(displacement):
+    """Theta-derivatives of the boundary curve of id + displacement.
 
-    Returns (cx, cy, tx, ty, ax, ay, bx, by): curve, first and second
-    derivative of grad f along the ring, with t the full curve tangent.
+    The curve is c(theta) = (cos, sin) + d with d the r = 1 ring of the
+    displacement.  Returns (tx, ty, ax, ay, bx, by, speed): t = c' the
+    curve tangent and speed = |t|, a and b the first and second
+    derivatives of d alone.  Only d is Fourier-differentiated; the
+    circle part is differentiated exactly.
     """
-    f = _field_of(pot)
-    grid = f.grid
-    G = gradient(f)
-    gx = BoundaryFunction.from_samples(grid, G.values[0, -1, :])
-    gy = BoundaryFunction.from_samples(grid, G.values[1, -1, :])
-    ax_b = gx.derivative()
-    ay_b = gy.derivative()
-    ax, ay = ax_b.samples(), ay_b.samples()
-    bx, by = ax_b.derivative().samples(), ay_b.derivative().samples()
-    ct, st = np.cos(grid.theta), np.sin(grid.theta)
-    cx = ct + gx.samples()
-    cy = st + gy.samples()
-    tx = -st + ax
-    ty = ct + ay
-    return cx, cy, tx, ty, ax, ay, bx, by
-
-
-def _check_tangent(tx, ty):
+    grid = displacement.grid
+    d1 = [BoundaryFunction.from_samples(grid, ring).derivative()
+          for ring in displacement.values[:, -1, :]]
+    ax, ay = (d.samples() for d in d1)
+    bx, by = (d.derivative().samples() for d in d1)
+    tx = -np.sin(grid.theta) + ax
+    ty = np.cos(grid.theta) + ay
     speed = np.hypot(tx, ty)
     if speed.min() <= 0.5:
         raise DegenerateTangentError(
             f"boundary tangent degenerates (min speed {speed.min():.3f})")
-    return speed
+    return tx, ty, ax, ay, bx, by, speed
+
+
+def boundary_curvature(displacement):
+    """Curvature samples of the boundary curve of id + displacement,
+    +1 for the unit circle: (c' x c'') / |c'|^3 on the theta nodes."""
+    grid = displacement.grid
+    tx, ty, _, _, bx, by, speed = _boundary_tangent_data(displacement)
+    cxx = -np.cos(grid.theta) + bx
+    cyy = -np.sin(grid.theta) + by
+    return (tx * cyy - ty * cxx) / speed ** 3
 
 
 def curvature_exact(pot):
-    """Curvature of the deformed boundary, +1 for the unit circle.
-
-    Fourier differentiation of the parameterized curve
-    c(theta) = (cos, sin) + grad f, then (c' x c'') / |c'|^3.
-    """
-    grid = _field_of(pot).grid
-    cx, cy, tx, ty, ax, ay, bx, by = _boundary_tangent_data(pot)
-    speed = _check_tangent(tx, ty)
-    cxx = -np.cos(grid.theta) + bx
-    cyy = -np.sin(grid.theta) + by
-    kappa = (tx * cyy - ty * cxx) / speed ** 3
-    return BoundaryFunction.from_samples(grid, kappa)
+    """Curvature of the deformed boundary c(theta) = (cos, sin) + grad f."""
+    f = _field_of(pot)
+    return BoundaryFunction.from_samples(f.grid, boundary_curvature(gradient(f)))
 
 
 _GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(16)
@@ -192,9 +186,9 @@ def curvature_expansion(pot):
     scalar, again with exact remainders.  1 + M5 reproduces
     curvature_exact to quadrature precision.
     """
-    grid = _field_of(pot).grid
-    cx, cy, tx, ty, ax, ay, bx, by = _boundary_tangent_data(pot)
-    _check_tangent(tx, ty)
+    f = _field_of(pot)
+    grid = f.grid
+    _, _, ax, ay, bx, by, _ = _boundary_tangent_data(gradient(f))
     ct, st = np.cos(grid.theta), np.sin(grid.theta)
     taux, tauy = -st, ct
     nux, nuy = ct, st
@@ -217,9 +211,9 @@ def curvature_expansion(pot):
 
 def boundary_length(pot):
     """Arclength of the deformed boundary; 2*pi exactly for a circle."""
-    grid = _field_of(pot).grid
-    cx, cy, tx, ty, ax, ay, bx, by = _boundary_tangent_data(pot)
-    return (2.0 * np.pi / grid.n_theta) * float(np.hypot(tx, ty).sum())
+    f = _field_of(pot)
+    speed = _boundary_tangent_data(gradient(f))[-1]
+    return (2.0 * np.pi / f.grid.n_theta) * float(speed.sum())
 
 
 def invert_points(alpha, targets, start, *, slack):

@@ -1,11 +1,17 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
-from captension.diskfield import (DiskMap, VectorField, identity_map,
-                                  l2_norm_disk, rotation_map, sobolev_norm_disk)
+from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
+                                  VectorField, grad_values, gradient,
+                                  identity_map, l2_norm_disk, map_jacobian,
+                                  rotation_map, sobolev_norm_disk)
 from captension.dynamics import (FixedEulerState, FreeBoundaryState, dt_max,
                                  energy_report, euler_Z, invert_disk_map,
-                                 pressure_solve, reconstruct_eta,
+                                 pressure_gradient, pullback_velocity,
+                                 reconstruct_eta, rhs_free_boundary,
                                  solid_rotation_velocity, step_fixed_euler,
                                  step_free_boundary, step_unsplit,
                                  stream_initial_velocity,
@@ -13,30 +19,97 @@ from captension.dynamics import (FixedEulerState, FreeBoundaryState, dt_max,
                                  vorticity_particle_step, vorticity_velocity)
 from captension.dynamics.states import rk4
 from captension.errors import ConfigError
+from captension.projections import solve_pulled_back_laplacian
+from captension.shape import (boundary_curvature, curvature_exact,
+                              solve_volume_constraint)
 
 
 def test_pressure_solve_rigid_rotation(grid):
     state = FreeBoundaryState.from_velocity(grid, solid_rotation_velocity(grid),
                                             k=5.0)
-    sol = pressure_solve(state)
-    rr = grid.xx ** 2 + grid.yy ** 2
-    assert np.abs(sol.q0.values - 0.5 * (rr - 1.0)).max() < 1e-8
-    assert np.abs(sol.AH_hat.values).max() < 1e-10
-    assert np.abs(sol.grad_p_pullback.values[0] - grid.xx).max() < 1e-7
-    assert np.abs(sol.grad_p_pullback.values[1] - grid.yy).max() < 1e-7
+    grad_p = pressure_gradient(DiskMap(gradient(state.f), kind="embedding"),
+                               pullback_velocity(state), state.k)
+    assert np.abs(grad_p.values[0] - grid.xx).max() < 1e-7
+    assert np.abs(grad_p.values[1] - grid.yy).max() < 1e-7
 
 
-def test_pressure_solve_builds_one_jacobian(coarse_grid, monkeypatch):
+@pytest.mark.parametrize("amplitude", [1e-3, 0.05])
+def test_pressure_is_the_sum_of_its_split_parts(grid, amplitude):
+    # the analysis split p = p0 + k A_H, solved as two Dirichlet problems
+    pot = solve_volume_constraint(BoundaryFunction.single_mode(grid, 2,
+                                                               amplitude))
+    state = dataclasses.replace(
+        FreeBoundaryState.from_velocity(
+            grid, stream_initial_velocity(grid, 2, 0.05), k=400.0),
+        f=pot.f)
+    eta = DiskMap(gradient(state.f), kind="embedding")
+    w = pullback_velocity(state)
+
+    j11, j12, j21, j22 = map_jacobian(eta)
+    det = j11 * j22 - j12 * j21
+    inv = np.array([[j22, -j12], [-j21, j11]]) / det
+    dx, dy = grad_values(grid, w.values)
+    dw = np.stack([dx, dy], axis=1)  # dw[i, j] = d_j w_i
+    g = np.einsum("ik...,kj...->ij...", dw, inv)
+    tr_g2 = np.einsum("ij...,ji...->...", g, g)
+    q0 = solve_pulled_back_laplacian(eta, ScalarField(grid, -tr_g2))
+    shifted = np.array(curvature_exact(state.f).coeffs)
+    shifted[0] -= 1.0
+    ah = solve_pulled_back_laplacian(eta, ScalarField.zeros(grid),
+                                     BoundaryFunction(grid, shifted))
+    s = (gradient(q0) + state.k * gradient(ah)).values
+    split = np.einsum("ji...,j...->i...", inv, s)
+
+    one = pressure_gradient(eta, w, state.k).values
+    assert np.abs(one - split).max() < 1e-8 * np.abs(split).max()
+
+
+def _count_calls(monkeypatch, original):
+    """Count calls of a function through every captension binding of it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("captension")
+                and vars(module).get(original.__name__) is original):
+            monkeypatch.setattr(module, original.__name__, counted)
+    return calls
+
+
+def test_one_pressure_solve_per_rhs_and_one_jacobian_per_map(coarse_grid,
+                                                              monkeypatch):
+    from captension import projections
     from captension.diskfield import calculus
 
-    calls = []
-    original = calculus.map_jacobian
-    monkeypatch.setattr(calculus, "map_jacobian",
-                        lambda g: calls.append(g) or original(g))
+    solves = _count_calls(monkeypatch, projections.solve_pulled_back_laplacian)
+    jacobians = _count_calls(monkeypatch, calculus.map_jacobian)
     state = FreeBoundaryState.from_velocity(
         coarse_grid, stream_initial_velocity(coarse_grid, 2, 0.05), k=100.0)
-    pressure_solve(state)
-    assert len(calls) == 1
+    eta, etadot = reconstruct_eta(state)
+
+    rhs_free_boundary(state)
+    assert len(solves) == 1
+    jacobians.clear()
+    pressure_gradient(DiskMap(gradient(state.f), kind="embedding"),
+                      pullback_velocity(state), state.k)
+    assert len(jacobians) == 1
+    jacobians.clear()
+    unsplit_acceleration(eta, etadot, state.k)
+    assert len(jacobians) == 1
+
+
+def test_boundary_curvature_of_non_gradient_maps(grid):
+    a, b = 1.1, 1.0 / 1.1
+    ellipse = VectorField.from_arrays(grid, (a - 1.0) * grid.xx,
+                                      (b - 1.0) * grid.yy)
+    st, ct = np.sin(grid.theta), np.cos(grid.theta)
+    exact = a * b / (a * a * st * st + b * b * ct * ct) ** 1.5
+    assert np.abs(boundary_curvature(ellipse) - exact).max() < 1e-12
+    turned = rotation_map(grid, 0.7).displacement
+    assert np.abs(boundary_curvature(turned) - 1.0).max() < 1e-12
 
 
 def test_rest_state_is_stationary(grid):
