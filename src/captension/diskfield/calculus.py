@@ -17,9 +17,8 @@ from ..errors import ConfigError, PointOutsideDomainError
 from .fields import BoundaryFunction, DiskMap, ScalarField, VectorField
 
 __all__ = ["grad_values", "gradient", "divergence", "laplacian", "hessian",
-           "evaluate_at", "evaluate_vector_at", "compose", "jacobian_det",
-           "map_jacobian", "inverse_jacobian", "restrict_boundary",
-           "normal_derivative_boundary"]
+           "advect", "evaluate_vector_at", "compose", "jacobian_det",
+           "map_jacobian", "inverse_jacobian", "restrict_boundary"]
 
 
 def grad_values(grid, values):
@@ -62,6 +61,13 @@ def hessian(f):
     g = f.grid
     dx, dy = grad_values(g, np.stack(grad_values(g, f.values)))
     return dx[0], dy[0], dx[1], dy[1]
+
+
+def advect(u, z):
+    """(u . grad) z for a ScalarField or a VectorField z (per component)."""
+    ux, uy = u.values
+    dx, dy = grad_values(z.grid, z.values)
+    return type(z)(z.grid, ux * dx + uy * dy)
 
 
 def _ring_weights(grid, r0, theta0):
@@ -167,11 +173,6 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
     return out
 
 
-def evaluate_at(f, points, *, clamp_tol=1e-12):
-    """evaluate_vector_at of one ScalarField, as a (P,) array."""
-    return evaluate_vector_at(f, points, clamp_tol=clamp_tol)[:, 0]
-
-
 # Boundary-overshoot allowance of compose when the caller gives none: wider
 # than the raw interpolation default, so image points of a diffeomorphism
 # that sit a hair past the circle are still evaluated, not rejected.
@@ -228,12 +229,3 @@ def inverse_jacobian(g):
 
 def restrict_boundary(f):
     return BoundaryFunction.from_samples(f.grid, f.values[-1, :])
-
-
-def normal_derivative_boundary(f):
-    """d_r f on the r = 1 ring as a BoundaryFunction."""
-    g = f.grid
-    C = g.to_modes(f.values)  # (n_r, M)
-    out = np.einsum("mi,im->m", g.dr_boundary_rows, C)
-    ring = np.fft.irfft(out, n=g.n_theta)
-    return BoundaryFunction.from_samples(g, ring)

@@ -145,7 +145,6 @@ class DiskGrid:
         lap = np.empty((self.n_modes, n_r, n_r))
         dir_inv = np.empty_like(lap)
         neu_inv = np.empty_like(lap)
-        dr_bdry = np.empty((self.n_modes, n_r))
         for m in range(self.n_modes):
             p = +1 if m % 2 == 0 else -1
             Lm = self.Drr[p] + inv_r[:, None] * self.Dr[p] - (m * m) * np.diag(inv_r ** 2)
@@ -154,17 +153,14 @@ class DiskGrid:
             A[-1, :] = 0.0
             A[-1, -1] = 1.0
             dir_inv[m] = np.linalg.inv(A)
-            dr_row = self.Dr[p][-1, :]
-            dr_bdry[m] = dr_row
             if m == 0:
                 continue
             B = Lm.copy()
-            B[-1, :] = dr_row
+            B[-1, :] = self.Dr[p][-1, :]
             neu_inv[m] = np.linalg.inv(B)
         self.lap_stack = lap
         self.dirichlet_inv = dir_inv
         self.neumann_inv = neu_inv  # row m=0 is unused
-        self.dr_boundary_rows = dr_bdry
 
         # mode zero Neumann: bordered system with a zero-mean constraint and
         # a Lagrange multiplier spreading the (already projected) residual
@@ -182,7 +178,7 @@ class DiskGrid:
         for name in ("x_full", "bary_weights", "pos_full", "neg_full", "r", "theta",
                      "rr", "tt", "xy", "xx", "yy", "weights_r", "modes", "ik",
                      "lap_stack", "dirichlet_inv", "neumann_inv",
-                     "dr_boundary_rows", "neumann0_inv", "harmonic_profiles"):
+                     "neumann0_inv", "harmonic_profiles"):
             getattr(self, name).setflags(write=False)
 
     # ---- transforms -------------------------------------------------
@@ -221,10 +217,6 @@ class DiskGrid:
 
     def l2_inner(self, a, b):
         return self.integrate(a * b)
-
-    def boundary_integrate(self, ring):
-        """integral over the unit circle of samples on the r = 1 ring."""
-        return (2.0 * np.pi / self.n_theta) * float(np.sum(ring))
 
 
 def make_grid(n_theta=32, n_r=16):

@@ -12,7 +12,6 @@ from .states import (
 )
 from .pressure import pressure_gradient, pullback_velocity
 from .evolution import (
-    FreeBoundaryRhs,
     dt_max,
     energy_report,
     reconstruct_eta,
@@ -33,7 +32,7 @@ __all__ = [
     "solid_rotation_velocity", "stream_function_field",
     "stream_initial_velocity", "stream_initial_vorticity",
     "pressure_gradient", "pullback_velocity",
-    "FreeBoundaryRhs", "dt_max", "energy_report", "reconstruct_eta",
+    "dt_max", "energy_report", "reconstruct_eta",
     "rhs_free_boundary", "step_free_boundary",
     "euler_Z", "invert_disk_map", "step_fixed_euler",
     "vorticity_particle_step", "vorticity_velocity",

@@ -7,30 +7,25 @@ volume constraint, v back onto divergence-free tangent fields, and the
 boundary ring of beta back onto the circle.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ConfigError
 from ..diskfield import (
     DiskMap,
-    ScalarField,
     VectorField,
+    advect,
     compose,
-    divergence,
-    grad_values,
     gradient,
     hessian,
     l2_norm_disk,
     restrict_boundary,
-    solve_neumann,
 )
 from ..projections import (
     _hessian_apply,
-    _normal_trace,
     apply_L,
     hodge_P,
     hodge_Q,
+    hodge_potential,
     solve_L1_inverse,
 )
 from ..shape import boundary_length, compose_Phi, solve_volume_constraint
@@ -38,7 +33,6 @@ from .pressure import pressure_gradient, pullback_velocity
 from .states import EnergyReport, FreeBoundaryState, rk4
 
 __all__ = [
-    "FreeBoundaryRhs",
     "rhs_free_boundary",
     "step_free_boundary",
     "dt_max",
@@ -51,25 +45,6 @@ __all__ = [
 STAGE_CLAMP = 1e-5
 
 
-@dataclass(frozen=True)
-class FreeBoundaryRhs:
-    """Time derivatives of (f, fdot, v, beta) plus the measured defect of
-    the gradient structure of the fddot equation."""
-
-    fdot: ScalarField
-    fddot: ScalarField
-    vdot: VectorField
-    beta_velocity: VectorField
-    gradient_defect: float
-
-
-def _advect(grid, w):
-    """(w . grad) w for a vector field, spectrally."""
-    wx, wy = w.values
-    dx, dy = grad_values(grid, w.values)
-    return VectorField(grid, wx * dx + wy * dy)
-
-
 def _second_directional(grid, field, v):
     """v^j v^l d_jl of each component of a vector field (third derivatives
     of the underlying potential when field is a gradient)."""
@@ -80,7 +55,7 @@ def _second_directional(grid, field, v):
 
 
 def rhs_free_boundary(state):
-    """Evaluate the decomposed evolution equations at one state.
+    """Rates (fdot, fddot, vdot, beta_velocity) of the decomposed system.
 
     The fddot equation transports the Lagrangian acceleration balance
     into reference coordinates and extracts its gradient part with
@@ -90,11 +65,11 @@ def rhs_free_boundary(state):
 
     The L Q(v.grad v) term is the gradient part of the transported
     convection; dropping it would push rigid rotation off its steady
-    state, which the tests pin down.  The scalar fddot is recovered from
-    its gradient by a mean-zero Neumann solve, and the projection
-    residual of the bracket is reported as gradient_defect rather than
-    assumed zero.  The v equation keeps only the P-visible terms; the
-    unsplit integrator serves as the arbitration oracle for that choice.
+    state, which the tests pin down.  A* maps into gradients, so fddot
+    is one Hodge potential: with m = L1^-1 P(bracket),
+    grad fddot = Q(L m) - Q(bracket) = Q(L m - bracket).  The v equation
+    keeps only the P-visible terms; the unsplit integrator serves as the
+    arbitration oracle for that choice.
     """
     grid = state.f.grid
     grad_f = gradient(state.f)
@@ -104,30 +79,19 @@ def rhs_free_boundary(state):
     hess_fdot = hessian(state.fdot)
     dv_grad_fdot = _hessian_apply(grid, hess_fdot, state.v)
     dvv_grad_f = _second_directional(grid, grad_f, state.v)
-    conv = _advect(grid, state.v)
+    conv = advect(state.v, state.v)
     q_conv = hodge_Q(conv)
 
     bracket = (2.0 * dv_grad_fdot + dvv_grad_f
                + apply_L(state.f, q_conv) + grad_p)
-    p_bracket = hodge_P(bracket)
-    q_bracket = bracket - p_bracket
-    m = solve_L1_inverse(state.f, p_bracket)
-    l2m = hodge_Q(apply_L(state.f, m))
-    a_field = q_bracket - l2m
-
-    neg_a = -a_field
-    fddot = solve_neumann(divergence(neg_a), _normal_trace(neg_a))
-    # fddot is the Neumann potential of neg_a and q_conv = Q(conv), so these
-    # are P(neg_a) and P(conv) without solving either projection again
-    defect = l2_norm_disk(neg_a - gradient(fddot))
+    m = solve_L1_inverse(state.f, hodge_P(bracket))
+    fddot = hodge_potential(apply_L(state.f, m) - bracket)
 
     vdot = -(conv - q_conv) - solve_L1_inverse(
         state.f, 2.0 * dv_grad_fdot + dvv_grad_f)
 
     beta_velocity = compose(state.v, state.beta, clamp_tol=STAGE_CLAMP)
-    return FreeBoundaryRhs(fdot=state.fdot, fddot=fddot, vdot=vdot,
-                           beta_velocity=beta_velocity,
-                           gradient_defect=defect)
+    return state.fdot, fddot, vdot, beta_velocity
 
 
 def dt_max(k, n_theta, c_cfl=0.5):
@@ -143,16 +107,13 @@ def step_free_boundary(state, dt, c_cfl=0.5):
         raise ConfigError(
             f"dt = {dt:.3e} exceeds the capillary stability bound {bound:.3e}")
 
-    def rates(y):
-        # the system is autonomous, so stage states keep the step's time
-        r = rhs_free_boundary(FreeBoundaryState(*y, time=state.time, k=state.k))
-        return r.fdot, r.fddot, r.vdot, r.beta_velocity
-
+    # the system is autonomous, so stage states keep the step's time
     f_new, fdot_new, v_new, beta_new = rk4(
-        rates, (state.f, state.fdot, state.v, state.beta), dt)
-    pot = solve_volume_constraint(restrict_boundary(f_new))
+        lambda y: rhs_free_boundary(
+            FreeBoundaryState(*y, time=state.time, k=state.k)),
+        (state.f, state.fdot, state.v, state.beta), dt)
     return FreeBoundaryState(
-        f=pot.f,
+        f=solve_volume_constraint(restrict_boundary(f_new)),
         fdot=fdot_new,
         v=hodge_P(v_new),
         beta=beta_new.renormalize_boundary(),

@@ -8,11 +8,10 @@ cross-check rather than a tautology.
 """
 
 from ..diskfield import (
-    ScalarField,
     VectorField,
+    advect,
     compose,
     evaluate_vector_at,
-    grad_values,
     solve_dirichlet,
 )
 from ..projections import hodge_P, hodge_Q
@@ -56,12 +55,9 @@ def _velocity_at_labels(alpha, vel):
 def euler_Z(alpha, vel):
     """Lagrangian acceleration Z(alpha, v) = (Q((u.grad) P u)) o alpha
     with u = v o alpha^-1."""
-    grid = alpha.grid
     u = _velocity_at_labels(alpha, vel)
-    ux, uy = u.values
-    dx, dy = grad_values(grid, hodge_P(u).values)
-    adv = VectorField(grid, ux * dx + uy * dy)
-    return compose(hodge_Q(adv), alpha, clamp_tol=STAGE_CLAMP)
+    return compose(hodge_Q(advect(u, hodge_P(u))), alpha,
+                   clamp_tol=STAGE_CLAMP)
 
 
 def step_fixed_euler(state, dt):
@@ -82,17 +78,6 @@ def vorticity_velocity(omega):
     return rotated_gradient(solve_dirichlet(omega))
 
 
-def _transport_rate(omega, u):
-    dx, dy = grad_values(omega.grid, omega.values)
-    ux, uy = u.values
-    return ScalarField(omega.grid, -(ux * dx + uy * dy))
-
-
-def _move_points(phi, u):
-    """Velocity of the particle map: u evaluated along phi."""
-    return compose(u, phi, clamp_tol=STAGE_CLAMP)
-
-
 def vorticity_particle_step(omega, phi, dt):
     """Advance vorticity and its particle map together by RK4.
 
@@ -102,7 +87,7 @@ def vorticity_particle_step(omega, phi, dt):
     def rates(y):
         o, p = y
         u = vorticity_velocity(o)
-        return _transport_rate(o, u), _move_points(p, u)
+        return -advect(u, o), compose(u, p, clamp_tol=STAGE_CLAMP)
 
     omega_new, phi_new = rk4(rates, (omega, phi), dt)
     return omega_new, phi_new.renormalize_boundary()

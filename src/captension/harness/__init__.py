@@ -1,7 +1,7 @@
 """Experiment orchestration: configs, runs, sweeps, rate fits, CLI."""
 
 from .config import ExperimentConfig
-from .emit import CSV_HEADER, emit_csv, emit_plot, parse_csv
+from .emit import CSV_HEADER, emit_csv, emit_plot
 from .rates import fit_rate, measure_frequency
 from .run import (RunRecord, SweepResult, oracle_compare, run_single,
                   run_sweep)
@@ -12,7 +12,6 @@ __all__ = [
     "CSV_HEADER",
     "emit_csv",
     "emit_plot",
-    "parse_csv",
     "fit_rate",
     "measure_frequency",
     "RunRecord",

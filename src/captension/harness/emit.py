@@ -2,7 +2,7 @@
 
 import math
 
-__all__ = ["CSV_HEADER", "write_csv", "emit_csv", "parse_csv", "emit_plot"]
+__all__ = ["CSV_HEADER", "write_csv", "emit_csv", "emit_plot"]
 
 CSV_HEADER = ("k,sup_nabla_f_L2,sup_nabla_f_H1,"
               "sup_eta_gap_H1,sup_etadot_gap_H1,energy_drift,converged")
@@ -32,21 +32,6 @@ def emit_csv(rows, path):
               [(r.k, r.sup_nabla_f_L2, r.sup_nabla_f_H1, r.sup_eta_gap_H1,
                 r.sup_etadot_gap_H1, r.energy_drift, r.converged)
                for r in rows])
-
-
-def parse_csv(path):
-    """Read a sweep CSV back as a list of plain dicts."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    names = lines[0].split(",")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        row = {}
-        for name, part in zip(names, parts):
-            row[name] = (part == "true") if name == "converged" else float(part)
-        out.append(row)
-    return out
 
 
 def _ticks(lo, hi):

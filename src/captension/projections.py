@@ -2,13 +2,14 @@
 
 The L2 decomposition w = Qw + Pw splits a vector field on the disk into
 a full gradient and a divergence-free part tangent to the boundary:
-Qw = grad g where g solves the Neumann problem
+Qw = grad g where g, the Hodge potential of w, solves the Neumann problem
 
     lap g = div w,   d_r g = <w, nu>  on the unit circle,
 
-and P = I - Q.  On the split sit the operators L = id + D^2 f and the
-perturbative inverse of L1 = P L on the image of P, plus the pulled-back
-Laplacian lap_xi used by the pressure solve on a deformed domain.
+with zero mean, and P = I - Q.  On the split sit the operators
+L = id + D^2 f and the perturbative inverse of L1 = P L on the image of
+P, plus the pulled-back Laplacian lap_xi used by the pressure solve on a
+deformed domain.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ from .diskfield import (
 )
 
 __all__ = [
+    "hodge_potential",
     "hodge_Q",
     "hodge_P",
     "apply_L",
@@ -50,10 +52,14 @@ def _normal_trace(w):
     return BoundaryFunction.from_samples(g, ring)
 
 
+def hodge_potential(w):
+    """The zero-mean g with Qw = grad g: lap g = div w, d_r g = <w, nu>."""
+    return solve_neumann(divergence(w), _normal_trace(w))
+
+
 def hodge_Q(w):
-    """Gradient part of w: grad g with lap g = div w, d_r g = <w, nu>."""
-    g = solve_neumann(divergence(w), _normal_trace(w))
-    return gradient(g)
+    """Gradient part of w."""
+    return gradient(hodge_potential(w))
 
 
 def hodge_P(w):

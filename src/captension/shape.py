@@ -38,7 +38,6 @@ from .diskfield import (
 )
 
 __all__ = [
-    "VolumePotential",
     "CurvatureExpansion",
     "solve_volume_constraint",
     "compose_Phi",
@@ -54,18 +53,6 @@ TOL_VOL = 1e-9
 
 
 @dataclass(frozen=True)
-class VolumePotential:
-    """Converged potential f and its residual.
-
-    residual is the max norm of lap f + det(D^2 f) over the interior
-    rings (on the r = 1 ring the trace condition replaces the equation).
-    """
-
-    f: ScalarField
-    residual: float
-
-
-@dataclass(frozen=True)
 class CurvatureExpansion:
     M0: BoundaryFunction
     M1: BoundaryFunction
@@ -74,11 +61,6 @@ class CurvatureExpansion:
     M3y: BoundaryFunction
     M4: BoundaryFunction
     M5: BoundaryFunction
-
-
-def _field_of(pot):
-    """Accept a VolumePotential or a bare potential ScalarField."""
-    return pot.f if isinstance(pot, VolumePotential) else pot
 
 
 def _hessian_det(f):
@@ -96,6 +78,9 @@ def solve_volume_constraint(h):
     Fixed-point iteration f <- harmonic_extension(h) - lap^-1(det D^2 f)
     (zero-trace inverse), which contracts at a rate proportional to the
     amplitude of h; data too large for it is rejected by its stalling.
+    Returns f once max |lap f + det D^2 f| over the interior rings (on
+    the r = 1 ring the trace condition replaces the equation) is below
+    TOL_VOL.
     """
     grid = h.grid
     base = harmonic_extension(h)
@@ -105,7 +90,7 @@ def solve_volume_constraint(h):
         det = _hessian_det(f)
         res = _interior_max(laplacian(f).values + det)
         if res < TOL_VOL:
-            return VolumePotential(f=f, residual=res)
+            return f
         history.append(res)
         if len(history) > 20 and not res < 0.5 * history[-21]:
             raise NoConvergenceError(
@@ -116,9 +101,9 @@ def solve_volume_constraint(h):
         "volume constraint: no convergence in 400 iterations")
 
 
-def compose_Phi(beta, pot):
+def compose_Phi(beta, f):
     """The embedding (id + grad f) o beta as a DiskMap."""
-    moved = compose(gradient(_field_of(pot)), beta)
+    moved = compose(gradient(f), beta)
     return DiskMap(beta.displacement + moved, kind="embedding")
 
 
@@ -155,9 +140,8 @@ def boundary_curvature(displacement):
     return (tx * cyy - ty * cxx) / speed ** 3
 
 
-def curvature_exact(pot):
+def curvature_exact(f):
     """Curvature of the deformed boundary c(theta) = (cos, sin) + grad f."""
-    f = _field_of(pot)
     return BoundaryFunction.from_samples(f.grid, boundary_curvature(gradient(f)))
 
 
@@ -176,7 +160,7 @@ def _remainder(m_vals, power):
     return _GAUSS_W @ vals
 
 
-def curvature_expansion(pot):
+def curvature_expansion(f):
     """The six-term algebraic form of the boundary curvature.
 
     M0 measures the squared stretch of the tangent, M1 its reciprocal
@@ -186,7 +170,6 @@ def curvature_expansion(pot):
     scalar, again with exact remainders.  1 + M5 reproduces
     curvature_exact to quadrature precision.
     """
-    f = _field_of(pot)
     grid = f.grid
     _, _, ax, ay, bx, by, _ = _boundary_tangent_data(gradient(f))
     ct, st = np.cos(grid.theta), np.sin(grid.theta)
@@ -209,9 +192,8 @@ def curvature_expansion(pot):
                               M4=mk(m4), M5=mk(m5))
 
 
-def boundary_length(pot):
+def boundary_length(f):
     """Arclength of the deformed boundary; 2*pi exactly for a circle."""
-    f = _field_of(pot)
     speed = _boundary_tangent_data(gradient(f))[-1]
     return (2.0 * np.pi / f.grid.n_theta) * float(speed.sum())
 

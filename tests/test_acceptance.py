@@ -50,10 +50,10 @@ def test_criterion_01_volume_constraint(grid, rng):
     worst_det, worst_trace = 0.0, 0.0
     for _ in range(20):
         h = random_boundary(grid, rng, 0.05)
-        pot = solve_volume_constraint(h)
-        det = jacobian_det(DiskMap(gradient(pot.f), kind="embedding")).values
+        f = solve_volume_constraint(h)
+        det = jacobian_det(DiskMap(gradient(f), kind="embedding")).values
         worst_det = max(worst_det, float(np.abs(det - 1.0).max()))
-        trace = np.abs(restrict_boundary(pot.f).samples() - h.samples()).max()
+        trace = np.abs(restrict_boundary(f).samples() - h.samples()).max()
         worst_trace = max(worst_trace, float(trace))
     ok = worst_det < 1e-7 and worst_trace < 1e-10
     report(1, ok, f"20 random h: max|J-1| = {worst_det:.3e} (< 1e-7), "
@@ -87,9 +87,9 @@ def test_criterion_02_projection_algebra(grid, rng):
 def test_criterion_03_curvature_exactness(grid, rng):
     worst = 0.0
     for _ in range(20):
-        pot = solve_volume_constraint(random_boundary(grid, rng, 0.05))
-        gap = np.abs(curvature_expansion(pot).M5.samples() + 1.0
-                     - curvature_exact(pot).samples()).max()
+        f = solve_volume_constraint(random_boundary(grid, rng, 0.05))
+        gap = np.abs(curvature_expansion(f).M5.samples() + 1.0
+                     - curvature_exact(f).samples()).max()
         worst = max(worst, float(gap))
 
     unit = solve_volume_constraint(BoundaryFunction.zeros(grid))
@@ -188,8 +188,8 @@ def test_criterion_06_lagrangian_oracle(grid):
 def _surface_frequency(grid, m, k):
     # a shape mode released from rest rings at its own frequency; the
     # cos-phase coefficient crosses zero every half period
-    pot = solve_volume_constraint(BoundaryFunction.single_mode(grid, m, 1e-4))
-    state = FreeBoundaryState(f=pot.f, fdot=ScalarField.zeros(grid),
+    f = solve_volume_constraint(BoundaryFunction.single_mode(grid, m, 1e-4))
+    state = FreeBoundaryState(f=f, fdot=ScalarField.zeros(grid),
                               v=VectorField.zeros(grid),
                               beta=identity_map(grid), time=0.0, k=k)
     omega_lin = math.sqrt(k * m * (m * m - 1))

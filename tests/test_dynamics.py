@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
-                                  VectorField, grad_values, gradient,
+                                  VectorField, advect, grad_values, gradient,
                                   identity_map, l2_norm_disk, map_jacobian,
                                   rotation_map, sobolev_norm_disk)
 from captension.dynamics import (FixedEulerState, FreeBoundaryState, dt_max,
@@ -36,12 +36,12 @@ def test_pressure_solve_rigid_rotation(grid):
 @pytest.mark.parametrize("amplitude", [1e-3, 0.05])
 def test_pressure_is_the_sum_of_its_split_parts(grid, amplitude):
     # the analysis split p = p0 + k A_H, solved as two Dirichlet problems
-    pot = solve_volume_constraint(BoundaryFunction.single_mode(grid, 2,
-                                                               amplitude))
+    f = solve_volume_constraint(BoundaryFunction.single_mode(grid, 2,
+                                                             amplitude))
     state = dataclasses.replace(
         FreeBoundaryState.from_velocity(
             grid, stream_initial_velocity(grid, 2, 0.05), k=400.0),
-        f=pot.f)
+        f=f)
     eta = DiskMap(gradient(state.f), kind="embedding")
     w = pullback_velocity(state)
 
@@ -99,6 +99,29 @@ def test_one_pressure_solve_per_rhs_and_one_jacobian_per_map(coarse_grid,
     jacobians.clear()
     unsplit_acceleration(eta, etadot, state.k)
     assert len(jacobians) == 1
+
+
+def test_one_neumann_solve_per_hodge_potential_in_the_rhs(coarse_grid,
+                                                         monkeypatch):
+    from captension.diskfield import elliptic
+
+    state = FreeBoundaryState.from_velocity(
+        coarse_grid, stream_initial_velocity(coarse_grid, 2, 0.05), k=100.0)
+    solves = _count_calls(monkeypatch, elliptic.solve_neumann)
+    rhs_free_boundary(state)
+    # Q(conv), P(bracket), two L1 inverses of two projections each, and
+    # the one Hodge potential that is fddot
+    assert len(solves) == 7
+
+
+def test_advect_of_a_vector_field_is_advect_of_each_component(grid):
+    u = stream_initial_velocity(grid, 2, 0.3)
+    w = VectorField.from_arrays(grid, grid.xx ** 3 - grid.yy,
+                                np.sin(grid.xx * grid.yy))
+    both = advect(u, w).values
+    for k in range(2):
+        alone = advect(u, ScalarField(grid, w.values[k])).values
+        assert np.array_equal(both[k], alone)
 
 
 def test_boundary_curvature_of_non_gradient_maps(grid):

@@ -3,8 +3,8 @@ import pytest
 
 from captension.diskfield import (BoundaryFunction, ScalarField, gradient,
                                   harmonic_extension, laplacian,
-                                  normal_derivative_boundary, restrict_boundary,
-                                  solve_dirichlet, solve_neumann)
+                                  restrict_boundary, solve_dirichlet,
+                                  solve_neumann)
 from captension.errors import CompatibilityError
 
 
@@ -53,9 +53,12 @@ def test_neumann_green_identity(grid, rng):
     gu, gv = gradient(u), gradient(v)
     lhs = (grid.l2_inner(gu.values[0], gv.values[0])
            + grid.l2_inner(gu.values[1], gv.values[1]))
-    flux = normal_derivative_boundary(u).samples()
+    # grad u . nu on the ring, against v there, by the trapezoid rule
+    flux = (gu.values[0, -1, :] * np.cos(grid.theta)
+            + gu.values[1, -1, :] * np.sin(grid.theta))
     ring_v = v.values[-1, :]
-    rhs_val = -grid.l2_inner(rhs.values, v.values) + grid.boundary_integrate(flux * ring_v)
+    rhs_val = (-grid.l2_inner(rhs.values, v.values)
+               + 2.0 * np.pi / grid.n_theta * np.sum(flux * ring_v))
     assert lhs == pytest.approx(rhs_val, abs=1e-10)
 
 

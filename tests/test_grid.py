@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from captension.diskfield import make_grid
+from captension.diskfield import BoundaryFunction, make_grid
 from captension.errors import ConfigError
 
 
@@ -37,10 +37,13 @@ def test_quadrature_exact_on_polynomials(grid):
 
 
 def test_boundary_quadrature(grid):
-    ring = np.ones(grid.n_theta)
-    assert grid.boundary_integrate(ring) == pytest.approx(2.0 * np.pi, abs=1e-13)
-    assert grid.boundary_integrate(np.cos(3.0 * grid.theta)) == pytest.approx(
-        0.0, abs=1e-13)
+    # 2 pi times the mode-0 coefficient of ring samples is the trapezoid
+    # rule on the circle, exact on trigonometric polynomials of low degree
+    cos3 = np.cos(3.0 * grid.theta)
+    for ring, exact in ((np.ones(grid.n_theta), 2.0 * np.pi), (cos3, 0.0),
+                        (cos3 ** 2, np.pi)):
+        c0 = BoundaryFunction.from_samples(grid, ring).coeffs[0].real
+        assert 2.0 * np.pi * c0 == pytest.approx(exact, abs=1e-13)
 
 
 def test_modal_round_trip(grid, rng):
