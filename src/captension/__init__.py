@@ -9,10 +9,10 @@ harness that measures the large-surface-tension limit.
 
 from . import diskfield, projections, shape, dynamics, harness  # noqa: F401
 from .errors import (CaptensionError, ConfigError, SolverError,
-                     NoConvergenceError, CompatibilityError,
-                     PointOutsideDomainError, DegenerateTangentError,
-                     RemainderBlowupError, UnsupportedOrderError,
-                     InversionFailureError, InsufficientPointsError,
-                     NonpositiveValueError, NonFiniteError, VolumeDefectError)
+                     NoConvergenceError, PointOutsideDomainError,
+                     DegenerateTangentError, RemainderBlowupError,
+                     UnsupportedOrderError, InversionFailureError,
+                     InsufficientPointsError, NonpositiveValueError,
+                     NonFiniteError, VolumeDefectError)
 
 __version__ = "0.1.0"

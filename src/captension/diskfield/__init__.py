@@ -7,7 +7,7 @@ from .calculus import (grad_values, gradient, divergence, laplacian,
                        hessian, advect, evaluate_vector_at, compose,
                        jacobian_det, map_jacobian, inverse_jacobian,
                        restrict_boundary)
-from .elliptic import solve_dirichlet, solve_neumann, harmonic_extension
+from .elliptic import solve_dirichlet, harmonic_extension
 from .norms import sobolev_norm_disk, sobolev_norm_boundary, l2_norm_disk
 
 __all__ = [
@@ -17,6 +17,6 @@ __all__ = [
     "grad_values", "gradient", "divergence", "laplacian", "hessian",
     "advect", "evaluate_vector_at", "compose", "jacobian_det",
     "map_jacobian", "inverse_jacobian", "restrict_boundary",
-    "solve_dirichlet", "solve_neumann", "harmonic_extension",
+    "solve_dirichlet", "harmonic_extension",
     "sobolev_norm_disk", "sobolev_norm_boundary", "l2_norm_disk",
 ]

@@ -15,9 +15,9 @@ Laplacian
 
     Delta = d_rr + (1/r) d_r + (1/r^2) d_thth      (per mode m: d_thth -> -m^2)
 
-needs.  All per-mode solve operators are built eagerly here and cached, so
-a constructed grid is never modified and one instance serves every field
-of its shape.
+needs.  The per-mode operators (Laplacian, Dirichlet inverse, Hodge
+potential) are built eagerly here and cached, so a constructed grid is
+never modified and one instance serves every field of its shape.
 """
 
 import numpy as np
@@ -144,7 +144,7 @@ class DiskGrid:
         inv_r = 1.0 / r
         lap = np.empty((self.n_modes, n_r, n_r))
         dir_inv = np.empty_like(lap)
-        neu_inv = np.empty_like(lap)
+        hodge = np.empty((self.n_modes, n_r, 2 * n_r))
         for m in range(self.n_modes):
             p = +1 if m % 2 == 0 else -1
             Lm = self.Drr[p] + inv_r[:, None] * self.Dr[p] - (m * m) * np.diag(inv_r ** 2)
@@ -153,32 +153,34 @@ class DiskGrid:
             A[-1, :] = 0.0
             A[-1, -1] = 1.0
             dir_inv[m] = np.linalg.inv(A)
-            if m == 0:
-                continue
+            # hodge_inv[m] takes (u_r, i u_theta), parity opposite to m's,
+            # to g: lap g = (1/r) d_r (r u_r) + (m/r) i u_theta inside
+            # (ik is 0 at Nyquist) and d_r g = u_r on the circle
             B = Lm.copy()
             B[-1, :] = self.Dr[p][-1, :]
-            neu_inv[m] = np.linalg.inv(B)
+            div = np.hstack([self.Dr[-p] + np.diag(inv_r),
+                             np.diag(self.ik[m].imag * inv_r)])
+            div[-1] = 0.0
+            div[-1, n_r - 1] = 1.0
+            if m == 0:
+                # bordered: zero mean, and a multiplier takes the data's
+                # roundoff incompatibility
+                B = np.pad(B, ((0, 1), (0, 1)))
+                B[: n_r - 1, n_r] = 1.0
+                B[n_r, :n_r] = self.weights_r
+                div = np.pad(div, ((0, 1), (0, 0)))
+            hodge[m] = np.linalg.solve(B, div)[:n_r]
         self.lap_stack = lap
         self.dirichlet_inv = dir_inv
-        self.neumann_inv = neu_inv  # row m=0 is unused
-
-        # mode zero Neumann: bordered system with a zero-mean constraint and
-        # a Lagrange multiplier spreading the (already projected) residual
-        B0 = np.zeros((n_r + 1, n_r + 1))
-        B0[:n_r, :n_r] = lap[0]
-        B0[n_r - 1, :n_r] = self.Dr[+1][-1, :]
-        B0[n_r - 1, n_r] = 0.0
-        B0[: n_r - 1, n_r] = 1.0
-        B0[n_r, :n_r] = self.weights_r
-        self.neumann0_inv = np.linalg.inv(B0)
+        self.hodge_inv = hodge
 
         # harmonic radial profiles r^m per mode
         self.harmonic_profiles = r[None, :] ** self.modes[:, None]
 
         for name in ("x_full", "bary_weights", "pos_full", "neg_full", "r", "theta",
                      "rr", "tt", "xy", "xx", "yy", "weights_r", "modes", "ik",
-                     "lap_stack", "dirichlet_inv", "neumann_inv",
-                     "neumann0_inv", "harmonic_profiles"):
+                     "lap_stack", "dirichlet_inv", "hodge_inv",
+                     "harmonic_profiles"):
             getattr(self, name).setflags(write=False)
 
     # ---- transforms -------------------------------------------------

@@ -15,7 +15,7 @@ from ..diskfield import (
     jacobian_det,
     laplacian,
 )
-from ..projections import _normal_trace, hodge_P
+from ..projections import hodge_P
 from ..shape import _hessian_det
 
 
@@ -51,11 +51,12 @@ class FreeBoundaryState:
         """Measured invariant violations: div v, v tangency, volume residual,
         beta Jacobian."""
         div_v = float(np.abs(divergence(self.v).values).max())
+        v, nu = self.v.values[:, -1], self.v.grid.xy[:, -1]
         vol = float(np.abs((laplacian(self.f).values
                             + _hessian_det(self.f))[:-1, :]).max())
         return {
             "div_v": div_v,
-            "v_normal": _normal_trace(self.v).max_abs(),
+            "v_normal": float(np.abs((v * nu).sum(axis=0)).max()),
             "volume_residual": vol,
             "beta_jacobian": float(np.abs(jacobian_det(self.beta).values - 1.0).max()),
         }

@@ -21,10 +21,6 @@ class NoConvergenceError(SolverError):
     """An iterative solve stopped making progress before reaching tolerance."""
 
 
-class CompatibilityError(SolverError):
-    """Neumann data violates the divergence-theorem compatibility condition."""
-
-
 class NonFiniteError(SolverError):
     """A computed field acquired NaN or infinite samples."""
 

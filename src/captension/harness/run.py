@@ -177,13 +177,14 @@ def oracle_compare(config, k=None, t_final=0.05, n_outputs=6):
     """Integrate the split system against the unsplit Lagrangian law.
 
     Runs both from the same initial velocity at half the configured
-    resolution and returns (time, eta gap H1, etadot gap H1) rows; the
-    unsplit route uses no decomposition and no projection, so agreement
-    arbitrates the term choices inside the split right-hand side.
+    resolution, with at least 12 angles (8 drift off det = 1), and returns
+    (time, eta gap H1, etadot gap H1) rows; the unsplit route uses no
+    decomposition and no projection, so agreement arbitrates the term
+    choices inside the split right-hand side.
     """
     if k is None:
         k = config.k_list[0]
-    n_theta = max(8, (config.n_theta // 2) & ~1)
+    n_theta = min(config.n_theta, max(12, (config.n_theta // 2) & ~1))
     n_r = max(8, config.n_r // 2)
     grid = make_grid(n_theta, n_r)
     u0 = stream_initial_velocity(grid, config.stream_mode, config.amplitude)

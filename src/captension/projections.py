@@ -6,27 +6,26 @@ Qw = grad g where g, the Hodge potential of w, solves the Neumann problem
 
     lap g = div w,   d_r g = <w, nu>  on the unit circle,
 
-with zero mean, and P = I - Q.  On the split sit the operators
-L = id + D^2 f and the perturbative inverse of L1 = P L on the image of
-P, plus the pulled-back Laplacian lap_xi used by the pressure solve on a
-deformed domain.
+with zero mean, and P = I - Q.  It is one solve per angular mode of the
+polar components of w, so no Cartesian component passes through the
+Nyquist mode and Q keeps the gradient of every resolved mode.  On the
+split sit the operators L = id + D^2 f and the perturbative inverse of
+L1 = P L on the image of P, plus the pulled-back Laplacian lap_xi used
+by the pressure solve on a deformed domain.
 """
 
 import numpy as np
 
 from .errors import ConfigError, NoConvergenceError, VolumeDefectError
 from .diskfield import (
-    BoundaryFunction,
     ScalarField,
     VectorField,
-    divergence,
     grad_values,
     gradient,
     hessian,
     inverse_jacobian,
     l2_norm_disk,
     solve_dirichlet,
-    solve_neumann,
 )
 
 __all__ = [
@@ -44,17 +43,18 @@ TOL_L1 = 1e-9
 TOL_ELL = 1e-9
 
 
-def _normal_trace(w):
-    """<w, nu> on the r = 1 ring as a BoundaryFunction."""
-    g = w.grid
-    ring = (w.values[0, -1, :] * np.cos(g.theta)
-            + w.values[1, -1, :] * np.sin(g.theta))
-    return BoundaryFunction.from_samples(g, ring)
-
-
 def hodge_potential(w):
-    """The zero-mean g with Qw = grad g: lap g = div w, d_r g = <w, nu>."""
-    return solve_neumann(divergence(w), _normal_trace(w))
+    """The zero-mean g with Qw = grad g: one rfft of (u_r, u_theta), one
+    real product per mode of hodge_inv with the (Re, Im) columns of
+    (u_r, i u_theta), one irfft."""
+    g = w.grid
+    wx, wy = w.values
+    C = g.to_modes(np.stack([g.cos_t * wx + g.sin_t * wy,
+                             g.cos_t * wy - g.sin_t * wx]))
+    C[1] *= 1j
+    C = np.ascontiguousarray(C.reshape(2 * g.n_r, g.n_modes).T).view(float)
+    sol = g.hodge_inv @ C.reshape(g.n_modes, 2 * g.n_r, 2)
+    return ScalarField(g, g.from_modes(sol.view(complex)[..., 0].T))
 
 
 def hodge_Q(w):

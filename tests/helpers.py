@@ -1,4 +1,6 @@
-"""Shared generators for the test suite."""
+"""Shared generators and call counters for the test suite."""
+
+import sys
 
 import numpy as np
 
@@ -45,3 +47,18 @@ def random_poly_field(grid, rng, degree=5, scale=1.0):
         return scale * vals
 
     return VectorField.from_arrays(grid, component(), component())
+
+
+def count_calls(monkeypatch, original):
+    """Count calls of a function through every captension binding of it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("captension")
+                and vars(module).get(original.__name__) is original):
+            monkeypatch.setattr(module, original.__name__, counted)
+    return calls

@@ -1,12 +1,23 @@
 """The benchmark under bench/ imports the package by name; those names
-must keep resolving, or every bench run and bench test breaks at import."""
+must keep resolving, or every bench run and bench test breaks at import.
+Its tracer also derives iteration counts from the calls a solver makes
+beneath it (bench/tracer.py WATCHES); the call patterns it relies on are
+pinned here."""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
+from helpers import count_calls
+
 import captension
+from captension.diskfield import (BoundaryFunction, ScalarField, calculus,
+                                  elliptic, harmonic_extension, identity_map)
+from captension.dynamics import invert_disk_map, stream_initial_velocity
+from captension.projections import (hodge_P, solve_L1_inverse,
+                                    solve_pulled_back_laplacian)
+from captension.shape import solve_volume_constraint
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,3 +54,36 @@ def test_every_exported_name_exists():
         missing = [n for n in getattr(mod, "__all__", ())
                    if not hasattr(mod, n)]
         assert not missing, f"{info.name}.__all__ names missing {missing}"
+
+
+def test_dirichlet_solves_beneath_the_traced_solvers(coarse_grid,
+                                                     monkeypatch):
+    # pbl_iters and volume_iters count solve_dirichlet calls beyond the
+    # first guess; converged-at-once data must read 0 iterations
+    solves = count_calls(monkeypatch, elliptic.solve_dirichlet)
+    rhs = ScalarField.from_function(coarse_grid, lambda x, y: x * y)
+    solve_pulled_back_laplacian(identity_map(coarse_grid), rhs)
+    assert len(solves) == 1
+    solves.clear()
+    solve_volume_constraint(BoundaryFunction.zeros(coarse_grid))
+    assert not solves
+    harmonic_extension(BoundaryFunction.single_mode(coarse_grid, 2, 0.1))
+    assert not solves
+
+
+def test_projections_beneath_the_traced_L1_inverse(coarse_grid, monkeypatch):
+    # L1_iters counts hodge_P calls beyond the pre-projection
+    w = stream_initial_velocity(coarse_grid, 2, 0.05)
+    projections = count_calls(monkeypatch, hodge_P)
+    solve_L1_inverse(ScalarField.zeros(coarse_grid), w)
+    assert len(projections) == 2
+
+
+def test_evaluations_beneath_the_traced_inversion(coarse_grid, monkeypatch):
+    # newton_iters counts evaluations; a cache hit makes none
+    evaluations = count_calls(monkeypatch, calculus.evaluate_vector_at)
+    alpha = identity_map(coarse_grid)
+    invert_disk_map(alpha)
+    assert len(evaluations) == 1
+    invert_disk_map(alpha)
+    assert len(evaluations) == 1

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from captension.diskfield import (BoundaryFunction, ScalarField, gradient,
-                                  harmonic_extension, laplacian,
-                                  restrict_boundary, solve_dirichlet,
-                                  solve_neumann)
-from captension.errors import CompatibilityError
+from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
+                                  divergence, gradient, harmonic_extension,
+                                  laplacian, restrict_boundary,
+                                  solve_dirichlet)
+from captension.projections import hodge_potential
 
 
 def test_dirichlet_homogeneous_manufactured(grid):
@@ -35,42 +35,32 @@ def test_dirichlet_residual(grid, rng):
 
 
 def test_neumann_radial_oracle(grid):
-    # lap u = 2 with du/dr = 1 on the circle: u = r^2/2 + c, mean zero
-    rhs = ScalarField.from_function(grid, lambda x, y: 2.0 * np.ones_like(x))
-    flux = BoundaryFunction.single_mode(grid, 0, 1.0)
-    u = solve_neumann(rhs, flux)
+    # w = (x, y): lap u = div w = 2 with du/dr = <w, nu> = 1 on the circle,
+    # so u = r^2/2 + c, mean zero
+    u = hodge_potential(VectorField.from_arrays(grid, grid.xx, grid.yy))
     exact = grid.rr ** 2 / 2.0
     exact = exact - grid.integrate(exact) / np.pi
     assert np.allclose(u.values, exact, atol=1e-12)
     assert grid.integrate(u.values) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_neumann_green_identity(grid, rng):
-    # <grad u, grad v> = -<lap u, v> + boundary flux term
-    rhs = ScalarField.from_function(grid, lambda x, y: x * y - grid_mean_xy(x, y))
-    u = solve_neumann(rhs)
+def test_neumann_green_identity(grid):
+    # <grad u, grad v> = -<div w, v> + boundary integral of <w, nu> v for
+    # the Hodge potential u of w, div w taken by the Cartesian route
+    w = VectorField.from_arrays(grid, grid.xx ** 2 * grid.yy + 0.3,
+                                grid.xx - grid.yy ** 3)
+    u = hodge_potential(w)
     v = ScalarField.from_function(grid, lambda x, y: x ** 2 + 0.3 * y)
     gu, gv = gradient(u), gradient(v)
     lhs = (grid.l2_inner(gu.values[0], gv.values[0])
            + grid.l2_inner(gu.values[1], gv.values[1]))
-    # grad u . nu on the ring, against v there, by the trapezoid rule
-    flux = (gu.values[0, -1, :] * np.cos(grid.theta)
-            + gu.values[1, -1, :] * np.sin(grid.theta))
+    # <w, nu> on the ring, against v there, by the trapezoid rule
+    flux = (w.values[0, -1, :] * np.cos(grid.theta)
+            + w.values[1, -1, :] * np.sin(grid.theta))
     ring_v = v.values[-1, :]
-    rhs_val = (-grid.l2_inner(rhs.values, v.values)
+    rhs_val = (-grid.l2_inner(divergence(w).values, v.values)
                + 2.0 * np.pi / grid.n_theta * np.sum(flux * ring_v))
     assert lhs == pytest.approx(rhs_val, abs=1e-10)
-
-
-def grid_mean_xy(x, y):
-    # x*y already integrates to zero over the disk
-    return 0.0
-
-
-def test_neumann_incompatible_data_raises(grid):
-    rhs = ScalarField.from_function(grid, lambda x, y: np.ones_like(x))
-    with pytest.raises(CompatibilityError):
-        solve_neumann(rhs)  # int rhs = pi but boundary flux 0
 
 
 def test_harmonic_extension_single_mode(grid):

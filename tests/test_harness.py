@@ -231,6 +231,23 @@ class TestRuns:
         assert rows[0][0] == 0.0
         assert all(gap >= 0.0 for _, gap, _ in rows)
 
+    def test_oracle_grid_is_half_the_config_with_at_least_12_angles(
+            self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def record(n_theta, n_r):
+            raise Built((n_theta, n_r))
+
+        monkeypatch.setattr(run_module, "make_grid", record)
+        seen = []
+        for n_theta, n_r in [(32, 16), (16, 8), (12, 8), (8, 8), (16, 16),
+                             (48, 8)]:
+            with pytest.raises(Built) as built:
+                oracle_compare(ExperimentConfig(n_theta=n_theta, n_r=n_r))
+            seen.append(built.value.args[0])
+        assert seen == [(16, 8), (12, 8), (12, 8), (8, 8), (12, 8), (24, 8)]
+
 
 class TestCli:
     def test_unknown_flag_exits_3(self, capsys):
@@ -257,6 +274,14 @@ class TestCli:
         assert main([command, "--config", str(p), f"--k={k}"]) == 3
         assert "config error: every k must be finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_oracle_compare_on_a_16x8_config_exits_0(self, tmp_path, capsys):
+        # halved to 8x8 its unsplit stage maps drift past det_tol
+        p = tmp_path / "tiny.cfg"
+        p.write_text(f"n_theta = 16\nn_r = 8\nout_dir = {tmp_path}\n")
+        assert main(["oracle-compare", "--config", str(p)]) == 0
+        assert (tmp_path / "oracle_gap.csv").exists()
+        assert "wrote" in capsys.readouterr().out
 
     def test_run_writes_series_csv(self, tmp_path, capsys):
         p = tmp_path / "tiny.cfg"

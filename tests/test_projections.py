@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import random_poly_field
+from helpers import count_calls, random_poly_field
 
 from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
                                   compose, divergence, gradient, l2_norm_disk,
-                                  laplacian, rotation_map)
+                                  laplacian, make_grid, rotation_map)
 from captension.errors import SolverError, VolumeDefectError
-from captension.projections import (apply_L, hodge_P, hodge_Q, solve_L1_inverse,
+from captension.projections import (apply_L, hodge_P, hodge_Q,
+                                    hodge_potential, solve_L1_inverse,
                                     solve_pulled_back_laplacian)
 
 
@@ -38,6 +39,36 @@ def test_q_reproduces_admissible_gradients(grid):
     w = gradient(g)
     assert l2_norm_disk(hodge_Q(w) - w) < 1e-10
     assert l2_norm_disk(hodge_P(w)) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(32, 16), (16, 8)])
+def test_q_reproduces_the_gradient_of_every_resolved_mode(shape):
+    # g = r^m (1 + r^2) cos(m theta + phi) up to m = n_theta/2 - 1, whose
+    # Cartesian gradient reaches the Nyquist mode
+    grid = make_grid(*shape)
+    for m in range(grid.n_theta // 2):
+        for phi in (0.0, 0.7):
+            g = ScalarField.from_polar(
+                grid, lambda r, t: r ** m * (1 + r * r) * np.cos(m * t + phi))
+            w = gradient(g)
+            err = np.abs(hodge_Q(w).values - w.values).max()
+            assert err <= 1e-10 * np.abs(w.values).max(), (m, phi)
+
+
+def test_hodge_potential_is_one_transform_each_way(grid, monkeypatch):
+    from captension.diskfield import calculus
+
+    w = random_poly_field(grid, np.random.default_rng(7))
+    divergences = count_calls(monkeypatch, calculus.divergence)
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    hodge_potential(w)
+    assert calls == {"rfft": 1, "irfft": 1}
+    assert not divergences
 
 
 def test_p_keeps_rigid_rotation(grid):
