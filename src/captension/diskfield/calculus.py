@@ -45,7 +45,8 @@ def divergence(w):
 
 def laplacian(f):
     g = f.grid
-    return ScalarField(g, g.apply_modal(g.lap_stack, f.values))
+    C = np.einsum("mij,mj->mi", g.lap_stack, g.to_modes(f.values).T)
+    return ScalarField(g, g.from_modes(C.T))
 
 
 def hessian(f):
@@ -210,15 +211,16 @@ def map_jacobian(g):
     return 1.0 + dx[0], dy[0], dx[1], 1.0 + dy[1]
 
 
-def inverse_jacobian(g):
+def inverse_jacobian(g, jacobian=None):
     """det D(map) and the entries (b11, b12, b21, b22) of D(map)^-1.
 
     Kept read-only in the map's cache: a map is immutable, and the
-    pressure and its pulled-back Laplacian both ask for it.
+    pressure and its pulled-back Laplacian both ask for it.  A caller
+    that already holds the entries of D(map) passes them as jacobian.
     """
     cached = g._cache.get("inverse_jacobian")
     if cached is None:
-        j11, j12, j21, j22 = map_jacobian(g)
+        j11, j12, j21, j22 = jacobian or map_jacobian(g)
         det = j11 * j22 - j12 * j21
         cached = det, (j22 / det, -j12 / det, -j21 / det, j11 / det)
         for a in (det, *cached[1]):

@@ -150,32 +150,11 @@ class BoundaryFunction:
     def rfft_coeffs(self):
         """Coefficients in numpy rfft convention (for the modal solvers)."""
         C = self.coeffs * self.grid.n_theta
-        C = C.copy()
         C[-1] *= 2.0
         return C
 
-    def derivative(self):
-        """d/dtheta; the Nyquist mode's derivative vanishes at the samples."""
-        C = self.coeffs * (1j * self.grid.modes)
-        C[-1] = 0.0
-        return BoundaryFunction(self.grid, C)
-
-    def mean(self):
-        return float(self.coeffs[0].real)
-
     def max_abs(self):
         return float(np.abs(self.samples()).max())
-
-    def __add__(self, other):
-        return BoundaryFunction(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return BoundaryFunction(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return BoundaryFunction(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
 
 
 class DiskMap:

@@ -16,7 +16,7 @@ Laplacian
     Delta = d_rr + (1/r) d_r + (1/r^2) d_thth      (per mode m: d_thth -> -m^2)
 
 needs.  The per-mode operators (Laplacian, Dirichlet inverse, Hodge
-potential) are built eagerly here and cached, so a constructed grid is
+potential and gradient) are built eagerly here and cached, so a grid is
 never modified and one instance serves every field of its shape.
 """
 
@@ -145,6 +145,7 @@ class DiskGrid:
         lap = np.empty((self.n_modes, n_r, n_r))
         dir_inv = np.empty_like(lap)
         hodge = np.empty((self.n_modes, n_r, 2 * n_r))
+        self.hodge_grad = np.empty((self.n_modes, 2 * n_r, 2 * n_r))
         for m in range(self.n_modes):
             p = +1 if m % 2 == 0 else -1
             Lm = self.Drr[p] + inv_r[:, None] * self.Dr[p] - (m * m) * np.diag(inv_r ** 2)
@@ -170,6 +171,9 @@ class DiskGrid:
                 B[n_r, :n_r] = self.weights_r
                 div = np.pad(div, ((0, 1), (0, 0)))
             hodge[m] = np.linalg.solve(B, div)[:n_r]
+            # hodge_grad[m]: the same columns to (d_r g, -i (1/r) d_theta g)
+            self.hodge_grad[m] = np.vstack(
+                [self.Dr[p] @ hodge[m], self.ik[m].imag * inv_r[:, None] * hodge[m]])
         self.lap_stack = lap
         self.dirichlet_inv = dir_inv
         self.hodge_inv = hodge
@@ -179,7 +183,7 @@ class DiskGrid:
 
         for name in ("x_full", "bary_weights", "pos_full", "neg_full", "r", "theta",
                      "rr", "tt", "xy", "xx", "yy", "weights_r", "modes", "ik",
-                     "lap_stack", "dirichlet_inv", "hodge_inv",
+                     "lap_stack", "dirichlet_inv", "hodge_inv", "hodge_grad",
                      "harmonic_profiles"):
             getattr(self, name).setflags(write=False)
 
@@ -204,12 +208,6 @@ class DiskGrid:
         out[0, ..., 1::2] = self.Dr[-1] @ C[..., 1::2]
         out[1] = C * self.ik
         return self.from_modes(out)
-
-    def apply_modal(self, stack, values):
-        """Apply a per-mode matrix stack (n_modes, n_r, n_r) to samples."""
-        C = self.to_modes(values).T  # (n_modes, n_r)
-        out = np.einsum("mij,mj->mi", stack, C)
-        return self.from_modes(out.T)
 
     # ---- quadrature -------------------------------------------------
 

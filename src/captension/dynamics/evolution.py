@@ -4,7 +4,9 @@ The second-order system for (f, v) is advanced as a first-order system
 in (f, fdot, v, beta) by explicit RK4 under the capillary CFL bound,
 with per-step re-projection onto the constraint set: f back onto the
 volume constraint, v back onto divergence-free tangent fields, and the
-boundary ring of beta back onto the circle.
+boundary ring of beta back onto the circle.  Each right-hand side
+takes its derivatives of f, fdot and v from one chain of three stacked
+derivative passes and hands D^2 f to every operator that needs it.
 """
 
 import numpy as np
@@ -13,10 +15,9 @@ from ..errors import ConfigError
 from ..diskfield import (
     DiskMap,
     VectorField,
-    advect,
     compose,
+    grad_values,
     gradient,
-    hessian,
     l2_norm_disk,
     restrict_boundary,
 )
@@ -45,15 +46,6 @@ __all__ = [
 STAGE_CLAMP = 1e-5
 
 
-def _second_directional(grid, field, v):
-    """v^j v^l d_jl of each component of a vector field (third derivatives
-    of the underlying potential when field is a gradient)."""
-    vx, vy = v.values
-    cxx, cxy, cyx, cyy = hessian(field)
-    return VectorField(
-        grid, vx * vx * cxx + vx * vy * (cxy + cyx) + vy * vy * cyy)
-
-
 def rhs_free_boundary(state):
     """Rates (fdot, fddot, vdot, beta_velocity) of the decomposed system.
 
@@ -70,25 +62,37 @@ def rhs_free_boundary(state):
     grad fddot = Q(L m) - Q(bracket) = Q(L m - bracket).  The v equation
     keeps only the P-visible terms; the unsplit integrator serves as the
     arbitration oracle for that choice.
+
+    Derivatives: (grad f, grad fdot), then (D^2 f, D^2 fdot, Dv), then
+    D^3 f; D^2 f serves L, L1^-1, w and D eta = I + D^2 f.
     """
     grid = state.f.grid
-    grad_f = gradient(state.f)
-    grad_p = pressure_gradient(DiskMap(grad_f, kind="embedding"),
-                               pullback_velocity(state), state.k)
+    vx, vy = state.v.values
+    gx, gy = grad_values(grid, np.stack([state.f.values, state.fdot.values]))
+    grads = np.stack([gx, gy], axis=1)
+    sx, sy = grad_values(grid, np.concatenate([grads, state.v.values[None]]))
+    hess_f, hess_fdot = ((sx[i, 0], sy[i, 0], sx[i, 1], sy[i, 1])
+                         for i in (0, 1))
+    tx, ty = grad_values(grid, np.stack([sx[0], sy[0]]))
 
-    hess_fdot = hessian(state.fdot)
+    grad_p = pressure_gradient(
+        DiskMap(VectorField(grid, grads[0]), kind="embedding"),
+        pullback_velocity(state, VectorField(grid, grads[1]), hess_f),
+        state.k, jacobian=(1.0 + sx[0, 0], sy[0, 0], sx[0, 1], 1.0 + sy[0, 1]))
+
     dv_grad_fdot = _hessian_apply(grid, hess_fdot, state.v)
-    dvv_grad_f = _second_directional(grid, grad_f, state.v)
-    conv = advect(state.v, state.v)
+    dvv_grad_f = VectorField(grid, vx * vx * tx[0] + vx * vy * (ty[0] + tx[1])
+                             + vy * vy * ty[1])
+    conv = VectorField(grid, vx * sx[2] + vy * sy[2])
     q_conv = hodge_Q(conv)
 
     bracket = (2.0 * dv_grad_fdot + dvv_grad_f
-               + apply_L(state.f, q_conv) + grad_p)
-    m = solve_L1_inverse(state.f, hodge_P(bracket))
-    fddot = hodge_potential(apply_L(state.f, m) - bracket)
+               + apply_L(state.f, q_conv, hess_f) + grad_p)
+    m = solve_L1_inverse(state.f, hodge_P(bracket), hess_f)
+    fddot = hodge_potential(apply_L(state.f, m, hess_f) - bracket)
 
     vdot = -(conv - q_conv) - solve_L1_inverse(
-        state.f, 2.0 * dv_grad_fdot + dvv_grad_f)
+        state.f, 2.0 * dv_grad_fdot + dvv_grad_f, hess_f)
 
     beta_velocity = compose(state.v, state.beta, clamp_tol=STAGE_CLAMP)
     return state.fdot, fddot, vdot, beta_velocity

@@ -33,22 +33,25 @@ from ..shape import boundary_curvature
 __all__ = ["pressure_gradient", "pullback_velocity"]
 
 
-def pullback_velocity(state):
-    """w = grad fdot + L v, the fluid velocity seen at reference points."""
-    return gradient(state.fdot) + apply_L(state.f, state.v)
+def pullback_velocity(state, grad_fdot=None, hess_f=None):
+    """w = grad fdot + L v, the fluid velocity seen at reference points;
+    a caller holding grad fdot or D^2 f passes them."""
+    return (grad_fdot or gradient(state.fdot)) + apply_L(state.f, state.v,
+                                                         hess_f)
 
 
-def pressure_gradient(eta, w, k, det_tol=1e-6):
+def pressure_gradient(eta, w, k, det_tol=1e-6, jacobian=None):
     """(Deta)^-T grad q: the pressure gradient at eta, pulled back.
 
     w is the velocity seen at reference points.  The source uses
     G = (Dw)(Deta)^-1; the identity tr(G^2) = -lap p keeps it first
     order in derivatives.  A constant in the boundary data shifts q and
     leaves grad q alone, so dropping the mean of kappa keeps the solve
-    well scaled.  det_tol bounds |det Deta - 1| for the solve.
+    well scaled.  det_tol bounds |det Deta - 1| for the solve.  jacobian,
+    the entries of Deta when the caller has them, spares their pass.
     """
     grid = eta.grid
-    _, (b11, b12, b21, b22) = inverse_jacobian(eta)
+    _, (b11, b12, b21, b22) = inverse_jacobian(eta, jacobian)
     (m11, m21), (m12, m22) = grad_values(grid, w.values)
     g11 = m11 * b11 + m12 * b21
     g12 = m11 * b12 + m12 * b22

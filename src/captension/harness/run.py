@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass, field
 
-from ..errors import NonpositiveValueError, SolverError
+from ..errors import ConfigError, NonpositiveValueError, SolverError
 from ..diskfield import DiskMap, VectorField, gradient, make_grid, sobolev_norm_disk
 from ..dynamics import (
     FixedEulerState,
@@ -177,11 +177,16 @@ def oracle_compare(config, k=None, t_final=0.05, n_outputs=6):
     """Integrate the split system against the unsplit Lagrangian law.
 
     Runs both from the same initial velocity at half the configured
-    resolution, with at least 12 angles (8 drift off det = 1), and returns
-    (time, eta gap H1, etadot gap H1) rows; the unsplit route uses no
-    decomposition and no projection, so agreement arbitrates the term
-    choices inside the split right-hand side.
+    resolution, with at least 12 angles but never more than the config's
+    own, and returns (time, eta gap H1, etadot gap H1) rows; the unsplit
+    route uses no decomposition and no projection, so agreement
+    arbitrates the term choices inside the split right-hand side.  A
+    config with fewer than 10 angles is rejected: on 8 the unsplit stage
+    maps drift off det = 1.
     """
+    if config.n_theta < 10:
+        raise ConfigError("oracle-compare needs n_theta >= 10, "
+                          f"got {config.n_theta}")
     if k is None:
         k = config.k_list[0]
     n_theta = min(config.n_theta, max(12, (config.n_theta // 2) & ~1))

@@ -8,10 +8,12 @@ Qw = grad g where g, the Hodge potential of w, solves the Neumann problem
 
 with zero mean, and P = I - Q.  It is one solve per angular mode of the
 polar components of w, so no Cartesian component passes through the
-Nyquist mode and Q keeps the gradient of every resolved mode.  On the
-split sit the operators L = id + D^2 f and the perturbative inverse of
-L1 = P L on the image of P, plus the pulled-back Laplacian lap_xi used
-by the pressure solve on a deformed domain.
+Nyquist mode and Q keeps the gradient of every resolved mode.  Q takes
+the polar derivatives of g straight from the same modes, one transform
+each way, without forming g.  On the split sit the operators
+L = id + D^2 f and the perturbative inverse of L1 = P L on the image of
+P, both of which take a precomputed D^2 f, plus the pulled-back
+Laplacian lap_xi used by the pressure solve on a deformed domain.
 """
 
 import numpy as np
@@ -21,7 +23,6 @@ from .diskfield import (
     ScalarField,
     VectorField,
     grad_values,
-    gradient,
     hessian,
     inverse_jacobian,
     l2_norm_disk,
@@ -43,23 +44,34 @@ TOL_L1 = 1e-9
 TOL_ELL = 1e-9
 
 
-def hodge_potential(w):
-    """The zero-mean g with Qw = grad g: one rfft of (u_r, u_theta), one
-    real product per mode of hodge_inv with the (Re, Im) columns of
-    (u_r, i u_theta), one irfft."""
+def _hodge_modes(w, stack):
+    """Per-mode products of a Hodge matrix stack of the grid with the
+    (Re, Im) columns of the modes of (u_r, i u_theta), from one rfft."""
     g = w.grid
     wx, wy = w.values
     C = g.to_modes(np.stack([g.cos_t * wx + g.sin_t * wy,
                              g.cos_t * wy - g.sin_t * wx]))
     C[1] *= 1j
     C = np.ascontiguousarray(C.reshape(2 * g.n_r, g.n_modes).T).view(float)
-    sol = g.hodge_inv @ C.reshape(g.n_modes, 2 * g.n_r, 2)
-    return ScalarField(g, g.from_modes(sol.view(complex)[..., 0].T))
+    sol = stack @ C.reshape(g.n_modes, 2 * g.n_r, 2)
+    return sol.view(complex)[..., 0].T
+
+
+def hodge_potential(w):
+    """The zero-mean g with Qw = grad g: hodge_inv per mode, one irfft."""
+    g = w.grid
+    return ScalarField(g, g.from_modes(_hodge_modes(w, g.hodge_inv)))
 
 
 def hodge_Q(w):
-    """Gradient part of w."""
-    return gradient(hodge_potential(w))
+    """Gradient part of w, grad g without forming g: hodge_grad gives the
+    modes of (d_r g, -i (1/r) d_theta g), one irfft takes both back."""
+    g = w.grid
+    sol = _hodge_modes(w, g.hodge_grad).reshape(2, g.n_r, g.n_modes)
+    sol[1] *= 1j
+    gr, gt = g.from_modes(sol)
+    return VectorField(g, [g.cos_t * gr - g.sin_t * gt,
+                           g.sin_t * gr + g.cos_t * gt])
 
 
 def hodge_P(w):
@@ -74,24 +86,25 @@ def _hessian_apply(grid, hess, w):
     return VectorField(grid, [fxx * wx + fxy * wy, fyx * wx + fyy * wy])
 
 
-def apply_L(f, w):
-    """L w = w + (D^2 f) w."""
-    return w + _hessian_apply(f.grid, hessian(f), w)
+def apply_L(f, w, hess=None):
+    """L w = w + (D^2 f) w; hess is D^2 f as hessian(f) returns it."""
+    return w + _hessian_apply(f.grid, hess or hessian(f), w)
 
 
-def solve_L1_inverse(f, target):
+def solve_L1_inverse(f, target, hess=None):
     """Invert L1 = P L on the image of P by fixed-point iteration.
 
     Iterates w <- P(target - (D^2 f) w); the map contracts when the
     Hessian of f is small, which is the only regime in which L1 is known
     to be invertible.  The target is pre-projected because time stepping
-    feeds in fields with harmless ~1e-12 gradient components.
+    feeds in fields with harmless ~1e-12 gradient components.  hess is
+    D^2 f, as for apply_L.
 
     Raises NoConvergenceError when the residual fails to halve over a
     50-iteration window, the practical signal that f is too large.
     """
     grid = target.grid
-    hess = hessian(f)
+    hess = hess or hessian(f)
     tgt = hodge_P(target)
     w = tgt
     history = []

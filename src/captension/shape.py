@@ -68,10 +68,6 @@ def _hessian_det(f):
     return fxx * fyy - fxy * fyx
 
 
-def _interior_max(values):
-    return float(np.abs(values[:-1, :]).max())
-
-
 def solve_volume_constraint(h):
     """Potential f of the volume-preserved graph: lap f = -det(D^2 f), f|bdry = h.
 
@@ -88,7 +84,7 @@ def solve_volume_constraint(h):
     history = []
     for _ in range(400):
         det = _hessian_det(f)
-        res = _interior_max(laplacian(f).values + det)
+        res = float(np.abs((laplacian(f).values + det)[:-1, :]).max())
         if res < TOL_VOL:
             return f
         history.append(res)
@@ -113,14 +109,14 @@ def _boundary_tangent_data(displacement):
     The curve is c(theta) = (cos, sin) + d with d the r = 1 ring of the
     displacement.  Returns (tx, ty, ax, ay, bx, by, speed): t = c' the
     curve tangent and speed = |t|, a and b the first and second
-    derivatives of d alone.  Only d is Fourier-differentiated; the
+    derivatives of d alone.  Only d is Fourier-differentiated, by one
+    rfft of its two rings and one irfft of the four derivative rows; the
     circle part is differentiated exactly.
     """
     grid = displacement.grid
-    d1 = [BoundaryFunction.from_samples(grid, ring).derivative()
-          for ring in displacement.values[:, -1, :]]
-    ax, ay = (d.samples() for d in d1)
-    bx, by = (d.derivative().samples() for d in d1)
+    C = grid.to_modes(displacement.values[:, -1, :])
+    ax, ay, bx, by = grid.from_modes(
+        np.concatenate([C * grid.ik, C * grid.ik ** 2]))
     tx = -np.sin(grid.theta) + ax
     ty = np.cos(grid.theta) + ay
     speed = np.hypot(tx, ty)

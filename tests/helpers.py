@@ -62,3 +62,14 @@ def count_calls(monkeypatch, original):
                 and vars(module).get(original.__name__) is original):
             monkeypatch.setattr(module, original.__name__, counted)
     return calls
+
+
+def count_ffts(monkeypatch):
+    """Count np.fft.rfft and np.fft.irfft calls, by name."""
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import count_ffts
+
 from captension.diskfield import (ScalarField, VectorField, compose,
                                   divergence, evaluate_vector_at, grad_values,
                                   gradient, hessian, identity_map,
@@ -115,12 +117,7 @@ def test_grad_values_of_a_stack_matches_each_field(grid, rng):
 
 
 def test_derivatives_make_one_transform_each_way_per_pass(grid, monkeypatch):
-    calls = {"rfft": 0, "irfft": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = count_ffts(monkeypatch)
     gradient(poly(grid))
     assert calls == {"rfft": 1, "irfft": 1}
     hessian(poly(grid))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import count_calls
+from helpers import count_calls, count_ffts
 
 from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
                                   VectorField, advect, grad_values, gradient,
@@ -92,11 +92,28 @@ def test_seven_hodge_potentials_per_rhs(coarse_grid, monkeypatch):
 
     state = FreeBoundaryState.from_velocity(
         coarse_grid, stream_initial_velocity(coarse_grid, 2, 0.05), k=100.0)
-    solves = count_calls(monkeypatch, projections.hodge_potential)
+    # hodge_Q makes its own modal solve, so both routes are counted
+    potentials = count_calls(monkeypatch, projections.hodge_potential)
+    projections_q = count_calls(monkeypatch, projections.hodge_Q)
     rhs_free_boundary(state)
     # Q(conv), P(bracket), two L1 inverses of two projections each, and
     # the one Hodge potential that is fddot
-    assert len(solves) == 7
+    assert len(potentials) + len(projections_q) == 7
+
+
+def test_rhs_takes_its_derivatives_from_one_chain(coarse_grid, monkeypatch):
+    from captension.diskfield import calculus
+
+    state = FreeBoundaryState.from_velocity(
+        coarse_grid, stream_initial_velocity(coarse_grid, 2, 0.05), k=100.0)
+    state = step_free_boundary(state, dt_max(state.k, coarse_grid.n_theta))
+    passes = count_calls(monkeypatch, calculus.grad_values)
+    ffts = count_ffts(monkeypatch)
+    rhs_free_boundary(state)
+    # three chain passes, then the pressure: Dw, one pulled-back
+    # Laplacian residual (two passes) and grad q
+    assert len(passes) <= 7
+    assert ffts["rfft"] + ffts["irfft"] <= 40
 
 
 def test_advect_of_a_vector_field_is_advect_of_each_component(grid):
@@ -118,6 +135,26 @@ def test_boundary_curvature_of_non_gradient_maps(grid):
     assert np.abs(boundary_curvature(ellipse) - exact).max() < 1e-12
     turned = rotation_map(grid, 0.7).displacement
     assert np.abs(boundary_curvature(turned) - 1.0).max() < 1e-12
+
+
+def test_boundary_curvature_matches_the_boundary_series_route(grid, rng):
+    # the curvature formula with each ring derivative taken as its own
+    # boundary series, i m per order and the Nyquist derivative zeroed
+    d = VectorField(grid, 1e-2 * rng.standard_normal((2, grid.n_r,
+                                                      grid.n_theta)))
+    ik = 1j * grid.modes
+    ik[-1] = 0.0
+
+    def ring_derivative(ring, order):
+        b = BoundaryFunction.from_samples(grid, ring)
+        return BoundaryFunction(grid, b.coeffs * ik ** order).samples()
+
+    ax, ay, bx, by = (ring_derivative(ring, order) for order in (1, 2)
+                      for ring in d.values[:, -1, :])
+    tx, ty = ax - np.sin(grid.theta), ay + np.cos(grid.theta)
+    cxx, cyy = bx - np.cos(grid.theta), by - np.sin(grid.theta)
+    series = (tx * cyy - ty * cxx) / np.hypot(tx, ty) ** 3
+    assert np.abs(boundary_curvature(d) - series).max() <= 1e-14
 
 
 def test_rest_state_is_stationary(grid):

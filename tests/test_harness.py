@@ -241,12 +241,15 @@ class TestRuns:
 
         monkeypatch.setattr(run_module, "make_grid", record)
         seen = []
-        for n_theta, n_r in [(32, 16), (16, 8), (12, 8), (8, 8), (16, 16),
+        for n_theta, n_r in [(32, 16), (16, 8), (12, 8), (10, 8), (16, 16),
                              (48, 8)]:
             with pytest.raises(Built) as built:
                 oracle_compare(ExperimentConfig(n_theta=n_theta, n_r=n_r))
             seen.append(built.value.args[0])
-        assert seen == [(16, 8), (12, 8), (12, 8), (8, 8), (12, 8), (24, 8)]
+        assert seen == [(16, 8), (12, 8), (12, 8), (10, 8), (12, 8), (24, 8)]
+        # fewer than 10 angles is rejected before any grid is built
+        with pytest.raises(ConfigError, match="n_theta >= 10"):
+            oracle_compare(ExperimentConfig(n_theta=8, n_r=8))
 
 
 class TestCli:
@@ -282,6 +285,14 @@ class TestCli:
         assert main(["oracle-compare", "--config", str(p)]) == 0
         assert (tmp_path / "oracle_gap.csv").exists()
         assert "wrote" in capsys.readouterr().out
+
+    def test_oracle_compare_on_an_8_angle_config_exits_3(self, tmp_path,
+                                                          capsys):
+        p = tmp_path / "tiny.cfg"
+        p.write_text(f"n_theta = 8\nn_r = 8\nout_dir = {tmp_path}\n")
+        assert main(["oracle-compare", "--config", str(p)]) == 3
+        assert "n_theta >= 10" in capsys.readouterr().err
+        assert not (tmp_path / "oracle_gap.csv").exists()
 
     def test_run_writes_series_csv(self, tmp_path, capsys):
         p = tmp_path / "tiny.cfg"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import count_calls, random_poly_field
+from helpers import count_calls, count_ffts, random_poly_field
 
 from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
-                                  compose, divergence, gradient, l2_norm_disk,
-                                  laplacian, make_grid, rotation_map)
+                                  compose, divergence, gradient, hessian,
+                                  l2_norm_disk, laplacian, make_grid,
+                                  rotation_map)
 from captension.errors import SolverError, VolumeDefectError
 from captension.projections import (apply_L, hodge_P, hodge_Q,
                                     hodge_potential, solve_L1_inverse,
@@ -55,17 +56,30 @@ def test_q_reproduces_the_gradient_of_every_resolved_mode(shape):
             assert err <= 1e-10 * np.abs(w.values).max(), (m, phi)
 
 
+@pytest.mark.parametrize("shape", [(32, 16), (16, 8)])
+def test_q_is_the_gradient_of_the_hodge_potential(shape):
+    # polar components (u_r, u_theta) in mode m, for every m up to and
+    # including Nyquist: Q from hodge_grad against the separate gradient
+    grid = make_grid(*shape)
+    for m in range(grid.n_modes):
+        for phi in (0.0, 0.7):
+            radial = grid.rr ** abs(m - 1)
+            u_r = radial * (1 + grid.rr ** 2) * np.cos(m * grid.tt + phi)
+            u_t = radial * (2 - grid.rr ** 2) * np.sin(m * grid.tt + phi)
+            w = VectorField.from_arrays(
+                grid, grid.cos_t * u_r - grid.sin_t * u_t,
+                grid.sin_t * u_r + grid.cos_t * u_t)
+            ref = gradient(hodge_potential(w)).values
+            err = np.abs(hodge_Q(w).values - ref).max()
+            assert err <= 1e-12 * np.abs(ref).max(), (m, phi)
+
+
 def test_hodge_potential_is_one_transform_each_way(grid, monkeypatch):
     from captension.diskfield import calculus
 
     w = random_poly_field(grid, np.random.default_rng(7))
     divergences = count_calls(monkeypatch, calculus.divergence)
-    calls = {"rfft": 0, "irfft": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = count_ffts(monkeypatch)
     hodge_potential(w)
     assert calls == {"rfft": 1, "irfft": 1}
     assert not divergences
@@ -82,6 +96,15 @@ def test_apply_L_identity_at_zero_potential(grid, rng):
     w = random_poly_field(grid, rng)
     out = apply_L(f, w)
     assert l2_norm_disk(out - w) == 0.0
+
+
+def test_a_precomputed_hessian_gives_the_same_bits(grid, rng):
+    f = ScalarField.from_function(grid, lambda x, y: 0.01 * (x ** 3 - y ** 3))
+    hess = hessian(f)
+    w = random_poly_field(grid, rng)
+    assert np.array_equal(apply_L(f, w, hess).values, apply_L(f, w).values)
+    assert np.array_equal(solve_L1_inverse(f, w, hess).values,
+                          solve_L1_inverse(f, w).values)
 
 
 def test_L1_inverse_round_trip(grid, rng):
