@@ -12,8 +12,11 @@ from .states import (
 )
 from .pressure import pressure_gradient, pullback_velocity
 from .evolution import (
+    capillary_frequencies,
+    dt_free_max,
     dt_max,
     energy_report,
+    output_derivatives,
     reconstruct_eta,
     rhs_free_boundary,
     step_free_boundary,
@@ -32,7 +35,8 @@ __all__ = [
     "solid_rotation_velocity", "stream_function_field",
     "stream_initial_velocity", "stream_initial_vorticity",
     "pressure_gradient", "pullback_velocity",
-    "dt_max", "energy_report", "reconstruct_eta",
+    "capillary_frequencies", "dt_free_max", "dt_max", "energy_report",
+    "output_derivatives", "reconstruct_eta",
     "rhs_free_boundary", "step_free_boundary",
     "euler_Z", "invert_disk_map", "step_fixed_euler",
     "vorticity_particle_step", "vorticity_velocity",

@@ -1,23 +1,29 @@
 """Time evolution of the decomposed free-surface flow.
 
 The second-order system for (f, v) is advanced as a first-order system
-in (f, fdot, v, beta) by explicit RK4 under the capillary CFL bound,
-with per-step re-projection onto the constraint set: f back onto the
-volume constraint, v back onto divergence-free tangent fields, and the
+in (f, fdot, v, beta) by integrating-factor (Lawson) RK4: the linear
+capillary oscillation of the boundary modes of (f, fdot) is applied
+exactly and explicit RK4 takes the rest, so the step is bounded by the
+turn of the fastest mode (pi) and not by the capillary CFL bound.  Each
+step re-projects onto the constraint set: f back onto the volume
+constraint, v back onto divergence-free tangent fields, and the
 boundary ring of beta back onto the circle.  Each right-hand side
 takes its derivatives of f, fdot and v from one chain of three stacked
 derivative passes and hands D^2 f to every operator that needs it.
 """
 
+import dataclasses
+
 import numpy as np
 
 from ..errors import ConfigError
 from ..diskfield import (
+    BoundaryFunction,
     DiskMap,
     VectorField,
     compose,
     grad_values,
-    gradient,
+    harmonic_extension,
     l2_norm_disk,
     restrict_boundary,
 )
@@ -31,13 +37,16 @@ from ..projections import (
 )
 from ..shape import boundary_length, compose_Phi, solve_volume_constraint
 from .pressure import pressure_gradient, pullback_velocity
-from .states import EnergyReport, FreeBoundaryState, rk4
+from .states import EnergyReport, FreeBoundaryState
 
 __all__ = [
     "rhs_free_boundary",
     "step_free_boundary",
     "dt_max",
+    "dt_free_max",
+    "capillary_frequencies",
     "energy_report",
+    "output_derivatives",
     "reconstruct_eta",
     "STAGE_CLAMP",
 ]
@@ -99,52 +108,136 @@ def rhs_free_boundary(state):
 
 
 def dt_max(k, n_theta, c_cfl=0.5):
-    """Capillary stability bound: the fastest resolvable surface wave has
-    frequency ~ sqrt(k (n_theta/2)^3)."""
+    """Capillary stability bound of explicit RK4: the fastest resolvable
+    surface wave has frequency ~ sqrt(k (n_theta/2)^3)."""
     return c_cfl / np.sqrt(k * (n_theta / 2.0) ** 3)
 
 
-def step_free_boundary(state, dt, c_cfl=0.5):
-    """One RK4 step followed by constraint re-projection."""
-    bound = dt_max(state.k, state.f.grid.n_theta, c_cfl)
+def capillary_frequencies(k, n_theta):
+    """omega_m = sqrt(k m (m^2 - 1)) per rfft mode of the boundary: the
+    linear capillary oscillation (h, g)' = (g, -omega^2 h) of the modes
+    h of f and g of fdot on the circle.  It is 0 for m = 0, 1 and at the
+    Nyquist mode, whose theta-derivative the grid zeroes, so it feels
+    no curvature force."""
+    m = np.arange(n_theta // 2 + 1, dtype=float)
+    omega = np.sqrt(k * m * (m * m - 1.0))
+    omega[-1] = 0.0
+    return omega
+
+
+def dt_free_max(k, n_theta):
+    """Largest step of step_free_boundary: the fastest capillary mode
+    turns by at most pi."""
+    return np.pi / capillary_frequencies(k, n_theta).max()
+
+
+def step_free_boundary(state, dt):
+    """One integrating-factor (Lawson) RK4 step, then re-projection.
+
+    The linear capillary part Lambda of the right-hand side acts on the
+    boundary modes z = (h, g) of (f, fdot) alone, and its flow E(t)
+    turns each pair by omega_m t.  RK4 takes N = rhs_free_boundary -
+    Lambda, with E applied exactly:
+
+        k1 = N(y),  k2 = N(E(h/2)(y + h/2 k1)),  k3 = N(E(h/2) y + h/2 k2),
+        k4 = N(E(h) y + h E(h/2) k3),
+        y+ = E(h) y + h/6 (E(h) k1 + 2 E(h/2)(k2 + k3) + k4).
+
+    E and Lambda change f and fdot only by harmonic extensions, and v
+    and beta not at all.  So each stage, and y+, is the plain RK4
+    combination of the rhs rates with its boundary modes set to those of
+    the formula, which are computed in mode space: f is the
+    volume-constrained potential of its h (so stage maps stay volume
+    preserving), and fdot gets the harmonic extension of its mode defect.
+    """
+    grid, k = state.f.grid, state.k
+    bound = dt_free_max(k, grid.n_theta)
     if dt > bound * (1.0 + 1e-12):
         raise ConfigError(
-            f"dt = {dt:.3e} exceeds the capillary stability bound {bound:.3e}")
+            f"dt = {dt:.3e} exceeds the capillary rotation bound {bound:.3e}")
 
-    # the system is autonomous, so stage states keep the step's time
-    f_new, fdot_new, v_new, beta_new = rk4(
-        lambda y: rhs_free_boundary(
-            FreeBoundaryState(*y, time=state.time, k=state.k)),
-        (state.f, state.fdot, state.v, state.beta), dt)
-    return FreeBoundaryState(
-        f=solve_volume_constraint(restrict_boundary(f_new)),
-        fdot=fdot_new,
-        v=hodge_P(v_new),
-        beta=beta_new.renormalize_boundary(),
-        time=state.time + dt,
-        k=state.k,
-    )
+    omega = capillary_frequencies(k, grid.n_theta)
+    inert = omega == 0.0
+
+    def turn(t):
+        c, s = np.cos(omega * t), np.sin(omega * t)
+        return np.array([[c, s / np.where(inert, 1.0, omega)],
+                         [-omega * s, c]])
+
+    half, full = turn(0.5 * dt), turn(dt)
+
+    def apply(op, z):
+        return np.einsum("ijm,jm->im", op, z)
+
+    def nonlinear(stage, z):
+        """The rates of (fdot, v, beta, modes of fdot) at a stage with
+        modes z, and the modes of N."""
+        _, fddot, vdot, beta_velocity = rhs_free_boundary(stage)
+        g_rate = restrict_boundary(fddot).coeffs
+        return ((fddot, vdot, beta_velocity, g_rate),
+                np.stack([inert * z[1], g_rate + omega ** 2 * z[0]]))
+
+    def combine(z, h, rates):
+        """y + h * rates with boundary modes z; the system is autonomous,
+        so stage states keep the step's time."""
+        fdot, v, beta, g = (yi + h * ri for yi, ri in zip(y, rates))
+        return FreeBoundaryState(
+            f=solve_volume_constraint(BoundaryFunction(grid, z[0])),
+            fdot=fdot + harmonic_extension(BoundaryFunction(grid, z[1] - g)),
+            v=v, beta=beta, time=state.time, k=k)
+
+    z1 = np.stack([restrict_boundary(state.f).coeffs,
+                   restrict_boundary(state.fdot).coeffs])
+    y = (state.fdot, state.v, state.beta, z1[1])
+    r1, n1 = nonlinear(state, z1)
+    z2 = apply(half, z1 + 0.5 * dt * n1)
+    r2, n2 = nonlinear(combine(z2, 0.5 * dt, r1), z2)
+    z3 = apply(half, z1) + 0.5 * dt * n2
+    r3, n3 = nonlinear(combine(z3, 0.5 * dt, r2), z3)
+    z4 = apply(full, z1) + dt * apply(half, n3)
+    r4, n4 = nonlinear(combine(z4, dt, r3), z4)
+
+    z = apply(full, z1 + dt / 6.0 * n1) + dt / 6.0 * (
+        2.0 * apply(half, n2 + n3) + n4)
+    end = combine(z, dt / 6.0, tuple(a + 2.0 * b + 2.0 * c + d
+                                     for a, b, c, d in zip(r1, r2, r3, r4)))
+    return dataclasses.replace(end, v=hodge_P(end.v),
+                               beta=end.beta.renormalize_boundary(),
+                               time=state.time + dt)
 
 
-def energy_report(state):
+def output_derivatives(state):
+    """(grad f, grad fdot, w) of a state from two derivative passes:
+    (f, fdot) stacked, then D^2 f from grad f; energy_report and
+    reconstruct_eta take them so an output time derives them once."""
+    grid = state.f.grid
+    gx, gy = grad_values(grid, np.stack([state.f.values, state.fdot.values]))
+    grad_f = VectorField(grid, [gx[0], gy[0]])
+    grad_fdot = VectorField(grid, [gx[1], gy[1]])
+    sx, sy = grad_values(grid, grad_f.values)
+    w = pullback_velocity(state, grad_fdot, (sx[0], sy[0], sx[1], sy[1]))
+    return grad_f, grad_fdot, w
+
+
+def energy_report(state, derivatives=None):
     """Kinetic plus surface energy; E is the conserved total.
 
     The kinetic term integrates |eta_dot|^2 = |w o beta|^2 with
     w = grad fdot + L v; beta preserves the measure, so the composition
     drops out of the integral and w is integrated directly.
+    derivatives is output_derivatives(state) when the caller has it.
     """
-    w = pullback_velocity(state)
+    grad_f, grad_fdot, w = derivatives or output_derivatives(state)
     kinetic = 0.5 * l2_norm_disk(w) ** 2
-    length = boundary_length(state.f)
+    length = boundary_length(state.f, grad_f)
     potential = state.k * (length - 2.0 * np.pi)
-    e_tilde = (0.5 * l2_norm_disk(gradient(state.fdot)) ** 2
-               + state.k * length)
+    e_tilde = 0.5 * l2_norm_disk(grad_fdot) ** 2 + state.k * length
     return EnergyReport(kinetic=kinetic, potential=potential,
                         E=kinetic + potential, E_tilde=e_tilde)
 
 
-def reconstruct_eta(state):
-    """(eta, eta_dot) at reference labels, for norm comparisons."""
-    eta = compose_Phi(state.beta, state.f)
-    etadot = compose(pullback_velocity(state), state.beta)
-    return eta, etadot
+def reconstruct_eta(state, derivatives=None):
+    """(eta, eta_dot) at reference labels, for norm comparisons;
+    derivatives as for energy_report."""
+    grad_f, _, w = derivatives or output_derivatives(state)
+    return compose_Phi(state.beta, state.f, grad_f), compose(w, state.beta)

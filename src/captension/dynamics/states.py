@@ -1,5 +1,5 @@
 """State containers for the two flows, their shared initial data, and
-the RK4 step every integrator takes."""
+the RK4 step of the fixed-disk, unsplit and vorticity integrators."""
 
 from dataclasses import dataclass
 

@@ -14,7 +14,12 @@ _ALIASES = {"t_final": "T"}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; defaults are the reference desk scale."""
+    """Everything a run needs; defaults are the reference desk scale.
+
+    dt_fixed is the largest step of both flows in run and sweep (the
+    free flow's is also capped by dt_free_max); c_cfl scales the
+    explicit RK4 bound dt_max that oracle-compare steps under.
+    """
 
     n_theta: int = 32
     n_r: int = 16

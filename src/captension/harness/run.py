@@ -4,12 +4,14 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, NonpositiveValueError, SolverError
-from ..diskfield import DiskMap, VectorField, gradient, make_grid, sobolev_norm_disk
+from ..diskfield import DiskMap, VectorField, make_grid, sobolev_norm_disk
 from ..dynamics import (
     FixedEulerState,
     FreeBoundaryState,
+    dt_free_max,
     dt_max,
     energy_report,
+    output_derivatives,
     reconstruct_eta,
     step_fixed_euler,
     step_free_boundary,
@@ -88,12 +90,14 @@ def run_single(config, k, fixed_flow=None):
     """Integrate the free-surface flow at one k and compare it with the
     fixed-disk flow from the same u0.
 
-    Both trajectories share the output time grid; the free solver
-    substeps each segment under its capillary bound, the fixed solver
-    under the configured advective step.  `fixed_flow` is the k-independent
-    fixed-disk flow that `run_sweep` shares between its k values; alone,
-    run_single integrates its own.  A solver failure in either flow closes
-    the record early with converged = False and the free time kept.
+    Both trajectories share the output time grid, and both substep each
+    segment under the configured dt_fixed; the free solver's step is
+    also capped by dt_free_max, under which its integrating factor
+    turns the fastest capillary mode by at most pi.  `fixed_flow` is
+    the k-independent fixed-disk flow that `run_sweep` shares between
+    its k values; alone, run_single integrates its own.  A solver
+    failure in either flow closes the record early with converged =
+    False and the free time kept.
     """
     if fixed_flow is None:
         fixed_flow = _FixedFlow(config)
@@ -102,39 +106,42 @@ def run_single(config, k, fixed_flow=None):
     free = FreeBoundaryState.from_velocity(grid, u0, k)
 
     segment = config.T / (config.n_outputs - 1)
-    n_free, dt_free = _substeps(segment, dt_max(k, config.n_theta, config.c_cfl))
-
-    e0 = energy_report(free).E
-    e_ref = max(abs(e0), 1e-30)
+    n_free, dt_free = _substeps(
+        segment, min(config.dt_fixed, dt_free_max(k, config.n_theta)))
 
     times = [0.0]
     series = {q: [] for q in ("nabla_f_L2", "nabla_f_H1", "eta_gap_H1",
                               "etadot_gap_H1", "energy_drift")}
 
-    def record(f_state, z_state):
+    def record(f_state, z_state, e0):
         # every value is computed before any is stored, so a failure
-        # leaves the series as long as times
-        gf = gradient(f_state.f)
-        eta, etadot = reconstruct_eta(f_state)
+        # leaves the series as long as times; returns the energy, and
+        # the first record's energy is the e0 of the drift
+        derivatives = output_derivatives(f_state)
+        gf = derivatives[0]
+        eta, etadot = reconstruct_eta(f_state, derivatives)
+        energy = energy_report(f_state, derivatives).E
+        e0 = energy if e0 is None else e0
         row = {
             "nabla_f_L2": sobolev_norm_disk(gf, 0),
             "nabla_f_H1": sobolev_norm_disk(gf, 1),
             "eta_gap_H1": sobolev_norm_disk(
                 eta.displacement - z_state.zeta.displacement, 1),
             "etadot_gap_H1": sobolev_norm_disk(etadot - z_state.zetadot, 1),
-            "energy_drift": abs(energy_report(f_state).E - e0) / e_ref,
+            "energy_drift": abs(energy - e0) / max(abs(e0), 1e-30),
         }
         for q, value in row.items():
             series[q].append(value)
+        return energy
 
-    record(free, fixed_flow.at(0))
+    e0 = record(free, fixed_flow.at(0), None)
     converged = True
     fail_time = None
     for j in range(1, config.n_outputs):
         try:
             for _ in range(n_free):
-                free = step_free_boundary(free, dt_free, config.c_cfl)
-            record(free, fixed_flow.at(j))
+                free = step_free_boundary(free, dt_free)
+            record(free, fixed_flow.at(j), e0)
         except SolverError:
             converged = False
             fail_time = free.time
@@ -204,7 +211,7 @@ def oracle_compare(config, k=None, t_final=0.05, n_outputs=6):
     rows = [(0.0, 0.0, 0.0)]
     for _ in range(n_outputs - 1):
         for _ in range(n_sub):
-            free = step_free_boundary(free, dt, config.c_cfl)
+            free = step_free_boundary(free, dt)
             eta_u, etadot_u = step_unsplit(eta_u, etadot_u, dt, k)
         eta_s, etadot_s = reconstruct_eta(free)
         rows.append((

@@ -5,7 +5,11 @@ import sys
 import numpy as np
 
 from captension.diskfield import (BoundaryFunction, VectorField,
-                                  sobolev_norm_boundary)
+                                  restrict_boundary, sobolev_norm_boundary)
+from captension.dynamics import FreeBoundaryState, rhs_free_boundary
+from captension.dynamics.states import rk4
+from captension.projections import hodge_P
+from captension.shape import solve_volume_constraint
 
 
 def random_boundary(grid, rng, norm_bound, s=2.5, max_mode=8):
@@ -73,3 +77,17 @@ def count_ffts(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def step_free_rk4(state, dt):
+    """The free step as plain RK4 with the same re-projections: the
+    reference the integrating-factor step is checked against.  It is
+    stable only under dt_max."""
+    f, fdot, v, beta = rk4(
+        lambda y: rhs_free_boundary(
+            FreeBoundaryState(*y, time=state.time, k=state.k)),
+        (state.f, state.fdot, state.v, state.beta), dt)
+    return FreeBoundaryState(
+        f=solve_volume_constraint(restrict_boundary(f)), fdot=fdot,
+        v=hodge_P(v), beta=beta.renormalize_boundary(),
+        time=state.time + dt, k=state.k)

@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import count_calls, count_ffts
+from helpers import count_calls, count_ffts, step_free_rk4
 
 from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
                                   VectorField, advect, grad_values, gradient,
                                   identity_map, l2_norm_disk, map_jacobian,
-                                  rotation_map, sobolev_norm_disk)
-from captension.dynamics import (FixedEulerState, FreeBoundaryState, dt_max,
+                                  restrict_boundary, rotation_map,
+                                  sobolev_norm_disk)
+from captension.dynamics import (FixedEulerState, FreeBoundaryState,
+                                 capillary_frequencies, dt_max,
                                  energy_report, euler_Z, invert_disk_map,
                                  pressure_gradient, pullback_velocity,
                                  reconstruct_eta, rhs_free_boundary,
@@ -20,6 +22,7 @@ from captension.dynamics import (FixedEulerState, FreeBoundaryState, dt_max,
                                  vorticity_particle_step, vorticity_velocity)
 from captension.dynamics.states import rk4
 from captension.errors import ConfigError
+from captension.harness import measure_frequency
 from captension.projections import solve_pulled_back_laplacian
 from captension.shape import (boundary_curvature, curvature_exact,
                               solve_volume_constraint)
@@ -187,10 +190,51 @@ def test_constraint_defects_stay_small_over_free_steps(grid):
 
 
 def test_step_rejects_unstable_dt(grid):
+    # the fastest capillary mode m = n_theta/2 - 1 may turn by pi at most
     state = FreeBoundaryState.from_velocity(grid, VectorField.zeros(grid),
                                             k=100.0)
+    m = grid.n_theta // 2 - 1
+    bound = np.pi / np.sqrt(100.0 * m * (m * m - 1))
     with pytest.raises(ConfigError):
-        step_free_boundary(state, 2.0 * dt_max(100.0, grid.n_theta))
+        step_free_boundary(state, 1.01 * bound)
+    assert step_free_boundary(state, 0.99 * bound).time == 0.99 * bound
+
+
+def test_integrating_factor_step_matches_rk4(grid):
+    state = FreeBoundaryState.from_velocity(
+        grid, stream_initial_velocity(grid, 2, 0.05), k=400.0)
+    dt = 0.5 * dt_max(state.k, grid.n_theta)
+    lawson = rk4_ref = state
+    for _ in range(10):
+        lawson = step_free_boundary(lawson, dt)
+        rk4_ref = step_free_rk4(rk4_ref, dt)
+    gaps = {name: np.abs(getattr(lawson, name).values
+                         - getattr(rk4_ref, name).values).max()
+            / np.abs(getattr(rk4_ref, name).values).max()
+            for name in ("f", "fdot", "v")}
+    assert gaps["f"] < 1e-7 and gaps["fdot"] < 1e-7, gaps
+    assert gaps["v"] < 1e-13, gaps
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_capillary_frequency_at_five_times_the_rk4_bound(grid, m):
+    # a shape mode released from rest rings at omega_m even where
+    # explicit RK4 would be unstable
+    k = 400.0
+    f = solve_volume_constraint(BoundaryFunction.single_mode(grid, m, 1e-4))
+    state = FreeBoundaryState(f=f, fdot=ScalarField.zeros(grid),
+                              v=VectorField.zeros(grid),
+                              beta=identity_map(grid), time=0.0, k=k)
+    omega = np.sqrt(k * m * (m * m - 1))
+    assert capillary_frequencies(k, grid.n_theta)[m] == pytest.approx(omega)
+    t_final = 3.6 * np.pi / omega
+    n = int(np.ceil(t_final / (5.0 * dt_max(k, grid.n_theta))))
+    times, signal = [0.0], [restrict_boundary(f).coeffs[m].real]
+    for _ in range(n):
+        state = step_free_boundary(state, t_final / n)
+        times.append(state.time)
+        signal.append(restrict_boundary(state.f).coeffs[m].real)
+    assert abs(measure_frequency(times, signal) - omega) <= 1e-3 * omega
 
 
 def test_rk4_is_fourth_order():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from helpers import count_calls
 
 from captension.errors import (ConfigError, InsufficientPointsError,
                                NonpositiveValueError, SolverError)
@@ -203,6 +206,43 @@ class TestRuns:
             calls.clear()
             run_sweep(cfg)
             assert len(calls) == (cfg.n_outputs - 1) * n_fix == 4
+
+    def test_free_flow_steps_under_dt_fixed_and_the_rotation_bound(
+            self, tmp_path, monkeypatch):
+        steps = []
+        original = run_module.step_free_boundary
+
+        def counted(state, dt):
+            steps.append(dt)
+            return original(state, dt)
+
+        monkeypatch.setattr(run_module, "step_free_boundary", counted)
+        cfg = small_config(tmp_path, dt_fixed=5e-4)
+        assert run_single(cfg, 100.0).converged
+        assert steps == pytest.approx([5e-4] * 4, rel=1e-12)
+        # at k = 1e6 the fastest of the 16 angles' modes, m = 7, turns
+        # by pi in less than dt_fixed
+        steps.clear()
+        assert run_single(cfg, 1e6).converged
+        bound = np.pi / np.sqrt(1e6 * 7 * 48)
+        n = math.ceil(1e-3 / bound)
+        assert steps == pytest.approx([1e-3 / n] * (2 * n), rel=1e-12)
+
+    def test_a_record_takes_at_most_four_derivative_passes(self, tmp_path,
+                                                           monkeypatch):
+        from captension.diskfield import calculus
+
+        cfg = small_config(tmp_path)
+        fixed_flow = run_module._FixedFlow(cfg)
+        fixed_flow.at(cfg.n_outputs - 1)
+        # the norms' own passes and the steps are not the record's
+        monkeypatch.setattr(run_module, "sobolev_norm_disk", lambda f, s: 0.0)
+        monkeypatch.setattr(run_module, "step_free_boundary",
+                            lambda state, dt: dataclasses.replace(
+                                state, time=state.time + dt))
+        passes = count_calls(monkeypatch, calculus.grad_values)
+        run_single(cfg, 100.0, fixed_flow)
+        assert len(passes) <= 4 * cfg.n_outputs
 
     def test_sweep_rows_equal_single_runs(self, tmp_path):
         cfg = small_config(tmp_path, k_list=(100.0, 200.0, 400.0))

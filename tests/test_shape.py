@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import boundary_values, random_boundary
+from helpers import boundary_values, count_calls, random_boundary
 
 from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
-                                  gradient, hessian, identity_map,
+                                  gradient, harmonic_extension, hessian,
+                                  identity_map,
                                   jacobian_det, l2_norm_disk, laplacian,
                                   restrict_boundary, rotation_map)
 from captension.errors import DegenerateTangentError
@@ -26,6 +27,28 @@ def test_zero_boundary_data_gives_zero_potential(grid):
     f = solve_volume_constraint(BoundaryFunction.zeros(grid))
     assert l2_norm_disk(f) == 0.0
     assert volume_residual(f) == 0.0
+
+
+def test_data_under_the_mode_bound_skips_the_residual_check(grid, rng,
+                                                           monkeypatch):
+    # the bound 2 s^2 on the residual of the harmonic extension, with
+    # s = 2 sum m (m - 1) |h_m|, is under a tenth of TOL_VOL for these
+    from captension.diskfield import calculus
+
+    m = grid.modes
+    for _ in range(5):
+        h = random_boundary(grid, rng, 1.0, max_mode=grid.n_theta // 2)
+        s = 2.0 * np.sum(m * (m - 1) * np.abs(h.coeffs))
+        h = BoundaryFunction(grid, h.coeffs * 0.99 * np.sqrt(5e-11) / s)
+        assert volume_residual(harmonic_extension(h)) < 1e-10
+        checks = count_calls(monkeypatch, calculus.hessian)
+        f = solve_volume_constraint(h)
+        assert not checks
+        assert np.array_equal(f.values, harmonic_extension(h).values)
+        # twice the data is checked, and still passes at once
+        solve_volume_constraint(BoundaryFunction(grid, 2.0 * h.coeffs))
+        assert len(checks) == 1
+        monkeypatch.undo()
 
 
 def test_linear_boundary_data_gives_translation(grid):
