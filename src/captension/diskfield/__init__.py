@@ -4,9 +4,9 @@ from .grid import DiskGrid, make_grid
 from .fields import (ScalarField, VectorField, BoundaryFunction, DiskMap,
                      identity_map, rotation_map)
 from .calculus import (grad_values, gradient, divergence, laplacian,
-                       hessian, advect, evaluate_vector_at, compose,
-                       jacobian_det, map_jacobian, inverse_jacobian,
-                       restrict_boundary)
+                       hessian, advect, evaluation_plan,
+                       evaluate_vector_at, compose, jacobian_det,
+                       map_jacobian, inverse_jacobian, restrict_boundary)
 from .elliptic import solve_dirichlet, harmonic_extension
 from .norms import sobolev_norm_disk, sobolev_norm_boundary, l2_norm_disk
 
@@ -15,8 +15,8 @@ __all__ = [
     "ScalarField", "VectorField", "BoundaryFunction", "DiskMap",
     "identity_map", "rotation_map",
     "grad_values", "gradient", "divergence", "laplacian", "hessian",
-    "advect", "evaluate_vector_at", "compose", "jacobian_det",
-    "map_jacobian", "inverse_jacobian", "restrict_boundary",
+    "advect", "evaluation_plan", "evaluate_vector_at", "compose",
+    "jacobian_det", "map_jacobian", "inverse_jacobian", "restrict_boundary",
     "solve_dirichlet", "harmonic_extension",
     "sobolev_norm_disk", "sobolev_norm_boundary", "l2_norm_disk",
 ]

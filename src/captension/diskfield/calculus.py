@@ -11,14 +11,17 @@ per-mode polar form cached on the grid), so divergence(gradient(f)) vs
 laplacian(f) is a genuine two-route consistency check.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..errors import ConfigError, PointOutsideDomainError
 from .fields import BoundaryFunction, DiskMap, ScalarField, VectorField
 
 __all__ = ["grad_values", "gradient", "divergence", "laplacian", "hessian",
-           "advect", "evaluate_vector_at", "compose", "jacobian_det",
-           "map_jacobian", "inverse_jacobian", "restrict_boundary"]
+           "advect", "evaluation_plan", "evaluate_vector_at", "compose",
+           "jacobian_det", "map_jacobian", "inverse_jacobian",
+           "restrict_boundary"]
 
 
 def grad_values(grid, values):
@@ -72,7 +75,7 @@ def advect(u, z):
 
 
 def _ring_weights(grid, r0, theta0):
-    """The evaluation plan that every field at one point set shares.
+    """The weights of an evaluation plan (see evaluation_plan).
 
     Returns (radial, angular, nearest); radial and angular are each a
     pair (even modes, odd modes).
@@ -130,9 +133,10 @@ def _clamp_points(grid, points, tol):
 def _node_snap(grid, gap, theta0):
     """Detect queries that coincide with grid nodes (up to roundoff).
 
-    gap is each query's distance to its nearest radial node, from the
-    plan.  Returns (mask, j_idx); snapped queries return stored samples
-    bit-exactly rather than going through the interpolation arithmetic.
+    gap is each query's distance to its nearest radial node, from
+    _ring_weights.  Returns (mask, j_idx); snapped queries return stored
+    samples bit-exactly rather than going through the interpolation
+    arithmetic.
     """
     k = np.round(theta0 / (2.0 * np.pi / grid.n_theta))
     ang_err = np.abs(theta0 - 2.0 * np.pi * k / grid.n_theta)
@@ -140,7 +144,35 @@ def _node_snap(grid, gap, theta0):
     return mask, k.astype(int) % grid.n_theta
 
 
-def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
+class EvaluationPlan(NamedTuple):
+    """What every field evaluated at one point set shares."""
+
+    clamp_tol: float
+    radial: tuple
+    angular: tuple
+    snap: tuple
+
+
+def evaluation_plan(grid, points, *, clamp_tol):
+    """The plan of evaluating fields at plane points (array-like (P, 2)).
+
+    It runs the clamp check under clamp_tol (see evaluate_vector_at)
+    and holds the folded radial weights and angular factors of
+    _ring_weights and the node snap, as snap = (rows, i, j): the rows
+    that coincide with the node (grid.r[i], theta_j).  A plan is a
+    value: its arrays are read-only, so whoever owns the points (a
+    map's cache) keeps it and passes it to every evaluation there.
+    """
+    r0, theta0 = _clamp_points(grid, points, clamp_tol)
+    radial, angular, (i, gap) = _ring_weights(grid, r0, theta0)
+    mask, j = _node_snap(grid, gap, theta0)
+    snap = np.flatnonzero(mask), i[mask], j[mask]
+    for a in (*radial, *angular, *snap):
+        a.setflags(write=False)
+    return EvaluationPlan(clamp_tol, radial, angular, snap)
+
+
+def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     """Interpolate fields at plane points (array-like (P, 2)).
 
     fields is one field or a sequence of fields on one grid; the result
@@ -150,27 +182,32 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12):
     doubled node set.  Points whose radius overshoots 1 by at most
     clamp_tol are evaluated by the radial polynomial's natural extension
     (time-stepper stages land there); anything further outside raises.
-    Grid-node queries reproduce the stored samples bit-exactly.  One
-    plan is built per call and shared by every field; each component
-    then takes one (P, n_r) @ (n_r, 2 M_p) product per parity, shapes
-    free of F, so a column has the bits of its field evaluated alone.
+    Grid-node queries reproduce the stored samples bit-exactly.  plan is
+    evaluation_plan(grid, points, clamp_tol=clamp_tol) when the caller
+    keeps it; without one, one is built for this call.  Every field
+    shares the plan; each component then takes one (P, n_r) @
+    (n_r, 2 M_p) product per parity, shapes free of F, so a column has
+    the bits of its field evaluated alone.
     """
     if isinstance(fields, (ScalarField, VectorField)):
         fields = (fields,)
     grid = fields[0].grid
     values = np.concatenate(
         [f.values.reshape(-1, grid.n_r, grid.n_theta) for f in fields])
-    r0, theta0 = _clamp_points(grid, points, clamp_tol)
-    radial, angular, (i, gap) = _ring_weights(grid, r0, theta0)
+    if plan is None:
+        plan = evaluation_plan(grid, points, clamp_tol=clamp_tol)
+    elif plan.clamp_tol != clamp_tol:
+        raise ConfigError(f"a plan checked under clamp_tol {plan.clamp_tol:g}"
+                          f" cannot serve clamp_tol {clamp_tol:g}")
     C = grid.to_modes(values)
     # per parity, (F, n_r, 2 M_p): each ring's (Re, -Im) pairs
     rings = [np.conj(C[..., p::2]).view(float) for p in (0, 1)]
-    out = np.empty((r0.size, len(values)))
+    out = np.empty((len(plan.radial[0]), len(values)))
     for k in range(len(values)):
         out[:, k] = sum(np.einsum("pk,pk->p", W @ R[k], T)
-                        for W, R, T in zip(radial, rings, angular))
-    mask, j = _node_snap(grid, gap, theta0)
-    out[mask] = values[:, i[mask], j[mask]].T
+                        for W, R, T in zip(plan.radial, rings, plan.angular))
+    rows, i, j = plan.snap
+    out[rows] = values[:, i, j].T
     return out
 
 
@@ -185,7 +222,10 @@ def compose(f, g, *, clamp_tol=None):
 
     clamp_tol widens the boundary-overshoot allowance; time-step stage
     maps drift outside the circle by O(dt^2) and need more slack than
-    a converged diffeomorphism.
+    a converged diffeomorphism.  The plan of g's image points is kept
+    in g's cache under its clamp_tol, so every composition with g
+    after the first reuses it; a tighter clamp_tol builds, and checks,
+    its own.
     """
     if not isinstance(g, DiskMap):
         raise ConfigError("compose expects a DiskMap on the right")
@@ -195,7 +235,13 @@ def compose(f, g, *, clamp_tol=None):
         raise ConfigError("compose expects a ScalarField or VectorField on the left")
     if clamp_tol is None:
         clamp_tol = _COMPOSE_CLAMP
-    vals = evaluate_vector_at(f, g.image_points(), clamp_tol=clamp_tol)
+    points = g.image_points()
+    key = "image_plan", clamp_tol
+    plan = g._cache.get(key)
+    if plan is None:
+        plan = g._cache[key] = evaluation_plan(g.grid, points,
+                                               clamp_tol=clamp_tol)
+    vals = evaluate_vector_at(f, points, clamp_tol=clamp_tol, plan=plan)
     return type(f)(g.grid, vals.T.reshape(f.values.shape))
 
 

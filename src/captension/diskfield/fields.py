@@ -163,8 +163,13 @@ class DiskMap:
     kind is "diffeo" for volume-preserving maps of the disk to itself
     (beta, zeta) and "embedding" for maps whose image may leave the disk
     (eta, id + grad f).  The _cache slot memoizes expensive derived data
-    (pointwise inverse values, the inverse Jacobian) on the immutable
-    instance.
+    on the immutable instance, all of it read-only: "inverse" holds the
+    preimages of the nodes and their evaluation plan (invert_disk_map),
+    "inverse_jacobian" the entries of D(map)^-1 (inverse_jacobian), and
+    ("image_plan", clamp_tol) the plan of the node images under that
+    clamp tolerance (compose).  A map derived from this one (w added,
+    boundary renormalised) starts with an empty cache and holds no
+    reference to this one, so no chain of maps is kept alive.
     """
 
     __slots__ = ("grid", "displacement", "kind", "_cache")

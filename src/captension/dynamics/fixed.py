@@ -28,45 +28,55 @@ __all__ = [
 ]
 
 
-def invert_disk_map(alpha):
+def invert_disk_map(alpha, near=None):
     """Preimages of the grid nodes under a near-identity disk map.
 
-    Newton on alpha(y) = x from the first guess x - d(x), with the
-    stage-map slack STAGE_CLAMP; the result is cached on the (immutable)
-    map, so repeated operator applications at one alpha pay once.
+    Newton with the stage-map slack STAGE_CLAMP, from near's preimages
+    and their plan when near (a map close to alpha, such as the base
+    map of alpha's time step) has its inverse cached, else from the
+    first guess x - d(x).  The preimages and the plan of Newton's
+    converged pass are cached on the (immutable) map, so repeated
+    operator applications at one alpha pay once, and the evaluation at
+    the preimages that follows builds no plan.
     """
-    cached = alpha._cache.get("inverse_points")
-    if cached is not None:
-        return cached
-    X = alpha.grid.xy.reshape(2, -1).T
-    Y = invert_points(alpha, X, X - alpha.displacement.values.reshape(2, -1).T,
-                      slack=STAGE_CLAMP)
-    Y.setflags(write=False)
-    alpha._cache["inverse_points"] = Y
-    return Y
+    cached = alpha._cache.get("inverse")
+    if cached is None:
+        X = alpha.grid.xy.reshape(2, -1).T
+        warm = None if near is None else near._cache.get("inverse")
+        if warm is None:
+            warm = X - alpha.displacement.values.reshape(2, -1).T, None
+        Y, plan = invert_points(alpha, X, *warm, slack=STAGE_CLAMP)
+        Y.setflags(write=False)
+        cached = alpha._cache["inverse"] = Y, plan
+    return cached[0]
 
 
-def _velocity_at_labels(alpha, vel):
-    """vel o alpha^-1 as a field on the disk."""
-    vals = evaluate_vector_at(vel, invert_disk_map(alpha), clamp_tol=STAGE_CLAMP)
+def _velocity_at_labels(alpha, vel, near=None):
+    """vel o alpha^-1 as a field on the disk; near as for invert_disk_map."""
+    Y = invert_disk_map(alpha, near)
+    vals = evaluate_vector_at(vel, Y, clamp_tol=STAGE_CLAMP,
+                              plan=alpha._cache["inverse"][1])
     return VectorField(alpha.grid, vals.T.reshape(vel.values.shape))
 
 
-def euler_Z(alpha, vel):
+def euler_Z(alpha, vel, near=None):
     """Lagrangian acceleration Z(alpha, v) = (Q((u.grad) P u)) o alpha
-    with u = v o alpha^-1."""
-    u = _velocity_at_labels(alpha, vel)
+    with u = v o alpha^-1.  near, a map close to alpha whose inverse is
+    cached, warm-starts the inversion of alpha (see invert_disk_map)."""
+    u = _velocity_at_labels(alpha, vel, near)
     return compose(hodge_Q(advect(u, hodge_P(u))), alpha,
                    clamp_tol=STAGE_CLAMP)
 
 
 def step_fixed_euler(state, dt):
     """RK4 on (zeta, zetadot) with post-step Leray projection of the
-    velocity (transported to labels and back)."""
-    zeta, vel = rk4(lambda y: (y[1], euler_Z(*y)),
+    velocity (transported to labels and back).  Every stage map after
+    the first, and the renormalised end map, start Newton from the
+    preimages and plan cached on the base map state.zeta."""
+    zeta, vel = rk4(lambda y: (y[1], euler_Z(*y, near=state.zeta)),
                     (state.zeta, state.zetadot), dt)
     zeta_new = zeta.renormalize_boundary()
-    u = _velocity_at_labels(zeta_new, vel)
+    u = _velocity_at_labels(zeta_new, vel, near=state.zeta)
     vel_proj = compose(hodge_P(u), zeta_new, clamp_tol=STAGE_CLAMP)
     return FixedEulerState(zeta=zeta_new, zetadot=vel_proj,
                            time=state.time + dt)

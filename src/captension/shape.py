@@ -29,6 +29,7 @@ from .diskfield import (
     ScalarField,
     compose,
     evaluate_vector_at,
+    evaluation_plan,
     gradient,
     harmonic_extension,
     hessian,
@@ -203,27 +204,35 @@ def boundary_length(f, grad_f=None):
     return (2.0 * np.pi / f.grid.n_theta) * float(speed.sum())
 
 
-def invert_points(alpha, targets, start, *, slack):
+def invert_points(alpha, targets, start, plan=None, *, slack):
     """Solve alpha(y) = target for every row of targets by pointwise Newton.
 
-    targets and start (the first guesses) are (P, 2) arrays; the result
-    is a new (P, 2) array of preimages.  The Jacobian of alpha comes from
-    map_jacobian, interpolated at the iterates in the same evaluation as
-    the displacement, one per Newton pass.  Iterates may overshoot the
-    circle by slack: they are pulled back inside radius 1 + slack after
-    every update, and evaluated with that much clamp allowance.
+    targets and start (the first guesses) are (P, 2) arrays, and plan,
+    if given, is the plan of start (a converged inversion's, under the
+    same slack).  Returns (Y, plan): a new (P, 2) array of preimages and
+    the plan the converged pass built at them.  The Jacobian of alpha
+    comes from map_jacobian, interpolated at the iterates in the same
+    evaluation as the displacement, one per Newton pass.  Iterates may
+    overshoot the circle by slack: they are pulled back inside radius
+    1 + slack after every update, and evaluated with that much clamp
+    allowance.
     """
     fields = [alpha.displacement] + [ScalarField(alpha.grid, j)
                                      for j in map_jacobian(alpha)]
     Y = np.array(start, dtype=float)
-    _project_into_disk(Y, slack)
+    # a planned start lies inside already, and projecting it again could
+    # move a point by an ulp off its plan
+    if plan is None:
+        _project_into_disk(Y, slack)
     for _ in range(40):
+        if plan is None:
+            plan = evaluation_plan(alpha.grid, Y, clamp_tol=slack)
         dx, dy, j11, j12, j21, j22 = evaluate_vector_at(
-            fields, Y, clamp_tol=slack).T
+            fields, Y, clamp_tol=slack, plan=plan).T
         rx = Y[:, 0] + dx - targets[:, 0]
         ry = Y[:, 1] + dy - targets[:, 1]
         if max(np.abs(rx).max(), np.abs(ry).max()) < 1e-12:
-            return Y
+            return Y, plan
         det = j11 * j22 - j12 * j21
         if np.abs(det).min() < 0.2:
             raise InversionFailureError(
@@ -231,6 +240,7 @@ def invert_points(alpha, targets, start, *, slack):
         Y[:, 0] -= (j22 * rx - j12 * ry) / det
         Y[:, 1] -= (-j21 * rx + j11 * ry) / det
         _project_into_disk(Y, slack)
+        plan = None
     raise InversionFailureError("Newton inversion of the map stalled")
 
 

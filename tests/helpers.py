@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 
-from captension.diskfield import (BoundaryFunction, VectorField,
+from captension.diskfield import (BoundaryFunction, VectorField, calculus,
                                   restrict_boundary, sobolev_norm_boundary)
 from captension.dynamics import FreeBoundaryState, rhs_free_boundary
 from captension.dynamics.states import rk4
@@ -66,6 +66,11 @@ def count_calls(monkeypatch, original):
                 and vars(module).get(original.__name__) is original):
             monkeypatch.setattr(module, original.__name__, counted)
     return calls
+
+
+def count_plans(monkeypatch):
+    """Count the evaluation plans built, by whichever caller."""
+    return count_calls(monkeypatch, calculus.evaluation_plan)
 
 
 def count_ffts(monkeypatch):

@@ -3,12 +3,12 @@ import pytest
 
 from helpers import count_ffts
 
-from captension.diskfield import (ScalarField, VectorField, compose,
-                                  divergence, evaluate_vector_at, grad_values,
-                                  gradient, hessian, identity_map,
-                                  jacobian_det, laplacian, restrict_boundary,
-                                  rotation_map)
-from captension.errors import PointOutsideDomainError
+from captension.diskfield import (DiskMap, ScalarField, VectorField, compose,
+                                  divergence, evaluate_vector_at,
+                                  evaluation_plan, grad_values, gradient,
+                                  hessian, identity_map, jacobian_det,
+                                  laplacian, restrict_boundary, rotation_map)
+from captension.errors import ConfigError, PointOutsideDomainError
 
 
 def poly(grid):
@@ -84,8 +84,13 @@ def test_evaluate_vector_matches_componentwise(grid, rng):
     for sample in (pts, pts[:1], pts[-2:], on_ring):
         vals = evaluate_vector_at(fields, sample)
         assert vals.shape == (len(sample), 6)
+        plan = evaluation_plan(grid, sample, clamp_tol=1e-12)
+        assert np.array_equal(evaluate_vector_at(fields, sample, plan=plan),
+                              vals)
         for k, f in enumerate(fields):
             assert np.array_equal(vals[:, k], evaluate_at(f, sample))
+            assert np.array_equal(vals[:, k],
+                                  evaluate_at(f, sample, plan=plan))
         assert np.array_equal(evaluate_vector_at(w, sample), vals[:, :2])
 
 
@@ -137,6 +142,25 @@ def test_compose_with_rotation(grid):
 def test_compose_with_identity_is_identity(grid):
     f = poly(grid)
     assert np.allclose(compose(f, identity_map(grid)).values, f.values, atol=0.0)
+
+
+def test_compose_keeps_one_read_only_plan_per_clamp_tolerance(grid):
+    # the image overshoots the circle by 1e-6: inside a 1e-5 allowance,
+    # outside the default 1e-8 one, whatever plan is already kept
+    f = poly(grid)
+    g = DiskMap(VectorField(grid, 1e-6 * grid.xy))
+    points = g.image_points()
+    fresh = evaluate_vector_at(f, points, clamp_tol=1e-5)[:, 0]
+    for _ in range(2):
+        assert np.array_equal(compose(f, g, clamp_tol=1e-5).values.ravel(),
+                              fresh)
+    with pytest.raises(PointOutsideDomainError):
+        compose(f, g)
+    plan = g._cache["image_plan", 1e-5]
+    assert not any(a.flags.writeable
+                   for a in (*plan.radial, *plan.angular, *plan.snap))
+    with pytest.raises(ConfigError):
+        evaluate_vector_at(f, points, clamp_tol=1e-8, plan=plan)
 
 
 def test_jacobian_det_of_rotation(grid):

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import count_calls, count_ffts, step_free_rk4
+from helpers import count_calls, count_ffts, count_plans, step_free_rk4
 
 from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
-                                  VectorField, advect, grad_values, gradient,
+                                  VectorField, advect, calculus,
+                                  evaluate_vector_at, grad_values, gradient,
                                   identity_map, l2_norm_disk, map_jacobian,
                                   restrict_boundary, rotation_map,
                                   sobolev_norm_disk)
@@ -20,6 +21,7 @@ from captension.dynamics import (FixedEulerState, FreeBoundaryState,
                                  stream_initial_velocity,
                                  stream_initial_vorticity, unsplit_acceleration,
                                  vorticity_particle_step, vorticity_velocity)
+from captension.dynamics.evolution import STAGE_CLAMP
 from captension.dynamics.states import rk4
 from captension.errors import ConfigError
 from captension.harness import measure_frequency
@@ -307,6 +309,54 @@ def test_invert_rotation_map(grid):
     ey = s * grid.xx + c * grid.yy
     assert np.abs(Y[:, 0] - ex.ravel()).max() < 1e-10
     assert np.abs(Y[:, 1] - ey.ravel()).max() < 1e-10
+
+
+def _lagrangian_workload_step(grid):
+    """One fixed-disk step of the lagrangian workload's config: 32x16,
+    a mode-2 stream of amplitude 0.4, dt = 0.005."""
+    state = FixedEulerState.from_velocity(
+        grid, stream_initial_velocity(grid, 2, 0.4))
+    return step_fixed_euler(state, 0.005)
+
+
+def test_warm_started_inversion_matches_a_cold_one(grid, monkeypatch):
+    # the warm start saves one plan: its first Newton pass reuses near's
+    state = _lagrangian_workload_step(grid)
+    stage = state.zeta + 0.0025 * state.zetadot
+    X = grid.xy.reshape(2, -1).T
+    for alpha, near in ((rotation_map(grid, 0.3), rotation_map(grid, 0.28)),
+                        (stage, state.zeta)):
+        cold = invert_disk_map(DiskMap(alpha.displacement))
+        invert_disk_map(near)
+        plans = count_plans(monkeypatch)
+        passes = count_calls(monkeypatch, calculus.evaluate_vector_at)
+        warm = invert_disk_map(alpha, near)
+        assert len(plans) == len(passes) - 1
+        monkeypatch.undo()
+        for Y in (cold, warm):
+            moved = evaluate_vector_at(alpha.displacement, Y,
+                                       clamp_tol=STAGE_CLAMP)
+            assert np.abs(Y + moved - X).max() < 1e-12
+        assert np.abs(warm - cold).max() < 1e-13
+
+
+def test_a_fixed_step_builds_twelve_plans(grid, monkeypatch):
+    # three stage maps and the end map: each an inversion of about
+    # three Newton passes, one plan a pass but the warm-started first,
+    # and one composition; the base map's preimages and plans were
+    # built in the previous step
+    state = _lagrangian_workload_step(grid)
+    plans = count_plans(monkeypatch)
+    step_fixed_euler(state, 0.005)
+    assert len(plans) <= 12
+
+
+def test_reconstruct_eta_builds_one_plan(grid, monkeypatch):
+    state = FreeBoundaryState.from_velocity(
+        grid, stream_initial_velocity(grid, 2, 0.05), k=100.0)
+    plans = count_plans(monkeypatch)
+    reconstruct_eta(state)
+    assert len(plans) == 1
 
 
 def test_vorticity_velocity_inverts_stream_function(grid):

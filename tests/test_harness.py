@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import count_calls
 
+from captension.diskfield import VectorField
 from captension.errors import (ConfigError, InsufficientPointsError,
                                NonpositiveValueError, SolverError)
 from captension.harness import (CSV_HEADER, ExperimentConfig, emit_csv,
@@ -243,6 +244,18 @@ class TestRuns:
         passes = count_calls(monkeypatch, calculus.grad_values)
         run_single(cfg, 100.0, fixed_flow)
         assert len(passes) <= 4 * cfg.n_outputs
+
+    def test_fixed_flow_keeps_no_maps(self, tmp_path):
+        # maps carry cached inverses and plans; the records need neither
+        cfg = small_config(tmp_path)
+        fixed_flow = run_module._FixedFlow(cfg)
+        last = fixed_flow.at(cfg.n_outputs - 1)
+        assert len(fixed_flow._outputs) == cfg.n_outputs
+        assert all(type(a) is VectorField and type(b) is VectorField
+                   for a, b in fixed_flow._outputs)
+        assert last is fixed_flow._outputs[-1]
+        assert np.array_equal(last[0].values,
+                              fixed_flow._state.zeta.displacement.values)
 
     def test_sweep_rows_equal_single_runs(self, tmp_path):
         cfg = small_config(tmp_path, k_list=(100.0, 200.0, 400.0))
