@@ -185,9 +185,10 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     Grid-node queries reproduce the stored samples bit-exactly.  plan is
     evaluation_plan(grid, points, clamp_tol=clamp_tol) when the caller
     keeps it; without one, one is built for this call.  Every field
-    shares the plan; each component then takes one (P, n_r) @
-    (n_r, 2 M_p) product per parity, shapes free of F, so a column has
-    the bits of its field evaluated alone.
+    shares the plan; the components take one batched product per
+    parity, which numpy runs as one (P, n_r) @ (n_r, 2 M_p) product per
+    component, shapes free of F, so a column has the bits of its field
+    evaluated alone.
     """
     if isinstance(fields, (ScalarField, VectorField)):
         fields = (fields,)
@@ -202,10 +203,9 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     C = grid.to_modes(values)
     # per parity, (F, n_r, 2 M_p): each ring's (Re, -Im) pairs
     rings = [np.conj(C[..., p::2]).view(float) for p in (0, 1)]
-    out = np.empty((len(plan.radial[0]), len(values)))
-    for k in range(len(values)):
-        out[:, k] = sum(np.einsum("pk,pk->p", W @ R[k], T)
-                        for W, R, T in zip(plan.radial, rings, plan.angular))
+    even, odd = (np.einsum("fpk,pk->pf", W @ R, T)
+                 for W, R, T in zip(plan.radial, rings, plan.angular))
+    out = even + odd
     rows, i, j = plan.snap
     out[rows] = values[:, i, j].T
     return out

@@ -17,8 +17,8 @@ class ExperimentConfig:
     """Everything a run needs; defaults are the reference desk scale.
 
     dt_fixed is the largest step of both flows in run and sweep (the
-    free flow's is also capped by dt_free_max); c_cfl scales the
-    explicit RK4 bound dt_max that oracle-compare steps under.
+    free flow's is also capped by dt_free_max); c_cfl scales the RK4
+    bound dt_max of oracle-compare's unsplit integrator.
     """
 
     n_theta: int = 32

@@ -191,11 +191,12 @@ def oracle_compare(config, k=None, t_final=0.05, n_outputs=6):
 
     Runs both from the same initial velocity at half the configured
     resolution, with at least 12 angles but never more than the config's
-    own, and returns (time, eta gap H1, etadot gap H1) rows; the unsplit
-    route uses no decomposition and no projection, so agreement
-    arbitrates the term choices inside the split right-hand side.  A
-    config with fewer than 10 angles is rejected: on 8 the unsplit stage
-    maps drift off det = 1.
+    own, and returns (time, eta gap H1, etadot gap H1) rows at the
+    segment ends, the split step substepped under dt_free_max and the
+    unsplit one under the RK4 bound dt_max of c_cfl.  The unsplit route
+    uses no decomposition and no projection, so agreement arbitrates
+    the term choices inside the split right-hand side.  Under 10 angles
+    are rejected: on 8 the unsplit stage maps drift off det = 1.
     """
     if config.n_theta < 10:
         raise ConfigError("oracle-compare needs n_theta >= 10, "
@@ -212,12 +213,14 @@ def oracle_compare(config, k=None, t_final=0.05, n_outputs=6):
 
     t_end = min(config.T, t_final)
     segment = t_end / (n_outputs - 1)
-    n_sub, dt = _substeps(segment, dt_max(k, n_theta, config.c_cfl))
+    n_free, dt_free = _substeps(segment, dt_free_max(k, n_theta))
+    n_unsplit, dt = _substeps(segment, dt_max(k, n_theta, config.c_cfl))
 
     rows = [(0.0, 0.0, 0.0)]
     for _ in range(n_outputs - 1):
-        for _ in range(n_sub):
-            free = step_free_boundary(free, dt)
+        for _ in range(n_free):
+            free = step_free_boundary(free, dt_free)
+        for _ in range(n_unsplit):
             eta_u, etadot_u = step_unsplit(eta_u, etadot_u, dt, k)
         eta_s, etadot_s = reconstruct_eta(free)
         rows.append((

@@ -52,6 +52,9 @@ __all__ = [
 
 TOL_VOL = 1e-9
 
+# below this residual, Newton's next update passes 1e-12 on the last Jacobian
+_STALE_JACOBIAN_RESIDUAL = 1e-7
+
 
 @dataclass(frozen=True)
 class CurvatureExpansion:
@@ -211,8 +214,8 @@ def invert_points(alpha, targets, start, plan=None, *, slack):
     if given, is the plan of start (a converged inversion's, under the
     same slack).  Returns (Y, plan): a new (P, 2) array of preimages and
     the plan the converged pass built at them.  The Jacobian of alpha
-    comes from map_jacobian, interpolated at the iterates in the same
-    evaluation as the displacement, one per Newton pass.  Iterates may
+    (map_jacobian) is interpolated with the displacement while the last
+    residual tops _STALE_JACOBIAN_RESIDUAL, then kept.  Iterates may
     overshoot the circle by slack: they are pulled back inside radius
     1 + slack after every update, and evaluated with that much clamp
     allowance.
@@ -224,14 +227,18 @@ def invert_points(alpha, targets, start, plan=None, *, slack):
     # move a point by an ulp off its plan
     if plan is None:
         _project_into_disk(Y, slack)
+    residual = np.inf
     for _ in range(40):
         if plan is None:
             plan = evaluation_plan(alpha.grid, Y, clamp_tol=slack)
-        dx, dy, j11, j12, j21, j22 = evaluate_vector_at(
-            fields, Y, clamp_tol=slack, plan=plan).T
+        dx, dy, *jacobian = evaluate_vector_at(
+            fields if residual > _STALE_JACOBIAN_RESIDUAL else fields[0],
+            Y, clamp_tol=slack, plan=plan).T
+        j11, j12, j21, j22 = jacobian or (j11, j12, j21, j22)
         rx = Y[:, 0] + dx - targets[:, 0]
         ry = Y[:, 1] + dy - targets[:, 1]
-        if max(np.abs(rx).max(), np.abs(ry).max()) < 1e-12:
+        residual = max(np.abs(rx).max(), np.abs(ry).max())
+        if residual < 1e-12:
             return Y, plan
         det = j11 * j22 - j12 * j21
         if np.abs(det).min() < 0.2:

@@ -12,7 +12,7 @@ from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
                                   restrict_boundary, rotation_map,
                                   sobolev_norm_disk)
 from captension.dynamics import (FixedEulerState, FreeBoundaryState,
-                                 capillary_frequencies, dt_max,
+                                 capillary_frequencies, dt_free_max, dt_max,
                                  energy_report, euler_Z, invert_disk_map,
                                  pressure_gradient, pullback_velocity,
                                  reconstruct_eta, rhs_free_boundary,
@@ -216,6 +216,27 @@ def test_integrating_factor_step_matches_rk4(grid):
             for name in ("f", "fdot", "v")}
     assert gaps["f"] < 1e-7 and gaps["fdot"] < 1e-7, gaps
     assert gaps["v"] < 1e-13, gaps
+
+
+def test_one_oracle_step_per_segment_matches_rk4_bound_substeps(coarse_grid):
+    # criterion 09's split flow (16x8, k = 100, five segments to T = 0.05):
+    # oracle-compare takes one step per segment under dt_free_max; five
+    # steps under the RK4 bound dt_max land within 1e-8 of it, far below
+    # the criterion's 1e-2
+    k, segment = 100.0, 0.01
+    n = int(np.ceil(segment / dt_max(k, coarse_grid.n_theta)))
+    assert segment <= dt_free_max(k, coarse_grid.n_theta) and n == 5
+    large = small = FreeBoundaryState.from_velocity(
+        coarse_grid, stream_initial_velocity(coarse_grid, 2, 0.05), k)
+    for _ in range(5):
+        large = step_free_boundary(large, segment)
+        for _ in range(n):
+            small = step_free_boundary(small, segment / n)
+        (eta_l, etadot_l), (eta_s, etadot_s) = (reconstruct_eta(large),
+                                                reconstruct_eta(small))
+        assert sobolev_norm_disk(eta_l.displacement - eta_s.displacement,
+                                 1) < 1e-8
+        assert sobolev_norm_disk(etadot_l - etadot_s, 1) < 1e-7
 
 
 @pytest.mark.parametrize("m", [2, 3, 8])

@@ -284,6 +284,24 @@ class TestRuns:
         assert rows[0][0] == 0.0
         assert all(gap >= 0.0 for _, gap, _ in rows)
 
+    def test_oracle_steps_each_integrator_under_its_own_bound(
+            self, monkeypatch):
+        # at k = 100 on the 16-angle oracle grid one Lawson step spans a
+        # 0.01 segment; explicit RK4 takes five
+        free = count_calls(monkeypatch, run_module.step_free_boundary)
+        unsplit = count_calls(monkeypatch, run_module.step_unsplit)
+        rows = oracle_compare(ExperimentConfig(), k=100.0)
+        assert [args[1] for args in free] == pytest.approx([0.01] * 5,
+                                                           rel=1e-12)
+        assert [args[2] for args in unsplit] == pytest.approx([0.002] * 25,
+                                                              rel=1e-12)
+        assert [t for t, _, _ in rows] == pytest.approx(
+            [0.01 * j for j in range(6)], rel=1e-12)
+        free.clear()
+        unsplit.clear()
+        oracle_compare(ExperimentConfig(c_cfl=0.25), k=100.0)
+        assert (len(free), len(unsplit)) == (5, 50)
+
     def test_oracle_grid_is_half_the_config_with_at_least_12_angles(
             self, monkeypatch):
         class Built(Exception):

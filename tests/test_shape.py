@@ -4,13 +4,14 @@ import pytest
 from helpers import boundary_values, count_calls, random_boundary
 
 from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
-                                  gradient, harmonic_extension, hessian,
-                                  identity_map,
+                                  VectorField, evaluate_vector_at, gradient,
+                                  harmonic_extension, hessian, identity_map,
                                   jacobian_det, l2_norm_disk, laplacian,
                                   restrict_boundary, rotation_map)
 from captension.errors import DegenerateTangentError
 from captension.shape import (boundary_length, compose_Phi, curvature_exact,
-                              curvature_expansion, solve_volume_constraint)
+                              curvature_expansion, invert_points,
+                              solve_volume_constraint)
 
 
 def graph_map(f):
@@ -167,3 +168,25 @@ def test_compose_Phi_with_node_rotation(grid, rng):
     g = gradient(f)
     expected = beta.displacement.values + np.roll(g.values, -3, axis=2)
     assert np.abs(eta.displacement.values - expected).max() < 1e-13
+
+
+def test_newton_drops_the_jacobian_once_the_residual_is_small(grid,
+                                                              monkeypatch):
+    # from a residual under 1e-7 the last Jacobian serves, so the last
+    # pass of a near-identity inversion evaluates the displacement alone;
+    # the map is a swirl, turning each circle r by 0.01 r^2
+    x, y = grid.xx, grid.yy
+    turn = 0.01 * (x * x + y * y)
+    alpha = DiskMap(VectorField.from_arrays(
+        grid, x * np.cos(turn) - y * np.sin(turn) - x,
+        x * np.sin(turn) + y * np.cos(turn) - y))
+    X = grid.xy.reshape(2, -1).T
+    passes = count_calls(monkeypatch, evaluate_vector_at)
+    start = X - alpha.displacement.values.reshape(2, -1).T
+    Y, _ = invert_points(alpha, X, start, slack=1e-5)
+    monkeypatch.undo()
+    moved = evaluate_vector_at(alpha.displacement, Y, clamp_tol=1e-5)
+    assert np.abs(Y + moved - X).max() < 1e-12
+    # the displacement and the four Jacobian fields, then 2 columns alone
+    assert len(passes[0][0]) == 5
+    assert passes[-1][0] is alpha.displacement
