@@ -27,18 +27,13 @@ from ..errors import ConfigError
 _GRID_CACHE = {}
 
 
-def _cheb_lobatto_diff(x):
-    """Collocation differentiation matrix on arbitrary distinct nodes x.
+def _cheb_lobatto_diff(x, w):
+    """Collocation differentiation matrix on distinct nodes x with
+    barycentric weights w.
 
     Barycentric form with the negative-sum trick for the diagonal; for
     Chebyshev-Lobatto nodes this is the classical spectral matrix.
     """
-    n = x.size
-    # barycentric weights for Lobatto nodes: alternating signs, halved ends
-    w = np.ones(n)
-    w[1::2] = -1.0
-    w[0] *= 0.5
-    w[-1] *= 0.5
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
     D = (w[None, :] / w[:, None]) / dx
@@ -93,6 +88,7 @@ class DiskGrid:
         x_full[0] = 1.0
         x_full[-1] = -1.0
         self.x_full = x_full
+        # barycentric weights for Lobatto nodes: alternating signs, halved ends
         wb = np.ones(N + 1)
         wb[1::2] = -1.0
         wb[0] *= 0.5
@@ -116,7 +112,7 @@ class DiskGrid:
         self.sin_t = np.sin(self.theta)[None, :]
         self.inv_r = (1.0 / self.r)[:, None]
 
-        D_full = _cheb_lobatto_diff(x_full)
+        D_full = _cheb_lobatto_diff(x_full, wb)
         D2_full = D_full @ D_full
         pp = np.ix_(self.pos_full, self.pos_full)
         pn = np.ix_(self.pos_full, self.neg_full)

@@ -37,7 +37,7 @@ from ..projections import (
 )
 from ..shape import boundary_length, compose_Phi, solve_volume_constraint
 from .pressure import pressure_gradient, pullback_velocity
-from .states import EnergyReport, FreeBoundaryState
+from .states import EnergyReport, FreeBoundaryState, rk4
 
 __all__ = [
     "rhs_free_boundary",
@@ -136,19 +136,18 @@ def step_free_boundary(state, dt):
 
     The linear capillary part Lambda of the right-hand side acts on the
     boundary modes z = (h, g) of (f, fdot) alone, and its flow E(t)
-    turns each pair by omega_m t.  RK4 takes N = rhs_free_boundary -
-    Lambda, with E applied exactly:
-
-        k1 = N(y),  k2 = N(E(h/2)(y + h/2 k1)),  k3 = N(E(h/2) y + h/2 k2),
-        k4 = N(E(h) y + h E(h/2) k3),
-        y+ = E(h) y + h/6 (E(h) k1 + 2 E(h/2)(k2 + k3) + k4).
+    turns each pair by omega_m t.  Lawson's method is classical RK4 in
+    the interaction picture: rk4 advances w = E(-t) y under
+    w' = E(-t) N(E(t) w), with N = rhs_free_boundary - Lambda, and t
+    rides along with rate 1.
 
     E and Lambda change f and fdot only by harmonic extensions, and v
-    and beta not at all.  So each stage, and y+, is the plain RK4
-    combination of the rhs rates with its boundary modes set to those of
-    the formula, which are computed in mode space: f is the
-    volume-constrained potential of its h (so stage maps stay volume
-    preserving), and fdot gets the harmonic extension of its mode defect.
+    and beta not at all.  So w holds the modes turned back to time 0
+    beside plain fdot, v, beta and the modes g of that fdot; the state
+    of w turns its modes to t, takes f as the volume-constrained
+    potential of h (so stage maps stay volume preserving) and gives
+    fdot the harmonic extension of its mode defect.  Stage one is the
+    given state itself.
     """
     grid, k = state.f.grid, state.k
     bound = dt_free_max(k, grid.n_theta)
@@ -164,8 +163,6 @@ def step_free_boundary(state, dt):
         return np.array([[c, s / np.where(inert, 1.0, omega)],
                          [-omega * s, c]])
 
-    half, full = turn(0.5 * dt), turn(dt)
-
     def apply(op, z):
         return np.einsum("ijm,jm->im", op, z)
 
@@ -177,30 +174,25 @@ def step_free_boundary(state, dt):
         return ((fddot, vdot, beta_velocity, g_rate),
                 np.stack([inert * z[1], g_rate + omega ** 2 * z[0]]))
 
-    def combine(z, h, rates):
-        """y + h * rates with boundary modes z; the system is autonomous,
-        so stage states keep the step's time."""
-        fdot, v, beta, g = (yi + h * ri for yi, ri in zip(y, rates))
-        return FreeBoundaryState(
+    def at(w):
+        """The modes and the state of w; the system is autonomous, so
+        stage states keep the step's time."""
+        zw, fdot, v, beta, g, t = w
+        z = apply(turn(t), zw)
+        return z, FreeBoundaryState(
             f=solve_volume_constraint(BoundaryFunction(grid, z[0])),
             fdot=fdot + harmonic_extension(BoundaryFunction(grid, z[1] - g)),
             v=v, beta=beta, time=state.time, k=k)
 
-    z1 = np.stack([restrict_boundary(state.f).coeffs,
-                   restrict_boundary(state.fdot).coeffs])
-    y = (state.fdot, state.v, state.beta, z1[1])
-    r1, n1 = nonlinear(state, z1)
-    z2 = apply(half, z1 + 0.5 * dt * n1)
-    r2, n2 = nonlinear(combine(z2, 0.5 * dt, r1), z2)
-    z3 = apply(half, z1) + 0.5 * dt * n2
-    r3, n3 = nonlinear(combine(z3, 0.5 * dt, r2), z3)
-    z4 = apply(full, z1) + dt * apply(half, n3)
-    r4, n4 = nonlinear(combine(z4, dt, r3), z4)
+    def rates(w):
+        z, stage = (z0, state) if w is w0 else at(w)
+        r, n = nonlinear(stage, z)
+        return (apply(turn(-w[-1]), n),) + r + (1.0,)
 
-    z = apply(full, z1 + dt / 6.0 * n1) + dt / 6.0 * (
-        2.0 * apply(half, n2 + n3) + n4)
-    end = combine(z, dt / 6.0, tuple(a + 2.0 * b + 2.0 * c + d
-                                     for a, b, c, d in zip(r1, r2, r3, r4)))
+    z0 = np.stack([restrict_boundary(state.f).coeffs,
+                   restrict_boundary(state.fdot).coeffs])
+    w0 = (z0, state.fdot, state.v, state.beta, z0[1], 0.0)
+    _, end = at(rk4(rates, w0, dt))
     return dataclasses.replace(end, v=hodge_P(end.v),
                                beta=end.beta.renormalize_boundary(),
                                time=state.time + dt)

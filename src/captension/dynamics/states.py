@@ -1,5 +1,5 @@
 """State containers for the two flows, their shared initial data, and
-the RK4 step of the fixed-disk, unsplit and vorticity integrators."""
+the RK4 step of every integrator."""
 
 from dataclasses import dataclass
 
@@ -16,7 +16,7 @@ from ..diskfield import (
     laplacian,
 )
 from ..projections import hodge_P
-from ..shape import _hessian_det
+from ..shape import volume_residual
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,10 @@ class FreeBoundaryState:
         beta Jacobian."""
         div_v = float(np.abs(divergence(self.v).values).max())
         v, nu = self.v.values[:, -1], self.v.grid.xy[:, -1]
-        vol = float(np.abs((laplacian(self.f).values
-                            + _hessian_det(self.f))[:-1, :]).max())
         return {
             "div_v": div_v,
             "v_normal": float(np.abs((v * nu).sum(axis=0)).max()),
-            "volume_residual": vol,
+            "volume_residual": volume_residual(self.f)[0],
             "beta_jacobian": float(np.abs(jacobian_det(self.beta).values - 1.0).max()),
         }
 

@@ -57,9 +57,16 @@ def _load_config(args):
            else ExperimentConfig())
     # a --k run is a one-k config, so --k meets the k_list rules
     k = getattr(args, "k", None)
-    return cfg.with_overrides(n_theta=args.n_theta, t_final=args.t_final,
-                              out_dir=args.out_dir,
-                              k_list=None if k is None else (k,))
+    cfg = cfg.with_overrides(n_theta=args.n_theta, t_final=args.t_final,
+                             out_dir=args.out_dir,
+                             k_list=None if k is None else (k,))
+    # before any work, so an unusable directory costs no run
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create out_dir {cfg.out_dir}: {exc}") from exc
+    return cfg
 
 
 def _write_series(record, path):
@@ -74,7 +81,6 @@ def _cmd_run(args):
     cfg = _load_config(args)
     k = cfg.k_list[0]
     record = run_single(cfg, k)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     series_path = os.path.join(cfg.out_dir, "run_k%g.csv" % k)
     _write_series(record, series_path)
     print("k = %g  steps to T = %g  (%d output times)"
@@ -94,7 +100,6 @@ def _cmd_run(args):
 def _cmd_sweep(args):
     cfg = _load_config(args)
     result = run_sweep(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "sweep.csv")
     emit_csv(result.rows, csv_path)
 
@@ -126,7 +131,6 @@ def _cmd_oracle(args):
     cfg = _load_config(args)
     k = cfg.k_list[0]
     rows = oracle_compare(cfg, k)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "oracle_gap.csv")
     print("split vs one-piece law at k = %g" % k)
     for t, ge, gd in rows:

@@ -41,6 +41,7 @@ from .diskfield import (
 __all__ = [
     "CurvatureExpansion",
     "solve_volume_constraint",
+    "volume_residual",
     "compose_Phi",
     "boundary_curvature",
     "curvature_exact",
@@ -67,9 +68,12 @@ class CurvatureExpansion:
     M5: BoundaryFunction
 
 
-def _hessian_det(f):
+def volume_residual(f):
+    """(max |lap f + det D^2 f| over the interior rings, det D^2 f); on
+    the r = 1 ring the trace condition replaces the equation."""
     fxx, fxy, fyx, fyy = hessian(f)
-    return fxx * fyy - fxy * fyx
+    det = fxx * fyy - fxy * fyx
+    return float(np.abs((laplacian(f).values + det)[:-1, :]).max()), det
 
 
 def solve_volume_constraint(h):
@@ -78,9 +82,7 @@ def solve_volume_constraint(h):
     Fixed-point iteration f <- harmonic_extension(h) - lap^-1(det D^2 f)
     (zero-trace inverse), which contracts at a rate proportional to the
     amplitude of h; data too large for it is rejected by its stalling.
-    Returns f once max |lap f + det D^2 f| over the interior rings (on
-    the r = 1 ring the trace condition replaces the equation) is below
-    TOL_VOL.
+    Returns f once its volume_residual is below TOL_VOL.
     """
     grid = h.grid
     base = harmonic_extension(h)
@@ -94,8 +96,7 @@ def solve_volume_constraint(h):
     f = base
     history = []
     for _ in range(400):
-        det = _hessian_det(f)
-        res = float(np.abs((laplacian(f).values + det)[:-1, :]).max())
+        res, det = volume_residual(f)
         if res < TOL_VOL:
             return f
         history.append(res)

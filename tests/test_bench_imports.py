@@ -15,6 +15,7 @@ import captension
 from captension.diskfield import (BoundaryFunction, ScalarField, calculus,
                                   elliptic, harmonic_extension, identity_map)
 from captension.dynamics import invert_disk_map, stream_initial_velocity
+from captension.harness import run as run_module
 from captension.projections import (hodge_P, solve_L1_inverse,
                                     solve_pulled_back_laplacian)
 from captension.shape import solve_volume_constraint
@@ -46,6 +47,18 @@ def test_every_bench_import_resolves():
         if name is not None and not hasattr(mod, name):
             missing.append((where, module, name))
     assert not missing
+
+
+def test_every_first_step_stamp_wraps_what_the_runs_call():
+    # worker.py stamps set-up's end on getattr(captension.dynamics, n) for
+    # n in FIRST_STEP, a lookup the import scan above does not see
+    tree = ast.parse((BENCH / "worker.py").read_text(encoding="utf-8"))
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["FIRST_STEP"])
+    assert len(names) == 3
+    for name in names:
+        assert getattr(run_module, name) is getattr(captension.dynamics, name)
 
 
 def test_every_exported_name_exists():

@@ -271,6 +271,33 @@ def test_rk4_is_fourth_order():
     assert 14.0 <= error(20) / error(40) <= 18.0
 
 
+def test_every_integrator_step_is_one_rk4_call(coarse_grid, monkeypatch):
+    # the free step is rk4 in the interaction picture; its stage one is
+    # the given state, so only the three later stages and the end state
+    # solve the volume constraint
+    u0 = stream_initial_velocity(coarse_grid, 2, 0.05)
+    free = FreeBoundaryState.from_velocity(coarse_grid, u0, k=100.0)
+    dt = 0.5 * dt_max(100.0, coarse_grid.n_theta)
+    steps = {
+        "free": lambda: step_free_boundary(free, dt),
+        "fixed": lambda: step_fixed_euler(
+            FixedEulerState.from_velocity(coarse_grid, u0), dt),
+        "unsplit": lambda: step_unsplit(
+            DiskMap(VectorField.zeros(coarse_grid), kind="embedding"),
+            free.v, dt, 100.0),
+        "vorticity": lambda: vorticity_particle_step(
+            stream_initial_vorticity(coarse_grid, 2, 0.05),
+            identity_map(coarse_grid), dt),
+    }
+    calls = count_calls(monkeypatch, rk4)
+    volume = count_calls(monkeypatch, solve_volume_constraint)
+    for name, step in steps.items():
+        calls.clear()
+        step()
+        assert len(calls) == 1, name
+    assert len(volume) == 4
+
+
 def test_capillary_bound_formula():
     assert dt_max(100.0, 32) == pytest.approx(
         0.5 / np.sqrt(100.0 * 16.0 ** 3))

@@ -365,6 +365,20 @@ class TestCli:
         assert "n_theta >= 10" in capsys.readouterr().err
         assert not (tmp_path / "oracle_gap.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "oracle-compare"])
+    def test_unusable_out_dir_exits_3_before_any_work(self, tmp_path, capsys,
+                                                      monkeypatch, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        p = tmp_path / "tiny.cfg"
+        p.write_text("n_theta = 16\nn_r = 8\nT = 2e-3\nn_outputs = 2\n")
+        calls = [count_calls(monkeypatch, fn) for fn in
+                 (run_single, run_sweep, oracle_compare)]
+        assert main([command, "--config", str(p),
+                     "--out-dir", str(blocker / "sub")]) == 3
+        assert "cannot create out_dir" in capsys.readouterr().err
+        assert calls == [[], [], []]
+
     def test_run_writes_series_csv(self, tmp_path, capsys):
         p = tmp_path / "tiny.cfg"
         p.write_text("n_theta = 16\nn_r = 8\nT = 2e-3\nn_outputs = 2\n"
