@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConfigError, PointOutsideDomainError
+from ..errors import PointOutsideDomainError
 from .fields import BoundaryFunction, DiskMap, ScalarField, VectorField
 
 __all__ = ["grad_values", "gradient", "divergence", "laplacian", "hessian",
@@ -198,8 +198,8 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     if plan is None:
         plan = evaluation_plan(grid, points, clamp_tol=clamp_tol)
     elif plan.clamp_tol != clamp_tol:
-        raise ConfigError(f"a plan checked under clamp_tol {plan.clamp_tol:g}"
-                          f" cannot serve clamp_tol {clamp_tol:g}")
+        raise ValueError(f"a plan checked under clamp_tol {plan.clamp_tol:g}"
+                         f" cannot serve clamp_tol {clamp_tol:g}")
     C = grid.to_modes(values)
     # per parity, (F, n_r, 2 M_p): each ring's (Re, -Im) pairs
     rings = [np.conj(C[..., p::2]).view(float) for p in (0, 1)]
@@ -228,11 +228,11 @@ def compose(f, g, *, clamp_tol=None):
     its own.
     """
     if not isinstance(g, DiskMap):
-        raise ConfigError("compose expects a DiskMap on the right")
+        raise TypeError("compose expects a DiskMap on the right")
     if g.kind != "diffeo":
-        raise ConfigError("compose requires a diffeomorphism of the disk")
+        raise ValueError("compose requires a diffeomorphism of the disk")
     if not isinstance(f, (ScalarField, VectorField)):
-        raise ConfigError("compose expects a ScalarField or VectorField on the left")
+        raise TypeError("compose expects a ScalarField or VectorField on the left")
     if clamp_tol is None:
         clamp_tol = _COMPOSE_CLAMP
     points = g.image_points()

@@ -10,7 +10,7 @@ object.
 
 import numpy as np
 
-from ..errors import ConfigError, NonFiniteError
+from ..errors import NonFiniteError
 
 __all__ = ["ScalarField", "VectorField", "BoundaryFunction", "DiskMap",
            "identity_map", "rotation_map"]
@@ -27,7 +27,7 @@ class _Field:
         values = np.ascontiguousarray(values, dtype=float)
         shape = self._lead + (grid.n_r, grid.n_theta)
         if values.shape != shape:
-            raise ConfigError(
+            raise ValueError(
                 f"{type(self).__name__} sample shape {values.shape} does not "
                 f"match {shape}")
         if not np.isfinite(values).all():
@@ -103,10 +103,10 @@ class BoundaryFunction:
     def __init__(self, grid, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (grid.n_modes,):
-            raise ConfigError(f"expected {grid.n_modes} boundary coefficients")
+            raise ValueError(f"expected {grid.n_modes} boundary coefficients")
         if abs(coeffs[0].imag) > 1e-12 * (1 + abs(coeffs[0])) or \
            abs(coeffs[-1].imag) > 1e-12 * (1 + abs(coeffs[-1])):
-            raise ConfigError("m=0 and Nyquist coefficients of a real series must be real")
+            raise ValueError("m=0 and Nyquist coefficients of a real series must be real")
         coeffs = coeffs.copy()
         coeffs[0] = coeffs[0].real
         coeffs[-1] = coeffs[-1].real
@@ -125,7 +125,7 @@ class BoundaryFunction:
     def from_samples(cls, grid, ring):
         ring = np.asarray(ring, dtype=float)
         if ring.shape != (grid.n_theta,):
-            raise ConfigError("boundary sample count must equal n_theta")
+            raise ValueError("boundary sample count must equal n_theta")
         C = np.fft.rfft(ring) / grid.n_theta
         C[-1] *= 0.5
         return cls(grid, C)
@@ -176,7 +176,7 @@ class DiskMap:
 
     def __init__(self, displacement, kind="diffeo"):
         if kind not in ("diffeo", "embedding"):
-            raise ConfigError(f"unknown DiskMap kind {kind!r}")
+            raise ValueError(f"unknown DiskMap kind {kind!r}")
         object.__setattr__(self, "grid", displacement.grid)
         object.__setattr__(self, "displacement", displacement)
         object.__setattr__(self, "kind", kind)

@@ -4,7 +4,9 @@ The Lagrangian route advances the particle map zeta by the acceleration
 operator Z; the Eulerian route transports vorticity with the velocity
 recovered from a stream function.  They discretize the same flow with
 disjoint machinery, so their particle maps agreeing is a meaningful
-cross-check rather than a tautology.
+cross-check rather than a tautology.  Neither projects its velocity
+after a step: Z acts on the Leray part of every stage velocity, and a
+stream function's velocity is divergence-free.
 """
 
 from ..diskfield import (
@@ -37,7 +39,8 @@ def invert_disk_map(alpha, near=None):
     first guess x - d(x).  The preimages and the plan of Newton's
     converged pass are cached on the (immutable) map, so repeated
     operator applications at one alpha pay once, and the evaluation at
-    the preimages that follows builds no plan.
+    the preimages that follows builds no plan.  step_fixed_euler inverts
+    its end map, so the next step's first stage finds them cached.
     """
     cached = alpha._cache.get("inverse")
     if cached is None:
@@ -51,35 +54,28 @@ def invert_disk_map(alpha, near=None):
     return cached[0]
 
 
-def _velocity_at_labels(alpha, vel, near=None):
-    """vel o alpha^-1 as a field on the disk; near as for invert_disk_map."""
-    Y = invert_disk_map(alpha, near)
-    vals = evaluate_vector_at(vel, Y, clamp_tol=STAGE_CLAMP,
-                              plan=alpha._cache["inverse"][1])
-    return VectorField(alpha.grid, vals.T.reshape(vel.values.shape))
-
-
 def euler_Z(alpha, vel, near=None):
     """Lagrangian acceleration Z(alpha, v) = (Q((u.grad) P u)) o alpha
     with u = v o alpha^-1.  near, a map close to alpha whose inverse is
     cached, warm-starts the inversion of alpha (see invert_disk_map)."""
-    u = _velocity_at_labels(alpha, vel, near)
+    Y = invert_disk_map(alpha, near)
+    vals = evaluate_vector_at(vel, Y, clamp_tol=STAGE_CLAMP,
+                              plan=alpha._cache["inverse"][1])
+    u = VectorField(alpha.grid, vals.T.reshape(vel.values.shape))
     return compose(hodge_Q(advect(u, hodge_P(u))), alpha,
                    clamp_tol=STAGE_CLAMP)
 
 
 def step_fixed_euler(state, dt):
-    """RK4 on (zeta, zetadot) with post-step Leray projection of the
-    velocity (transported to labels and back).  Every stage map after
-    the first, and the renormalised end map, start Newton from the
-    preimages and plan cached on the base map state.zeta."""
+    """RK4 on (zeta, zetadot) and the boundary renormalisation of zeta;
+    no projection follows.  Every stage map after the first, and the
+    renormalised end map, start Newton from the preimages and plan
+    cached on the base map state.zeta."""
     zeta, vel = rk4(lambda y: (y[1], euler_Z(*y, near=state.zeta)),
                     (state.zeta, state.zetadot), dt)
     zeta_new = zeta.renormalize_boundary()
-    u = _velocity_at_labels(zeta_new, vel, near=state.zeta)
-    vel_proj = compose(hodge_P(u), zeta_new, clamp_tol=STAGE_CLAMP)
-    return FixedEulerState(zeta=zeta_new, zetadot=vel_proj,
-                           time=state.time + dt)
+    invert_disk_map(zeta_new, near=state.zeta)
+    return FixedEulerState(zeta=zeta_new, zetadot=vel, time=state.time + dt)
 
 
 def vorticity_velocity(omega):

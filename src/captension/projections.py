@@ -18,7 +18,7 @@ Laplacian lap_xi used by the pressure solve on a deformed domain.
 
 import numpy as np
 
-from .errors import ConfigError, NoConvergenceError, VolumeDefectError
+from .errors import NoConvergenceError, VolumeDefectError
 from .diskfield import (
     ScalarField,
     VectorField,
@@ -137,7 +137,7 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
     """
     grid = rhs.grid
     if xi.grid is not grid:
-        raise ConfigError("map and source live on different grids")
+        raise ValueError("map and source live on different grids")
     det, (b11, b12, b21, b22) = inverse_jacobian(xi)
     if np.abs(det - 1.0).max() > det_tol:
         raise VolumeDefectError(

@@ -8,7 +8,7 @@ from captension.diskfield import (DiskMap, ScalarField, VectorField, compose,
                                   evaluation_plan, grad_values, gradient,
                                   hessian, identity_map, jacobian_det,
                                   laplacian, restrict_boundary, rotation_map)
-from captension.errors import ConfigError, PointOutsideDomainError
+from captension.errors import PointOutsideDomainError
 
 
 def poly(grid):
@@ -159,7 +159,7 @@ def test_compose_keeps_one_read_only_plan_per_clamp_tolerance(grid):
     plan = g._cache["image_plan", 1e-5]
     assert not any(a.flags.writeable
                    for a in (*plan.radial, *plan.angular, *plan.snap))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         evaluate_vector_at(f, points, clamp_tol=1e-8, plan=plan)
 
 

@@ -390,13 +390,16 @@ def test_warm_started_inversion_matches_a_cold_one(grid, monkeypatch):
 
 def test_a_fixed_step_builds_twelve_plans(grid, monkeypatch):
     # three stage maps and the end map: each an inversion of about
-    # three Newton passes, one plan a pass but the warm-started first,
-    # and one composition; the base map's preimages and plans were
-    # built in the previous step
+    # three Newton passes, one plan a pass but the warm-started first;
+    # and four compositions, one per stage, the base map's among them.
+    # The base map's preimages and plans were built in the previous
+    # step, which inverts its end map and composes nothing with it
     state = _lagrangian_workload_step(grid)
+    assert "inverse" in state.zeta._cache
     plans = count_plans(monkeypatch)
-    step_fixed_euler(state, 0.005)
+    state = step_fixed_euler(state, 0.005)
     assert len(plans) <= 12
+    assert "inverse" in state.zeta._cache
 
 
 def test_reconstruct_eta_builds_one_plan(grid, monkeypatch):
@@ -434,6 +437,23 @@ def test_lagrangian_map_matches_vorticity_oracle(grid):
         omega, phi = vorticity_particle_step(omega, phi, 1e-3)
     gap = sobolev_norm_disk(state.zeta.displacement - phi.displacement, 1)
     assert gap < 1e-9
+
+
+def test_lagrangian_map_follows_the_vorticity_oracle_through_motion(
+        coarse_grid):
+    # by t = 0.5 the particles move 0.13 of the radius; a Leray
+    # projection of zetadot after each step, through zeta's inverse,
+    # makes this flow blow up after t = 0.448
+    amp, dt = 0.5, 1e-3
+    state = FixedEulerState.from_velocity(
+        coarse_grid, stream_initial_velocity(coarse_grid, 2, amp))
+    omega = stream_initial_vorticity(coarse_grid, 2, amp)
+    phi = identity_map(coarse_grid)
+    for _ in range(500):
+        state = step_fixed_euler(state, dt)
+        omega, phi = vorticity_particle_step(omega, phi, dt)
+    gap = sobolev_norm_disk(state.zeta.displacement - phi.displacement, 1)
+    assert gap < 1e-3
 
 
 def test_unsplit_rest_state(grid):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from captension.diskfield import ScalarField, VectorField
-from captension.errors import ConfigError, NonFiniteError
+from captension.errors import NonFiniteError
 
 KINDS = pytest.mark.parametrize("cls", [ScalarField, VectorField])
 OTHER_KIND = {ScalarField: VectorField, VectorField: ScalarField}
@@ -15,11 +15,11 @@ def sample_shape(cls, grid):
 
 
 @KINDS
-def test_wrong_shape_is_a_config_error(grid, cls):
+def test_wrong_shape_is_a_value_error(grid, cls):
     shape = sample_shape(cls, grid)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         cls(grid, np.zeros(shape[:-1] + (grid.n_theta + 1,)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         cls(grid, np.zeros(sample_shape(OTHER_KIND[cls], grid)))
 
 

@@ -393,11 +393,12 @@ class TestCli:
 
     def test_mid_run_breakdown_exits_2_with_partial_series(self, tmp_path,
                                                            capsys):
-        # a large amplitude at k = 1 drives the free flow off the volume
-        # constraint well before T
+        # amplitude 2 at k = 1 drives the free flow off the volume
+        # constraint (VolumeDefectError near t = 0.256) while the
+        # fixed-disk flow still runs clean
         p = tmp_path / "wild.cfg"
         p.write_text("n_theta = 16\nn_r = 8\nt_final = 0.5\nk_list = 1\n"
-                     "amplitude = 0.5\nn_outputs = 6\n"
+                     "amplitude = 2.0\nn_outputs = 6\n"
                      f"out_dir = {tmp_path}\n")
         assert main(["run", "--config", str(p)]) == 2
         assert "solver failed" in capsys.readouterr().err
