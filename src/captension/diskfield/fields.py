@@ -126,7 +126,7 @@ class BoundaryFunction:
         ring = np.asarray(ring, dtype=float)
         if ring.shape != (grid.n_theta,):
             raise ValueError("boundary sample count must equal n_theta")
-        C = np.fft.rfft(ring) / grid.n_theta
+        C = grid.to_modes(ring) / grid.n_theta
         C[-1] *= 0.5
         return cls(grid, C)
 
@@ -145,7 +145,7 @@ class BoundaryFunction:
     def samples(self):
         C = self.coeffs.copy()
         C[-1] *= 2.0
-        return np.fft.irfft(C * self.grid.n_theta, n=self.grid.n_theta)
+        return self.grid.from_modes(C * self.grid.n_theta)
 
     def rfft_coeffs(self):
         """Coefficients in numpy rfft convention (for the modal solvers)."""

@@ -18,6 +18,11 @@ Laplacian
 needs.  The per-mode operators (Laplacian, Dirichlet inverse, Hodge
 potential and gradient) are built eagerly here and cached, so a grid is
 never modified and one instance serves every field of its shape.
+
+The angular transform to the rfft layout and back (to_modes and
+from_modes) is one product against a cached real DFT matrix each way:
+on a few dozen angles an FFT call costs almost only its call overhead,
+and the matrix product about half as much or less.
 """
 
 import numpy as np
@@ -131,6 +136,19 @@ class DiskGrid:
 
         # angular wavenumbers for the real FFT layout
         self.modes = np.arange(self.n_modes)
+        # real DFT tables: values @ _dft is the (Re, Im) pair per mode,
+        # pairs @ _idft the irfft (weights 1/n, 2/n, ..., 1/n; Im of mode
+        # 0 and Nyquist ignored).  Angles from the exact integer j m mod
+        # n: from theta * m the tables would be off by up to about 4e-14
+        angle = (2.0 * np.pi / n_theta) * (
+            np.outer(np.arange(n_theta), self.modes) % n_theta)
+        dft = np.stack([np.cos(angle), -np.sin(angle)], axis=-1)
+        dft[:, [0, -1], 1] = 0.0
+        self._dft = dft.reshape(n_theta, 2 * self.n_modes)
+        weight = np.full(self.n_modes, 2.0 / n_theta)
+        weight[[0, -1]] = 1.0 / n_theta
+        self._idft = (dft * weight[:, None]).transpose(1, 2, 0).reshape(
+            2 * self.n_modes, n_theta)
         ik = 1j * self.modes.astype(float)
         ik[-1] = 0.0  # Nyquist derivative vanishes at the sample points
         self.ik = ik
@@ -179,18 +197,20 @@ class DiskGrid:
 
         for name in ("x_full", "bary_weights", "pos_full", "neg_full", "r", "theta",
                      "rr", "tt", "xy", "xx", "yy", "weights_r", "modes", "ik",
-                     "lap_stack", "dirichlet_inv", "hodge_inv", "hodge_grad",
-                     "harmonic_profiles"):
+                     "_dft", "_idft", "lap_stack", "dirichlet_inv", "hodge_inv",
+                     "hodge_grad", "harmonic_profiles"):
             getattr(self, name).setflags(write=False)
 
     # ---- transforms -------------------------------------------------
 
     def to_modes(self, values):
-        """Real samples (..., n_r, n_theta) -> rfft coefficients (..., n_r, n_modes)."""
-        return np.fft.rfft(values, axis=-1)
+        """Real samples (..., n_theta) -> rfft coefficients (..., n_modes)."""
+        return (values @ self._dft).view(complex)
 
     def from_modes(self, coeffs):
-        return np.fft.irfft(coeffs, n=self.n_theta, axis=-1)
+        """rfft coefficients (..., n_modes) -> real samples (..., n_theta)."""
+        pairs = np.ascontiguousarray(coeffs, dtype=complex).view(float)
+        return pairs @ self._idft
 
     def polar_derivatives(self, values):
         """(d_r, d_theta) of samples shaped (..., n_r, n_theta), stacked.

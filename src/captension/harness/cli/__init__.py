@@ -11,6 +11,10 @@ from ..run import SWEEP_QUANTITIES, oracle_compare, run_single, run_sweep
 
 __all__ = ["main", "build_parser"]
 
+# config keys a command never reads: given to it they would change nothing
+_UNREAD_KEYS = {"run": ("c_cfl",), "sweep": ("c_cfl",),
+                "oracle-compare": ("dt_fixed", "n_outputs")}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage, which is reserved for
@@ -53,8 +57,9 @@ def build_parser():
 
 
 def _load_config(args):
-    cfg = (ExperimentConfig.from_file(args.config) if args.config
-           else ExperimentConfig())
+    cfg = (ExperimentConfig.from_file(args.config,
+                                      unread=_UNREAD_KEYS[args.command])
+           if args.config else ExperimentConfig())
     # a --k run is a one-k config, so --k meets the k_list rules
     k = getattr(args, "k", None)
     cfg = cfg.with_overrides(n_theta=args.n_theta, t_final=args.t_final,
@@ -92,7 +97,8 @@ def _cmd_run(args):
     print("  max relative E drift  = %.6e" % record.energy_drift)
     print("  series -> %s" % series_path)
     if not record.converged:
-        print("solver failed at t = %s" % record.fail_time, file=sys.stderr)
+        print("solver failed at t = %.6g (%s)"
+              % (record.fail_time, record.failure), file=sys.stderr)
         return 2
     return 0
 
@@ -114,7 +120,8 @@ def _cmd_sweep(args):
     for r in result.rows:
         print("k = %-8g sup|nabla f|_L2 = %.6e  eta gap H1 = %.6e  %s"
               % (r.k, r.sup_nabla_f_L2, r.sup_eta_gap_H1,
-                 "ok" if r.converged else "FAILED at t=%s" % r.fail_time))
+                 "ok" if r.converged
+                 else "FAILED at t = %.6g (%s)" % (r.fail_time, r.failure)))
     for name in SWEEP_QUANTITIES:
         if name in result.fitted_exponents:
             s, q = result.fitted_exponents[name]

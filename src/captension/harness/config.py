@@ -58,19 +58,24 @@ class ExperimentConfig:
             raise ConfigError("dt_fixed must be finite and positive")
 
     @classmethod
-    def from_mapping(cls, mapping):
-        """Build from string-keyed values, coercing types per field."""
+    def from_mapping(cls, mapping, unread=()):
+        """Build from string-keyed values, coercing types per field; a
+        key in `unread`, which the command never reads, is rejected."""
         types = {f.name: f for f in dataclasses.fields(cls)}
         kwargs = {}
         for raw_key, value in mapping.items():
             key = _ALIASES.get(raw_key, raw_key)
             if key not in types:
                 raise ConfigError(f"unknown configuration key {raw_key!r}")
+            if key in unread:
+                raise ConfigError(
+                    f"configuration key {raw_key!r} is not read by this "
+                    "command and would change nothing")
             kwargs[key] = _coerce(key, value)
         return cls(**kwargs)
 
     @classmethod
-    def from_file(cls, path):
+    def from_file(cls, path, unread=()):
         mapping = {}
         try:
             with open(path, encoding="utf-8") as fh:
@@ -85,7 +90,7 @@ class ExperimentConfig:
                     mapping[key.strip()] = value.strip()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_mapping(mapping)
+        return cls.from_mapping(mapping, unread)
 
     def with_overrides(self, **kwargs):
         updates = {}

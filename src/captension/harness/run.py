@@ -40,6 +40,7 @@ class RunRecord:
     energy_drift: float
     converged: bool
     fail_time: float = None
+    failure: str = None
     series: dict = field(default_factory=dict, repr=False)
 
 
@@ -62,8 +63,9 @@ class _FixedFlow:
     stepped to on its first request; what a record reads of it, zeta's
     displacement and zetadot, is kept, and of the states only the last,
     to step from: a state's maps carry cached inverses and evaluation
-    plans that no record needs.  A solver failure is kept as well and
-    raised again for every later request past it.
+    plans that no record needs.  A solver failure is kept as well, in
+    `failure` with the time of the state the failing step started from,
+    and raised again for every later request past it.
     """
 
     def __init__(self, config):
@@ -71,21 +73,21 @@ class _FixedFlow:
         u0 = stream_initial_velocity(grid, config.stream_mode, config.amplitude)
         self._state = FixedEulerState.from_velocity(grid, u0)
         self._outputs = [(self._state.zeta.displacement, self._state.zetadot)]
-        self._failure = None
+        self.failure = None  # (time, error)
         segment = config.T / (config.n_outputs - 1)
         self._n_sub, self._dt = _substeps(segment, config.dt_fixed)
 
     def at(self, j):
         """(zeta displacement, zetadot) at output time j."""
         while len(self._outputs) <= j:
-            if self._failure is not None:
-                raise self._failure
+            if self.failure is not None:
+                raise self.failure[1]
             state = self._state
             try:
                 for _ in range(self._n_sub):
                     state = step_fixed_euler(state, self._dt)
             except SolverError as exc:
-                self._failure = exc
+                self.failure = (state.time, exc)
                 raise
             self._state = state
             self._outputs.append((state.zeta.displacement, state.zetadot))
@@ -103,7 +105,8 @@ def run_single(config, k, fixed_flow=None):
     the k-independent fixed-disk flow that `run_sweep` shares between
     its k values; alone, run_single integrates its own.  A solver
     failure in either flow closes the record early with converged =
-    False and the free time kept.
+    False, the failing flow's time in fail_time and, in failure, that
+    flow ("free" or "fixed"), the error class and its message.
     """
     if fixed_flow is None:
         fixed_flow = _FixedFlow(config)
@@ -141,16 +144,17 @@ def run_single(config, k, fixed_flow=None):
         return energy
 
     e0 = record(free, *fixed_flow.at(0), None)
-    converged = True
-    fail_time = None
+    fail_time = failure = None
     for j in range(1, config.n_outputs):
         try:
             for _ in range(n_free):
                 free = step_free_boundary(free, dt_free)
             record(free, *fixed_flow.at(j), e0)
-        except SolverError:
-            converged = False
-            fail_time = free.time
+        except SolverError as exc:
+            flow, fail_time = "free", free.time
+            if fixed_flow.failure is not None and exc is fixed_flow.failure[1]:
+                flow, fail_time = "fixed", fixed_flow.failure[0]
+            failure = "%s flow, %s: %s" % (flow, type(exc).__name__, exc)
             break
         times.append(free.time)
 
@@ -162,8 +166,9 @@ def run_single(config, k, fixed_flow=None):
         sup_eta_gap_H1=max(series["eta_gap_H1"]),
         sup_etadot_gap_H1=max(series["etadot_gap_H1"]),
         energy_drift=max(series["energy_drift"]),
-        converged=converged,
+        converged=failure is None,
         fail_time=fail_time,
+        failure=failure,
         series={q: tuple(v) for q, v in series.items()},
     )
 

@@ -4,8 +4,9 @@ import sys
 
 import numpy as np
 
-from captension.diskfield import (BoundaryFunction, VectorField, calculus,
-                                  restrict_boundary, sobolev_norm_boundary)
+from captension.diskfield import (BoundaryFunction, DiskGrid, VectorField,
+                                  calculus, restrict_boundary,
+                                  sobolev_norm_boundary)
 from captension.dynamics import FreeBoundaryState, rhs_free_boundary
 from captension.dynamics.states import rk4
 from captension.projections import hodge_P
@@ -74,13 +75,15 @@ def count_plans(monkeypatch):
 
 
 def count_ffts(monkeypatch):
-    """Count np.fft.rfft and np.fft.irfft calls, by name."""
+    """Count the angular transforms, DiskGrid.to_modes as "rfft" and
+    DiskGrid.from_modes as "irfft", on every grid."""
     calls = {"rfft": 0, "irfft": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+    for name, method in (("rfft", "to_modes"), ("irfft", "from_modes")):
+        def counted(self, *args, _fn=getattr(DiskGrid, method), _name=name,
+                    **kwargs):
             calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(DiskGrid, method, counted)
     return calls
 
 

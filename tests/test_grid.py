@@ -1,8 +1,12 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import captension
 from captension.diskfield import BoundaryFunction, make_grid
 from captension.errors import ConfigError
 
@@ -50,6 +54,53 @@ def test_modal_round_trip(grid, rng):
     vals = rng.standard_normal((grid.n_r, grid.n_theta))
     back = grid.from_modes(grid.to_modes(vals))
     assert np.allclose(back, vals, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(32, 16), (16, 8), (12, 8)])
+@pytest.mark.parametrize("lead", [(), (2,), (4,)])
+def test_transforms_agree_with_numpy_fft(shape, lead, rng):
+    grid = make_grid(*shape)
+    vals = rng.standard_normal(lead + (grid.n_r, grid.n_theta))
+    assert np.abs(grid.to_modes(vals) - np.fft.rfft(vals, axis=-1)).max() \
+        <= 1e-14 * np.abs(vals).max()
+    mshape = lead + (grid.n_r, grid.n_modes)
+    modes = rng.standard_normal(mshape) + 1j * rng.standard_normal(mshape)
+    back = np.fft.irfft(modes, n=grid.n_theta, axis=-1)
+    assert np.abs(grid.from_modes(modes) - back).max() \
+        <= 1e-14 * np.abs(back).max()
+
+
+def test_mode_0_and_nyquist_stay_real(grid, rng):
+    # rfft writes their Im parts as 0 and irfft ignores them
+    C = grid.to_modes(rng.standard_normal((grid.n_r, grid.n_theta)))
+    assert not C[:, [0, -1]].imag.any()
+    noisy = C.copy()
+    noisy[:, [0, -1]] += 1j * rng.standard_normal((grid.n_r, 2))
+    assert np.array_equal(grid.from_modes(noisy), grid.from_modes(C))
+
+
+def test_stacked_transforms_match_each_field(grid, rng):
+    vals = rng.standard_normal((4, grid.n_r, grid.n_theta))
+    C = grid.to_modes(vals)
+    back = grid.from_modes(C)
+    for i in range(4):
+        assert np.array_equal(C[i], grid.to_modes(vals[i]))
+        assert np.array_equal(back[i], grid.from_modes(C[i]))
+
+
+def test_boundary_samples_round_trip(grid, rng):
+    ring = rng.standard_normal(grid.n_theta)
+    b = BoundaryFunction.from_samples(grid, ring)
+    assert np.allclose(b.samples(), ring, rtol=0.0, atol=1e-14)
+    assert np.allclose(b.rfft_coeffs(), np.fft.rfft(ring), rtol=0.0, atol=1e-13)
+
+
+def test_no_module_calls_numpy_fft():
+    # one implementation of the angular transform: the grid's tables
+    root = pathlib.Path(captension.__file__).parent
+    users = [str(p.relative_to(root)) for p in sorted(root.rglob("*.py"))
+             if re.search(r"\bfft\b", p.read_text(encoding="utf-8"))]
+    assert users == []
 
 
 def test_dtheta_on_single_mode(grid):

@@ -271,7 +271,10 @@ class TestRuns:
         rows = run_sweep(cfg).rows
         for row in rows:
             assert not row.converged
-            assert row.fail_time == pytest.approx(2 * segment, rel=1e-12)
+            # the fixed flow's own time: its step from t = segment failed
+            assert row.fail_time == pytest.approx(segment, rel=1e-12)
+            assert row.failure == ("fixed flow, SolverError: "
+                                   "fixed flow breaks down")
             assert row.times == pytest.approx((0.0, segment), rel=1e-12)
             assert all(len(v) == len(row.times) for v in row.series.values())
         # segment 1 once, then the failing call of segment 2 once
@@ -371,13 +374,29 @@ class TestCli:
         blocker = tmp_path / "file"
         blocker.write_text("")
         p = tmp_path / "tiny.cfg"
-        p.write_text("n_theta = 16\nn_r = 8\nT = 2e-3\nn_outputs = 2\n")
+        p.write_text("n_theta = 16\nn_r = 8\nT = 2e-3\n")
         calls = [count_calls(monkeypatch, fn) for fn in
                  (run_single, run_sweep, oracle_compare)]
         assert main([command, "--config", str(p),
                      "--out-dir", str(blocker / "sub")]) == 3
         assert "cannot create out_dir" in capsys.readouterr().err
         assert calls == [[], [], []]
+
+    @pytest.mark.parametrize("command, key", [
+        ("run", "c_cfl"), ("sweep", "c_cfl"), ("oracle-compare", "dt_fixed"),
+        ("oracle-compare", "n_outputs")])
+    def test_a_key_the_command_does_not_read_exits_3(
+            self, tmp_path, capsys, monkeypatch, command, key):
+        p = tmp_path / "tiny.cfg"
+        p.write_text(f"n_theta = 16\nn_r = 8\nT = 2e-3\n{key} = 2\n"
+                     f"out_dir = {tmp_path}\n")
+        calls = [count_calls(monkeypatch, fn) for fn in
+                 (run_single, run_sweep, oracle_compare)]
+        assert main([command, "--config", str(p)]) == 3
+        assert f"{key!r} is not read by this command" in capsys.readouterr().err
+        assert calls == [[], [], []]
+        # the file itself is valid: the other commands read the key
+        assert getattr(ExperimentConfig.from_file(p), key) == 2
 
     def test_run_writes_series_csv(self, tmp_path, capsys):
         p = tmp_path / "tiny.cfg"
@@ -401,7 +420,8 @@ class TestCli:
                      "amplitude = 2.0\nn_outputs = 6\n"
                      f"out_dir = {tmp_path}\n")
         assert main(["run", "--config", str(p)]) == 2
-        assert "solver failed" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "solver failed at t = 0.256 (free flow, VolumeDefectError: ")
         lines = (tmp_path / "run_k1.csv").read_text().splitlines()
         assert lines[0].startswith("time,")
         assert 2 <= len(lines) < 7
