@@ -219,13 +219,11 @@ def energy_report(state, derivatives=None):
     drops out of the integral and w is integrated directly.
     derivatives is output_derivatives(state) when the caller has it.
     """
-    grad_f, grad_fdot, w = derivatives or output_derivatives(state)
+    grad_f, _, w = derivatives or output_derivatives(state)
     kinetic = 0.5 * l2_norm_disk(w) ** 2
-    length = boundary_length(state.f, grad_f)
-    potential = state.k * (length - 2.0 * np.pi)
-    e_tilde = 0.5 * l2_norm_disk(grad_fdot) ** 2 + state.k * length
+    potential = state.k * (boundary_length(state.f, grad_f) - 2.0 * np.pi)
     return EnergyReport(kinetic=kinetic, potential=potential,
-                        E=kinetic + potential, E_tilde=e_tilde)
+                        E=kinetic + potential)
 
 
 def reconstruct_eta(state, derivatives=None):

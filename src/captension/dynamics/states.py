@@ -78,7 +78,6 @@ class EnergyReport:
     kinetic: float
     potential: float
     E: float
-    E_tilde: float
 
 
 def stream_function_field(grid, m, amplitude):

@@ -1,6 +1,7 @@
 """Command line entry points: run, sweep, oracle-compare."""
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -60,11 +61,13 @@ def _load_config(args):
     cfg = (ExperimentConfig.from_file(args.config,
                                       unread=_UNREAD_KEYS[args.command])
            if args.config else ExperimentConfig())
-    # a --k run is a one-k config, so --k meets the k_list rules
+    # the flags given, typed by argparse; a --k run is a one-k config,
+    # so --k meets the k_list rules
     k = getattr(args, "k", None)
-    cfg = cfg.with_overrides(n_theta=args.n_theta, t_final=args.t_final,
-                             out_dir=args.out_dir,
-                             k_list=None if k is None else (k,))
+    flags = {"n_theta": args.n_theta, "T": args.t_final,
+             "out_dir": args.out_dir, "k_list": None if k is None else (k,)}
+    cfg = dataclasses.replace(
+        cfg, **{key: v for key, v in flags.items() if v is not None})
     # before any work, so an unusable directory costs no run
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -136,10 +139,9 @@ def _cmd_sweep(args):
 
 def _cmd_oracle(args):
     cfg = _load_config(args)
-    k = cfg.k_list[0]
-    rows = oracle_compare(cfg, k)
+    rows = oracle_compare(cfg)
     path = os.path.join(cfg.out_dir, "oracle_gap.csv")
-    print("split vs one-piece law at k = %g" % k)
+    print("split vs one-piece law at k = %g" % cfg.k_list[0])
     for t, ge, gd in rows:
         print("  t = %-8.4f eta gap H1 = %.6e  etadot gap H1 = %.6e"
               % (t, ge, gd))

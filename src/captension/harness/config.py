@@ -1,4 +1,4 @@
-"""Experiment configuration: flat key = value files plus CLI overrides."""
+"""Experiment configuration: flat key = value files, typed per field."""
 
 import dataclasses
 import math
@@ -48,8 +48,8 @@ class ExperimentConfig:
             raise ConfigError("every k must be finite and positive")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ConfigError("k_list must be strictly increasing")
-        if self.stream_mode < 0:
-            raise ConfigError("stream_mode must be >= 0")
+        if not 0 <= self.stream_mode < self.n_theta // 2:
+            raise ConfigError("stream_mode must be >= 0 and < n_theta / 2")
         if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
             raise ConfigError("amplitude must be finite and >= 0")
         if self.n_outputs < 2:
@@ -59,13 +59,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping, unread=()):
-        """Build from string-keyed values, coercing types per field; a
+        """Build from string values, each typed as its field's default; a
         key in `unread`, which the command never reads, is rejected."""
-        types = {f.name: f for f in dataclasses.fields(cls)}
         kwargs = {}
         for raw_key, value in mapping.items():
             key = _ALIASES.get(raw_key, raw_key)
-            if key not in types:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"unknown configuration key {raw_key!r}")
             if key in unread:
                 raise ConfigError(
@@ -92,18 +91,8 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_mapping(mapping, unread)
 
-    def with_overrides(self, **kwargs):
-        updates = {}
-        for raw_key, value in kwargs.items():
-            if value is None:
-                continue
-            key = _ALIASES.get(raw_key, raw_key)
-            updates[key] = _coerce(key, value)
-        return dataclasses.replace(self, **updates)
 
-
-_INT_KEYS = {"n_theta", "n_r", "stream_mode", "n_outputs"}
-_FLOAT_KEYS = {"T", "c_cfl", "amplitude", "dt_fixed"}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _positive(x):
@@ -111,15 +100,12 @@ def _positive(x):
 
 
 def _coerce(key, value):
+    """A string typed as the field's default: int, float or str, and the
+    comma list of k for the tuple k_list."""
+    default = _DEFAULTS[key]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key == "k_list":
-            if isinstance(value, str):
-                value = value.split(",")
-            return tuple(float(v) for v in value)
-        return value
+        if isinstance(default, tuple):
+            return tuple(float(v) for v in value.split(","))
+        return type(default)(value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc

@@ -34,12 +34,6 @@ def emit_csv(rows, path):
                for r in rows])
 
 
-def _ticks(lo, hi):
-    lo_d = math.floor(math.log10(lo))
-    hi_d = math.ceil(math.log10(hi))
-    return [10.0 ** d for d in range(lo_d, hi_d + 1)]
-
-
 def emit_plot(points, path, title="decay", slope=None, quality=None):
     """Hand-rolled log-log SVG of (k, value) points with a fitted line.
 
@@ -74,26 +68,21 @@ def emit_plot(points, path, title="decay", slope=None, quality=None):
         def sy(y):
             return height - mbot - (y - y0) / (y1 - y0) * (height - mtop - mbot)
 
-        for t in _ticks(10.0 ** x0, 10.0 ** x1):
-            lt = math.log10(t)
-            if x0 - 1e-9 <= lt <= x1 + 1e-9:
-                parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" '
-                             'stroke="#ddd"/>' % (sx(lt), mtop, sx(lt),
-                                                  height - mbot))
-                parts.append('<text x="%g" y="%g" font-size="11" '
-                             'font-family="sans-serif" text-anchor="middle">'
-                             '1e%d</text>'
-                             % (sx(lt), height - mbot + 16, round(lt)))
-        for t in _ticks(10.0 ** y0, 10.0 ** y1):
-            lt = math.log10(t)
-            if y0 - 1e-9 <= lt <= y1 + 1e-9:
-                parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" '
-                             'stroke="#ddd"/>' % (mleft, sy(lt),
-                                                  width - mright, sy(lt)))
-                parts.append('<text x="%g" y="%g" font-size="11" '
-                             'font-family="sans-serif" text-anchor="end">'
-                             '1e%d</text>'
-                             % (mleft - 6, sy(lt) + 4, round(lt)))
+        # a tick at every integer decade on each axis
+        for d in range(math.ceil(x0 - 1e-9), math.floor(x1 + 1e-9) + 1):
+            parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" '
+                         'stroke="#ddd"/>' % (sx(d), mtop, sx(d),
+                                              height - mbot))
+            parts.append('<text x="%g" y="%g" font-size="11" '
+                         'font-family="sans-serif" text-anchor="middle">'
+                         '1e%d</text>' % (sx(d), height - mbot + 16, d))
+        for d in range(math.ceil(y0 - 1e-9), math.floor(y1 + 1e-9) + 1):
+            parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" '
+                         'stroke="#ddd"/>' % (mleft, sy(d),
+                                              width - mright, sy(d)))
+            parts.append('<text x="%g" y="%g" font-size="11" '
+                         'font-family="sans-serif" text-anchor="end">'
+                         '1e%d</text>' % (mleft - 6, sy(d) + 4, d))
 
         poly = " ".join("%g,%g" % (sx(x), sy(y)) for x, y in zip(xs, ys))
         parts.append('<polyline points="%s" fill="none" stroke="#1f77b4" '

@@ -268,7 +268,7 @@ def test_sweep_matches_the_quasi_static_response(sweep_first):
 
 
 def test_criterion_09_arbitration_oracle():
-    rows = oracle_compare(REF, k=100.0, t_final=0.05)
+    rows = oracle_compare(REF)
     eta_gap = max(r[1] for r in rows)
     etadot_gap = max(r[2] for r in rows)
     report(9, eta_gap < 1e-2,

@@ -2,13 +2,19 @@
 must keep resolving, or every bench run and bench test breaks at import.
 Its tracer also derives iteration counts from the calls a solver makes
 beneath it (bench/tracer.py WATCHES); the call patterns it relies on are
-pinned here."""
+pinned here.  Last, every workload runs through bench/worker.py as
+bench/run.py starts it, so a program change that breaks a bench entry
+path fails here."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 from helpers import count_calls
 
 import captension
@@ -21,6 +27,10 @@ from captension.projections import (hodge_P, solve_L1_inverse,
 from captension.shape import solve_volume_constraint
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+_spec = importlib.util.spec_from_file_location("bench_workloads",
+                                               BENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def _captension_imports():
@@ -100,3 +110,20 @@ def test_evaluations_beneath_the_traced_inversion(coarse_grid, monkeypatch):
     assert len(evaluations) == 1
     invert_disk_map(alpha)
     assert len(evaluations) == 1
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_bench_workload_runs_and_passes_its_gate(tmp_path, workload,
+                                                        trace):
+    config = tmp_path / "workload.cfg"
+    workloads.write_config(workload, 1, str(config))
+    out = tmp_path / "out"
+    out.mkdir()
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "worker.py"), "--workload", workload,
+         "--config", str(config), "--out", str(out)]
+        + (["--trace"] if trace else []),
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert workloads.gate(workload, str(out)) == []

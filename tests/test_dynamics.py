@@ -333,7 +333,6 @@ def test_energy_report_rotation(grid):
     assert rep.kinetic == pytest.approx(np.pi / 4.0, abs=1e-10)
     assert rep.potential == pytest.approx(0.0, abs=1e-10)
     assert rep.E == pytest.approx(np.pi / 4.0, abs=1e-10)
-    assert rep.E_tilde == pytest.approx(7.0 * 2.0 * np.pi, abs=1e-10)
 
 
 def test_reconstruct_eta_at_start(grid):

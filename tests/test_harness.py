@@ -19,6 +19,7 @@ from captension.harness import (CSV_HEADER, ExperimentConfig, emit_csv,
                                 oracle_compare, run_single, run_sweep)
 import captension
 from captension.harness import run as run_module
+from captension.harness.cli import _load_config, build_parser
 from captension.harness.run import RunRecord
 
 
@@ -78,15 +79,11 @@ class TestConfig:
         dict(T=float("inf")), dict(T=float("nan")), dict(c_cfl=float("inf")),
         dict(dt_fixed=float("inf")), dict(k_list=(100.0, float("inf"))),
         dict(k_list=(100.0, float("nan"))),
+        dict(stream_mode=-1), dict(n_theta=16, n_r=8, stream_mode=8),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
-
-    def test_overrides_skip_none(self):
-        cfg = ExperimentConfig().with_overrides(n_theta=None, t_final=0.2)
-        assert cfg.n_theta == 32
-        assert cfg.T == 0.2
 
 
 class TestRates:
@@ -282,9 +279,10 @@ class TestRuns:
 
     def test_oracle_compare_rows(self, tmp_path):
         cfg = small_config(tmp_path)
-        rows = oracle_compare(cfg, k=100.0, t_final=1e-3, n_outputs=2)
-        assert len(rows) == 2
+        rows = oracle_compare(cfg)
+        assert len(rows) == 6
         assert rows[0][0] == 0.0
+        assert rows[-1][0] == pytest.approx(cfg.T, rel=1e-12)
         assert all(gap >= 0.0 for _, gap, _ in rows)
 
     def test_oracle_steps_each_integrator_under_its_own_bound(
@@ -293,7 +291,7 @@ class TestRuns:
         # 0.01 segment; explicit RK4 takes five
         free = count_calls(monkeypatch, run_module.step_free_boundary)
         unsplit = count_calls(monkeypatch, run_module.step_unsplit)
-        rows = oracle_compare(ExperimentConfig(), k=100.0)
+        rows = oracle_compare(ExperimentConfig())
         assert [args[1] for args in free] == pytest.approx([0.01] * 5,
                                                            rel=1e-12)
         assert [args[2] for args in unsplit] == pytest.approx([0.002] * 25,
@@ -302,7 +300,7 @@ class TestRuns:
             [0.01 * j for j in range(6)], rel=1e-12)
         free.clear()
         unsplit.clear()
-        oracle_compare(ExperimentConfig(c_cfl=0.25), k=100.0)
+        oracle_compare(ExperimentConfig(c_cfl=0.25))
         assert (len(free), len(unsplit)) == (5, 50)
 
     def test_oracle_grid_is_half_the_config_with_at_least_12_angles(
@@ -366,6 +364,43 @@ class TestCli:
         p.write_text(f"n_theta = 8\nn_r = 8\nout_dir = {tmp_path}\n")
         assert main(["oracle-compare", "--config", str(p)]) == 3
         assert "n_theta >= 10" in capsys.readouterr().err
+        assert not (tmp_path / "oracle_gap.csv").exists()
+
+    def test_overrides_skip_none(self, tmp_path):
+        # a flag not given keeps the config's value; --t-final sets T
+        args = build_parser().parse_args(
+            ["run", "--t-final", "0.2", "--out-dir", str(tmp_path)])
+        cfg = _load_config(args)
+        assert (cfg.n_theta, cfg.T, cfg.out_dir, cfg.k_list) == (
+            32, 0.2, str(tmp_path), ExperimentConfig().k_list)
+        args = build_parser().parse_args(
+            ["oracle-compare", "--n-theta", "16", "--k", "50",
+             "--out-dir", str(tmp_path)])
+        cfg = _load_config(args)
+        assert (cfg.n_theta, cfg.T, cfg.k_list) == (16, 0.1, (50.0,))
+
+    def test_a_stream_mode_at_half_the_angles_exits_3(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # on 16 angles r^18 cos 18 theta would run as r^18 cos 2 theta
+        p = tmp_path / "tiny.cfg"
+        p.write_text("n_theta = 16\nn_r = 8\nT = 2e-3\nstream_mode = 18\n"
+                     f"out_dir = {tmp_path}\n")
+        calls = count_calls(monkeypatch, run_single)
+        assert main(["run", "--config", str(p)]) == 3
+        assert ("stream_mode must be >= 0 and < n_theta / 2"
+                in capsys.readouterr().err)
+        assert calls == []
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_oracle_compare_checks_stream_mode_on_its_halved_grid(
+            self, tmp_path, capsys):
+        # mode 10 fits the config's 32 angles, not the oracle's 16
+        p = tmp_path / "tiny.cfg"
+        p.write_text("n_theta = 32\nn_r = 8\nstream_mode = 10\n"
+                     f"out_dir = {tmp_path}\n")
+        assert main(["oracle-compare", "--config", str(p)]) == 3
+        assert ("oracle-compare runs on 16 angles and needs stream_mode < 8"
+                in capsys.readouterr().err)
         assert not (tmp_path / "oracle_gap.csv").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep", "oracle-compare"])
