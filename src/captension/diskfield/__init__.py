@@ -6,7 +6,8 @@ from .fields import (ScalarField, VectorField, BoundaryFunction, DiskMap,
 from .calculus import (grad_values, gradient, divergence, laplacian,
                        hessian, advect, evaluation_plan,
                        evaluate_vector_at, compose, jacobian_det,
-                       map_jacobian, inverse_jacobian, restrict_boundary)
+                       map_jacobian, inverse_jacobian, restrict_boundary,
+                       STAGE_CLAMP)
 from .elliptic import solve_dirichlet, harmonic_extension
 from .norms import sobolev_norm_disk, sobolev_norm_boundary, l2_norm_disk
 
@@ -17,6 +18,7 @@ __all__ = [
     "grad_values", "gradient", "divergence", "laplacian", "hessian",
     "advect", "evaluation_plan", "evaluate_vector_at", "compose",
     "jacobian_det", "map_jacobian", "inverse_jacobian", "restrict_boundary",
+    "STAGE_CLAMP",
     "solve_dirichlet", "harmonic_extension",
     "sobolev_norm_disk", "sobolev_norm_boundary", "l2_norm_disk",
 ]

@@ -21,7 +21,7 @@ from .fields import BoundaryFunction, DiskMap, ScalarField, VectorField
 __all__ = ["grad_values", "gradient", "divergence", "laplacian", "hessian",
            "advect", "evaluation_plan", "evaluate_vector_at", "compose",
            "jacobian_det", "map_jacobian", "inverse_jacobian",
-           "restrict_boundary"]
+           "restrict_boundary", "STAGE_CLAMP"]
 
 
 def grad_values(grid, values):
@@ -120,8 +120,6 @@ def _ring_weights(grid, r0, theta0):
 
 def _clamp_points(grid, points, tol):
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[None, :]
     x, y = points[:, 0], points[:, 1]
     r0 = np.hypot(x, y)
     if np.any(r0 > 1.0 + tol):
@@ -215,6 +213,9 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
 # than the raw interpolation default, so image points of a diffeomorphism
 # that sit a hair past the circle are still evaluated, not rejected.
 _COMPOSE_CLAMP = 1e-8
+
+# stage maps of an explicit step overshoot the circle by O(dt^2)
+STAGE_CLAMP = 1e-5
 
 
 def compose(f, g, *, clamp_tol=None):

@@ -131,15 +131,10 @@ class BoundaryFunction:
         return cls(grid, C)
 
     @classmethod
-    def single_mode(cls, grid, m, amplitude=1.0, phase="cos"):
-        """amplitude*cos(m theta) or amplitude*sin(m theta)."""
+    def single_mode(cls, grid, m, amplitude):
+        """amplitude*cos(m theta)."""
         c = np.zeros(grid.n_modes, dtype=complex)
-        if m == 0:
-            c[0] = amplitude
-        elif phase == "cos":
-            c[m] = 0.5 * amplitude
-        else:
-            c[m] = -0.5j * amplitude
+        c[m] = amplitude if m == 0 else 0.5 * amplitude
         return cls(grid, c)
 
     def samples(self):
@@ -208,8 +203,8 @@ def identity_map(grid, kind="diffeo"):
     return DiskMap(VectorField.zeros(grid), kind=kind)
 
 
-def rotation_map(grid, alpha, kind="diffeo"):
+def rotation_map(grid, alpha):
     ca, sa = np.cos(alpha), np.sin(alpha)
     dx = ca * grid.xx - sa * grid.yy - grid.xx
     dy = sa * grid.xx + ca * grid.yy - grid.yy
-    return DiskMap(VectorField.from_arrays(grid, dx, dy), kind=kind)
+    return DiskMap(VectorField.from_arrays(grid, dx, dy))

@@ -60,12 +60,8 @@ def _lagrange_weighted_integrals(x, w_bary):
     gx = 0.5 * (gx + 1.0)
     gw = 0.5 * gw
     # cardinal values at the Gauss nodes, stable barycentric form
-    diff = gx[:, None] - x[None, :]
-    # Gauss nodes are interior irrationals; exact hits cannot occur on a
-    # Lobatto grid, but guard the division anyway
-    tiny = np.abs(diff) < 1e-300
-    diff[tiny] = 1e-300
-    c = w_bary[None, :] / diff
+    # Gauss nodes are interior irrationals, so none hits a Lobatto node
+    c = w_bary[None, :] / (gx[:, None] - x[None, :])
     L = c / c.sum(axis=1, keepdims=True)
     return L.T @ (gw * gx)
 
@@ -235,7 +231,7 @@ class DiskGrid:
         return self.integrate(a * b)
 
 
-def make_grid(n_theta=32, n_r=16):
+def make_grid(n_theta, n_r):
     """Shared cached grid; construction happens at most once per shape."""
     key = (int(n_theta), int(n_r))
     grid = _GRID_CACHE.get(key)

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..diskfield import (
+    STAGE_CLAMP,
     BoundaryFunction,
     DiskMap,
     VectorField,
@@ -48,11 +49,7 @@ __all__ = [
     "energy_report",
     "output_derivatives",
     "reconstruct_eta",
-    "STAGE_CLAMP",
 ]
-
-# stage maps of an explicit step overshoot the circle by O(dt^2)
-STAGE_CLAMP = 1e-5
 
 
 def rhs_free_boundary(state):
@@ -107,10 +104,10 @@ def rhs_free_boundary(state):
     return state.fdot, fddot, vdot, beta_velocity
 
 
-def dt_max(k, n_theta, c_cfl=0.5):
+def dt_max(k, n_theta):
     """Capillary stability bound of explicit RK4: the fastest resolvable
     surface wave has frequency ~ sqrt(k (n_theta/2)^3)."""
-    return c_cfl / np.sqrt(k * (n_theta / 2.0) ** 3)
+    return 0.5 / np.sqrt(k * (n_theta / 2.0) ** 3)
 
 
 def capillary_frequencies(k, n_theta):

@@ -10,6 +10,7 @@ stream function's velocity is divergence-free.
 """
 
 from ..diskfield import (
+    STAGE_CLAMP,
     VectorField,
     advect,
     compose,
@@ -18,7 +19,6 @@ from ..diskfield import (
 )
 from ..projections import hodge_P, hodge_Q
 from ..shape import invert_points
-from .evolution import STAGE_CLAMP
 from .states import FixedEulerState, rk4, rotated_gradient
 
 __all__ = [
@@ -48,7 +48,7 @@ def invert_disk_map(alpha, near=None):
         warm = None if near is None else near._cache.get("inverse")
         if warm is None:
             warm = X - alpha.displacement.values.reshape(2, -1).T, None
-        Y, plan = invert_points(alpha, X, *warm, slack=STAGE_CLAMP)
+        Y, plan = invert_points(alpha, X, *warm)
         Y.setflags(write=False)
         cached = alpha._cache["inverse"] = Y, plan
     return cached[0]

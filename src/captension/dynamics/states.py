@@ -36,14 +36,14 @@ class FreeBoundaryState:
     k: float
 
     @classmethod
-    def from_velocity(cls, grid, u0, k, time=0.0):
-        """Undeformed start: f = fdot = 0, beta = id, v = P u0."""
+    def from_velocity(cls, grid, u0, k):
+        """Undeformed start at t = 0: f = fdot = 0, beta = id, v = P u0."""
         return cls(
             f=ScalarField.zeros(grid),
             fdot=ScalarField.zeros(grid),
             v=hodge_P(u0),
             beta=identity_map(grid),
-            time=float(time),
+            time=0.0,
             k=float(k),
         )
 
@@ -69,8 +69,8 @@ class FixedEulerState:
     time: float
 
     @classmethod
-    def from_velocity(cls, grid, u0, time=0.0):
-        return cls(zeta=identity_map(grid), zetadot=hodge_P(u0), time=float(time))
+    def from_velocity(cls, grid, u0):
+        return cls(zeta=identity_map(grid), zetadot=hodge_P(u0), time=0.0)
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ def stream_initial_vorticity(grid, m, amplitude):
     return laplacian(stream_function_field(grid, m, amplitude))
 
 
-def solid_rotation_velocity(grid, rate=1.0):
-    return VectorField.from_arrays(grid, -rate * grid.yy, rate * grid.xx)
+def solid_rotation_velocity(grid):
+    return VectorField.from_arrays(grid, -grid.yy, grid.xx)
 
 
 def rk4(rhs, y, dt):

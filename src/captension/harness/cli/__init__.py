@@ -8,13 +8,13 @@ import sys
 from ...errors import ConfigError, SolverError
 from ..config import ExperimentConfig
 from ..emit import emit_csv, emit_plot, write_csv
-from ..run import SWEEP_QUANTITIES, oracle_compare, run_single, run_sweep
+from ..run import (SWEEP_QUANTITIES, OracleFailure, oracle_compare,
+                   run_single, run_sweep)
 
 __all__ = ["main", "build_parser"]
 
 # config keys a command never reads: given to it they would change nothing
-_UNREAD_KEYS = {"run": ("c_cfl",), "sweep": ("c_cfl",),
-                "oracle-compare": ("dt_fixed", "n_outputs")}
+_UNREAD_KEYS = {"oracle-compare": ("dt_fixed", "n_outputs")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,8 +58,8 @@ def build_parser():
 
 
 def _load_config(args):
-    cfg = (ExperimentConfig.from_file(args.config,
-                                      unread=_UNREAD_KEYS[args.command])
+    unread = _UNREAD_KEYS.get(args.command, ())
+    cfg = (ExperimentConfig.from_file(args.config, unread=unread)
            if args.config else ExperimentConfig())
     # the flags given, typed by argparse; a --k run is a one-k config,
     # so --k meets the k_list rules
@@ -78,11 +78,8 @@ def _load_config(args):
 
 
 def _write_series(record, path):
-    names = ("nabla_f_L2", "nabla_f_H1", "eta_gap_H1", "etadot_gap_H1",
-             "energy_drift")
-    write_csv(path, "time," + ",".join(names),
-              [[t] + [record.series[n][i] for n in names]
-               for i, t in enumerate(record.times)])
+    write_csv(path, ",".join(("time", *record.series)),
+              zip(record.times, *record.series.values()))
 
 
 def _cmd_run(args):
@@ -139,7 +136,10 @@ def _cmd_sweep(args):
 
 def _cmd_oracle(args):
     cfg = _load_config(args)
-    rows = oracle_compare(cfg)
+    try:
+        rows, failure = oracle_compare(cfg), None
+    except OracleFailure as exc:
+        rows, failure = exc.rows, exc
     path = os.path.join(cfg.out_dir, "oracle_gap.csv")
     print("split vs one-piece law at k = %g" % cfg.k_list[0])
     for t, ge, gd in rows:
@@ -147,6 +147,10 @@ def _cmd_oracle(args):
               % (t, ge, gd))
     write_csv(path, "time,eta_gap_H1,etadot_gap_H1", rows)
     print("wrote %s" % path)
+    if failure is not None:
+        print("solver failed at t = %.6g (%s)"
+              % (failure.fail_time, failure.failure), file=sys.stderr)
+        return 2
     return 0
 
 

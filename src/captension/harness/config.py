@@ -17,14 +17,12 @@ class ExperimentConfig:
     """Everything a run needs; defaults are the reference desk scale.
 
     dt_fixed is the largest step of both flows in run and sweep (the
-    free flow's is also capped by dt_free_max); c_cfl scales the RK4
-    bound dt_max of oracle-compare's unsplit integrator.
+    free flow's is also capped by dt_free_max).
     """
 
     n_theta: int = 32
     n_r: int = 16
     T: float = 0.1
-    c_cfl: float = 0.5
     k_list: tuple = (100.0, 200.0, 400.0, 800.0)
     stream_mode: int = 2
     amplitude: float = 0.05
@@ -39,8 +37,6 @@ class ExperimentConfig:
             raise ConfigError("n_r must be >= 8")
         if not _positive(self.T):
             raise ConfigError("T must be finite and positive")
-        if not _positive(self.c_cfl):
-            raise ConfigError("c_cfl must be finite and positive")
         if not self.k_list:
             raise ConfigError("k_list must not be empty")
         ks = tuple(float(k) for k in self.k_list)
@@ -58,38 +54,38 @@ class ExperimentConfig:
             raise ConfigError("dt_fixed must be finite and positive")
 
     @classmethod
-    def from_mapping(cls, mapping, unread=()):
-        """Build from string values, each typed as its field's default; a
-        key in `unread`, which the command never reads, is rejected."""
-        kwargs = {}
-        for raw_key, value in mapping.items():
+    def from_file(cls, path, unread=()):
+        """Build from a flat key = value file, each value typed as its
+        field's default.  Rejected: an unknown key, a key given twice (T
+        and t_final are one key), and a key in `unread`, which the
+        command never reads."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        kwargs, first_line = {}, {}
+        for lineno, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            raw_key, _, value = (s.strip() for s in line.partition("="))
             key = _ALIASES.get(raw_key, raw_key)
             if key not in _DEFAULTS:
                 raise ConfigError(f"unknown configuration key {raw_key!r}")
+            if key in first_line:
+                raise ConfigError(
+                    f"{path}:{lineno}: key {raw_key!r} sets {key!r} again, "
+                    f"first set on line {first_line[key]}")
             if key in unread:
                 raise ConfigError(
                     f"configuration key {raw_key!r} is not read by this "
                     "command and would change nothing")
+            first_line[key] = lineno
             kwargs[key] = _coerce(key, value)
         return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path, unread=()):
-        mapping = {}
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    line = line.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    if "=" not in line:
-                        raise ConfigError(
-                            f"{path}:{lineno}: expected key = value")
-                    key, _, value = line.partition("=")
-                    mapping[key.strip()] = value.strip()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_mapping(mapping, unread)
 
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}

@@ -21,7 +21,7 @@ from ..dynamics import (
 from .rates import fit_rate
 
 __all__ = ["RunRecord", "SweepResult", "run_single", "run_sweep",
-           "oracle_compare", "SWEEP_QUANTITIES"]
+           "oracle_compare", "OracleFailure", "SWEEP_QUANTITIES"]
 
 SWEEP_QUANTITIES = ("sup_nabla_f_L2", "sup_nabla_f_H1",
                     "sup_eta_gap_H1", "sup_etadot_gap_H1")
@@ -48,6 +48,19 @@ class RunRecord:
 class SweepResult:
     rows: tuple
     fitted_exponents: dict
+
+
+class OracleFailure(SolverError):
+    """A solver failure of oracle_compare: `rows` holds the rows finished
+    before it, and fail_time and failure are as in a RunRecord."""
+
+    def __init__(self, rows, fail_time, failure):
+        super().__init__(failure)
+        self.rows, self.fail_time, self.failure = rows, fail_time, failure
+
+
+def _failure(flow, exc):
+    return "%s flow, %s: %s" % (flow, type(exc).__name__, exc)
 
 
 def _substeps(segment, bound):
@@ -154,7 +167,7 @@ def run_single(config, k, fixed_flow=None):
             flow, fail_time = "free", free.time
             if fixed_flow.failure is not None and exc is fixed_flow.failure[1]:
                 flow, fail_time = "fixed", fixed_flow.failure[0]
-            failure = "%s flow, %s: %s" % (flow, type(exc).__name__, exc)
+            failure = _failure(flow, exc)
             break
         times.append(free.time)
 
@@ -199,10 +212,11 @@ def oracle_compare(config):
     the config's own, and returns (time, eta gap H1, etadot gap H1) rows
     at t = 0 and after each of five segments up to min(T, 0.05), the
     split step substepped under dt_free_max and the unsplit one under
-    dt_max of c_cfl.  The unsplit route uses no decomposition and no
-    projection, so agreement arbitrates the split's terms.  Rejected:
-    under 10 angles (on 8 the unsplit stage maps drift off det = 1), and
-    a stream_mode the halved grid cannot hold.
+    dt_max.  The unsplit route uses no decomposition and no projection,
+    so agreement arbitrates the split's terms.  Rejected: under 10
+    angles (on 8 the unsplit stage maps drift off det = 1), and a
+    stream_mode the halved grid cannot hold.  A solver failure raises
+    OracleFailure, which names the failing flow, split or unsplit.
     """
     if config.n_theta < 10:
         raise ConfigError("oracle-compare needs n_theta >= 10, "
@@ -221,15 +235,22 @@ def oracle_compare(config):
 
     segment = min(config.T, 0.05) / 5
     n_free, dt_free = _substeps(segment, dt_free_max(k, n_theta))
-    n_unsplit, dt = _substeps(segment, dt_max(k, n_theta, config.c_cfl))
+    n_unsplit, dt = _substeps(segment, dt_max(k, n_theta))
 
     rows = [(0.0, 0.0, 0.0)]
-    for _ in range(5):
-        for _ in range(n_free):
-            free = step_free_boundary(free, dt_free)
-        for _ in range(n_unsplit):
-            eta_u, etadot_u = step_unsplit(eta_u, etadot_u, dt, k)
-        eta_s, etadot_s = reconstruct_eta(free)
+    for j in range(5):
+        flow = "split"
+        try:
+            for _ in range(n_free):
+                free = step_free_boundary(free, dt_free)
+            eta_s, etadot_s = reconstruct_eta(free)
+            flow = "unsplit"
+            for i in range(n_unsplit):
+                eta_u, etadot_u = step_unsplit(eta_u, etadot_u, dt, k)
+        except SolverError as exc:
+            fail_time = free.time if flow == "split" else j * segment + i * dt
+            raise OracleFailure(tuple(rows), fail_time,
+                                _failure(flow, exc)) from exc
         rows.append((
             free.time,
             sobolev_norm_disk(eta_s.displacement - eta_u.displacement, 1),

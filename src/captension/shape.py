@@ -24,6 +24,7 @@ from .errors import (
     RemainderBlowupError,
 )
 from .diskfield import (
+    STAGE_CLAMP,
     BoundaryFunction,
     DiskMap,
     ScalarField,
@@ -208,18 +209,18 @@ def boundary_length(f, grad_f=None):
     return (2.0 * np.pi / f.grid.n_theta) * float(speed.sum())
 
 
-def invert_points(alpha, targets, start, plan=None, *, slack):
+def invert_points(alpha, targets, start, plan=None):
     """Solve alpha(y) = target for every row of targets by pointwise Newton.
 
     targets and start (the first guesses) are (P, 2) arrays, and plan,
-    if given, is the plan of start (a converged inversion's, under the
-    same slack).  Returns (Y, plan): a new (P, 2) array of preimages and
-    the plan the converged pass built at them.  The Jacobian of alpha
-    (map_jacobian) is interpolated with the displacement while the last
-    residual tops _STALE_JACOBIAN_RESIDUAL, then kept.  Iterates may
-    overshoot the circle by slack: they are pulled back inside radius
-    1 + slack after every update, and evaluated with that much clamp
-    allowance.
+    if given, is the plan of start (a converged inversion's).  Returns
+    (Y, plan): a new (P, 2) array of preimages and the plan the
+    converged pass built at them.  The Jacobian of alpha (map_jacobian)
+    is interpolated with the displacement while the last residual tops
+    _STALE_JACOBIAN_RESIDUAL, then kept.  Iterates may overshoot the
+    circle by STAGE_CLAMP: they are pulled back inside radius
+    1 + STAGE_CLAMP after every update, and evaluated with that much
+    clamp allowance.
     """
     fields = [alpha.displacement] + [ScalarField(alpha.grid, j)
                                      for j in map_jacobian(alpha)]
@@ -227,14 +228,14 @@ def invert_points(alpha, targets, start, plan=None, *, slack):
     # a planned start lies inside already, and projecting it again could
     # move a point by an ulp off its plan
     if plan is None:
-        _project_into_disk(Y, slack)
+        _project_into_disk(Y)
     residual = np.inf
     for _ in range(40):
         if plan is None:
-            plan = evaluation_plan(alpha.grid, Y, clamp_tol=slack)
+            plan = evaluation_plan(alpha.grid, Y, clamp_tol=STAGE_CLAMP)
         dx, dy, *jacobian = evaluate_vector_at(
             fields if residual > _STALE_JACOBIAN_RESIDUAL else fields[0],
-            Y, clamp_tol=slack, plan=plan).T
+            Y, clamp_tol=STAGE_CLAMP, plan=plan).T
         j11, j12, j21, j22 = jacobian or (j11, j12, j21, j22)
         rx = Y[:, 0] + dx - targets[:, 0]
         ry = Y[:, 1] + dy - targets[:, 1]
@@ -247,17 +248,17 @@ def invert_points(alpha, targets, start, plan=None, *, slack):
                 "map is not invertible at the target points")
         Y[:, 0] -= (j22 * rx - j12 * ry) / det
         Y[:, 1] -= (-j21 * rx + j11 * ry) / det
-        _project_into_disk(Y, slack)
+        _project_into_disk(Y)
         plan = None
     raise InversionFailureError("Newton inversion of the map stalled")
 
 
-def _project_into_disk(Y, slack):
+def _project_into_disk(Y):
     # Preimages of boundary nodes under a time-step stage map sit O(dt^2)
     # outside the circle, and a hard projection onto |y| <= 1 would block
     # the Newton residual from clearing its tolerance.  A slack at that
     # scale lets those points converge while keeping runaways contained.
-    limit = np.nextafter(1.0 + slack, 0.0)
+    limit = np.nextafter(1.0 + STAGE_CLAMP, 0.0)
     rad = np.hypot(Y[:, 0], Y[:, 1])
     far = rad > limit
     if np.any(far):

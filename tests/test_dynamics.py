@@ -5,8 +5,8 @@ import pytest
 
 from helpers import count_calls, count_ffts, count_plans, step_free_rk4
 
-from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
-                                  VectorField, advect, calculus,
+from captension.diskfield import (STAGE_CLAMP, BoundaryFunction, DiskMap,
+                                  ScalarField, VectorField, advect, calculus,
                                   evaluate_vector_at, grad_values, gradient,
                                   identity_map, l2_norm_disk, map_jacobian,
                                   restrict_boundary, rotation_map,
@@ -21,7 +21,6 @@ from captension.dynamics import (FixedEulerState, FreeBoundaryState,
                                  stream_initial_velocity,
                                  stream_initial_vorticity, unsplit_acceleration,
                                  vorticity_particle_step, vorticity_velocity)
-from captension.dynamics.evolution import STAGE_CLAMP
 from captension.dynamics.states import rk4
 from captension.errors import ConfigError
 from captension.harness import measure_frequency
@@ -301,8 +300,8 @@ def test_every_integrator_step_is_one_rk4_call(coarse_grid, monkeypatch):
 def test_capillary_bound_formula():
     assert dt_max(100.0, 32) == pytest.approx(
         0.5 / np.sqrt(100.0 * 16.0 ** 3))
-    assert dt_max(400.0, 32, c_cfl=0.25) == pytest.approx(
-        0.25 / np.sqrt(400.0 * 16.0 ** 3))
+    assert dt_max(400.0, 32) == pytest.approx(
+        0.5 / np.sqrt(400.0 * 16.0 ** 3))
 
 
 def test_rigid_rotation_keeps_flat_surface(grid):

@@ -72,12 +72,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(tmp_path / "absent.cfg")
 
+    @pytest.mark.parametrize("first, again, key", [
+        ("T = 0.2", "t_final = 0.3", "T"), ("n_r = 8", "n_r = 12", "n_r")])
+    def test_repeated_key_rejected(self, tmp_path, first, again, key):
+        # T and its spelling t_final are one key
+        p = tmp_path / "twice.cfg"
+        p.write_text(f"{first}\n# comment\n{again}\n")
+        with pytest.raises(ConfigError, match=(
+                rf"twice\.cfg:3: key '{again.split()[0]}' sets '{key}' "
+                r"again, first set on line 1")):
+            ExperimentConfig.from_file(p)
+
     @pytest.mark.parametrize("kwargs", [
         dict(n_theta=7), dict(n_theta=10, n_r=4), dict(T=-1.0),
         dict(k_list=()), dict(k_list=(100.0, 100.0)), dict(k_list=(-5.0,)),
         dict(n_outputs=1), dict(dt_fixed=0.0), dict(amplitude=float("nan")),
-        dict(T=float("inf")), dict(T=float("nan")), dict(c_cfl=float("inf")),
-        dict(dt_fixed=float("inf")), dict(k_list=(100.0, float("inf"))),
+        dict(T=float("inf")), dict(T=float("nan")),
+        dict(dt_fixed=float("nan")), dict(dt_fixed=float("inf")),
+        dict(k_list=(100.0, float("inf"))),
         dict(k_list=(100.0, float("nan"))),
         dict(stream_mode=-1), dict(n_theta=16, n_r=8, stream_mode=8),
     ])
@@ -298,10 +310,6 @@ class TestRuns:
                                                               rel=1e-12)
         assert [t for t, _, _ in rows] == pytest.approx(
             [0.01 * j for j in range(6)], rel=1e-12)
-        free.clear()
-        unsplit.clear()
-        oracle_compare(ExperimentConfig(c_cfl=0.25))
-        assert (len(free), len(unsplit)) == (5, 50)
 
     def test_oracle_grid_is_half_the_config_with_at_least_12_angles(
             self, monkeypatch):
@@ -418,8 +426,7 @@ class TestCli:
         assert calls == [[], [], []]
 
     @pytest.mark.parametrize("command, key", [
-        ("run", "c_cfl"), ("sweep", "c_cfl"), ("oracle-compare", "dt_fixed"),
-        ("oracle-compare", "n_outputs")])
+        ("oracle-compare", "dt_fixed"), ("oracle-compare", "n_outputs")])
     def test_a_key_the_command_does_not_read_exits_3(
             self, tmp_path, capsys, monkeypatch, command, key):
         p = tmp_path / "tiny.cfg"
@@ -432,6 +439,20 @@ class TestCli:
         assert calls == [[], [], []]
         # the file itself is valid: the other commands read the key
         assert getattr(ExperimentConfig.from_file(p), key) == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "oracle-compare"])
+    def test_c_cfl_is_an_unknown_key_exits_3(self, tmp_path, capsys,
+                                             monkeypatch, command):
+        # the RK4 bound's fraction is the constant 0.5 of dt_max
+        p = tmp_path / "tiny.cfg"
+        p.write_text(f"n_theta = 16\nn_r = 8\nT = 2e-3\nc_cfl = 0.25\n"
+                     f"out_dir = {tmp_path}\n")
+        calls = [count_calls(monkeypatch, fn) for fn in
+                 (run_single, run_sweep, oracle_compare)]
+        assert main([command, "--config", str(p)]) == 3
+        assert ("unknown configuration key 'c_cfl'"
+                in capsys.readouterr().err)
+        assert calls == [[], [], []]
 
     def test_run_writes_series_csv(self, tmp_path, capsys):
         p = tmp_path / "tiny.cfg"
@@ -460,6 +481,20 @@ class TestCli:
         lines = (tmp_path / "run_k1.csv").read_text().splitlines()
         assert lines[0].startswith("time,")
         assert 2 <= len(lines) < 7
+
+    def test_oracle_breakdown_exits_2_with_the_rows_before_it(
+            self, tmp_path, capsys):
+        # at amplitude 1 the unsplit stage maps leave det = 1 in the third
+        # segment (VolumeDefectError near t = 0.024)
+        p = tmp_path / "wild.cfg"
+        p.write_text(f"amplitude = 1.0\nout_dir = {tmp_path}\n")
+        assert main(["oracle-compare", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "solver failed at t = 0.024 (unsplit flow, VolumeDefectError: ")
+        lines = (tmp_path / "oracle_gap.csv").read_text().splitlines()
+        assert lines[0] == "time,eta_gap_H1,etadot_gap_H1"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == (
+            pytest.approx([0.0, 0.01, 0.02], rel=1e-12))
 
     @staticmethod
     def run_module(*argv):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
                                   grad_values, l2_norm_disk, make_grid,
                                   sobolev_norm_boundary, sobolev_norm_disk)
+from captension.errors import UnsupportedOrderError
 
 
 def test_l2_norm_of_coordinate(grid):
@@ -22,18 +23,16 @@ def test_h1_norm_of_coordinate(grid):
     f = ScalarField.from_function(grid, lambda x, y: x)
     expected = np.sqrt(np.pi / 4.0 + np.pi)
     assert sobolev_norm_disk(f, 1) == pytest.approx(expected, abs=1e-12)
-    # all higher derivatives vanish, so H2 equals H1 here
-    assert sobolev_norm_disk(f, 2) == pytest.approx(expected, abs=1e-11)
 
 
 def test_sobolev_orders_nest(grid):
     f = ScalarField.from_function(grid, lambda x, y: x ** 2 * y - 0.3 * y ** 3)
-    norms = [sobolev_norm_disk(f, s) for s in range(4)]
+    norms = [sobolev_norm_disk(f, s) for s in range(2)]
     assert all(b >= a for a, b in zip(norms, norms[1:]))
     assert norms[0] == pytest.approx(l2_norm_disk(f), abs=1e-13)
 
 
-@pytest.mark.parametrize("s", range(5))
+@pytest.mark.parametrize("s", range(2))
 def test_disk_norm_matches_per_entry_loop(grid, s):
     # reference: each table entry d_x^a d_y^b f derived on its own
     f = ScalarField.from_function(grid, lambda x, y: x ** 3 * y - 0.3 * y ** 2 + x)
@@ -45,6 +44,14 @@ def test_disk_norm_matches_per_entry_loop(grid, s):
             g = grad_values(grid, g)[0]
         layer = grad_values(grid, layer)[1]
     assert sobolev_norm_disk(f, s) == float(np.sqrt(total))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, -1, 0.5, True])
+def test_disk_norm_rejects_unsupported_order(grid, s):
+    # orders 0 and 1 only: no caller measures more
+    f = ScalarField.from_function(grid, lambda x, y: x * y)
+    with pytest.raises(UnsupportedOrderError):
+        sobolev_norm_disk(f, s)
 
 
 def test_boundary_norm_single_mode(grid):
@@ -62,7 +69,7 @@ def test_boundary_norm_s0_is_l2(grid):
 
 @settings(max_examples=25, deadline=None)
 @given(c=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-       s=st.sampled_from([0, 1, 2]))
+       s=st.sampled_from([0, 1]))
 def test_disk_norm_homogeneity(c, s):
     grid = make_grid(16, 8)
     f = ScalarField.from_function(grid, lambda x, y: x * y + 0.2 * x)
