@@ -8,8 +8,7 @@ import sys
 from ...errors import ConfigError, SolverError
 from ..config import ExperimentConfig
 from ..emit import emit_csv, emit_plot, write_csv
-from ..run import (SWEEP_QUANTITIES, OracleFailure, oracle_compare,
-                   run_single, run_sweep)
+from ..run import SWEEP_QUANTITIES, oracle_compare, run_single, run_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -77,9 +76,19 @@ def _load_config(args):
     return cfg
 
 
-def _write_series(record, path):
-    write_csv(path, ",".join(("time", *record.series)),
-              zip(record.times, *record.series.values()))
+def _write_series(record, path, names=None):
+    names = names or tuple(record.series)
+    rows = tuple(zip(record.times, *(record.series[n] for n in names)))
+    write_csv(path, ",".join(("time", *names)), rows)
+    return rows
+
+
+def _status(record):
+    if record.converged:
+        return 0
+    print("solver failed at t = %.6g (%s)"
+          % (record.fail_time, record.failure), file=sys.stderr)
+    return 2
 
 
 def _cmd_run(args):
@@ -96,11 +105,7 @@ def _cmd_run(args):
     print("  sup |etadot gap|_H1   = %.6e" % record.sup_etadot_gap_H1)
     print("  max relative E drift  = %.6e" % record.energy_drift)
     print("  series -> %s" % series_path)
-    if not record.converged:
-        print("solver failed at t = %.6g (%s)"
-              % (record.fail_time, record.failure), file=sys.stderr)
-        return 2
-    return 0
+    return _status(record)
 
 
 def _cmd_sweep(args):
@@ -136,22 +141,15 @@ def _cmd_sweep(args):
 
 def _cmd_oracle(args):
     cfg = _load_config(args)
-    try:
-        rows, failure = oracle_compare(cfg), None
-    except OracleFailure as exc:
-        rows, failure = exc.rows, exc
+    record = oracle_compare(cfg)
     path = os.path.join(cfg.out_dir, "oracle_gap.csv")
+    rows = _write_series(record, path, ("eta_gap_H1", "etadot_gap_H1"))
     print("split vs one-piece law at k = %g" % cfg.k_list[0])
     for t, ge, gd in rows:
         print("  t = %-8.4f eta gap H1 = %.6e  etadot gap H1 = %.6e"
               % (t, ge, gd))
-    write_csv(path, "time,eta_gap_H1,etadot_gap_H1", rows)
     print("wrote %s" % path)
-    if failure is not None:
-        print("solver failed at t = %.6g (%s)"
-              % (failure.fail_time, failure.failure), file=sys.stderr)
-        return 2
-    return 0
+    return _status(record)
 
 
 def main(argv=None):

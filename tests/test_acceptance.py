@@ -268,9 +268,9 @@ def test_sweep_matches_the_quasi_static_response(sweep_first):
 
 
 def test_criterion_09_arbitration_oracle():
-    rows = oracle_compare(REF)
-    eta_gap = max(r[1] for r in rows)
-    etadot_gap = max(r[2] for r in rows)
+    record = oracle_compare(REF)
+    eta_gap = record.sup_eta_gap_H1
+    etadot_gap = record.sup_etadot_gap_H1
     report(9, eta_gap < 1e-2,
            f"split vs unsplit at T=0.05, k=100 (coarse): eta H1 gap "
            f"= {eta_gap:.3e} (< 1e-2), etadot H1 gap = {etadot_gap:.3e}")

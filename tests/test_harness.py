@@ -181,6 +181,18 @@ def small_config(tmp_path, **kwargs):
     return ExperimentConfig(**base)
 
 
+def break_free_flow(monkeypatch, fail_from):
+    """From time fail_from on, every free step raises a SolverError."""
+    original = run_module.step_free_boundary
+
+    def failing(state, dt):
+        if state.time >= fail_from:
+            raise SolverError("free flow breaks down")
+        return original(state, dt)
+
+    monkeypatch.setattr(run_module, "step_free_boundary", failing)
+
+
 class TestRuns:
     def test_run_single_shapes(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -243,7 +255,7 @@ class TestRuns:
         from captension.diskfield import calculus
 
         cfg = small_config(tmp_path)
-        fixed_flow = run_module._FixedFlow(cfg)
+        fixed_flow = run_module._fixed_flow(cfg)
         fixed_flow.at(cfg.n_outputs - 1)
         # the norms' own passes and the steps are not the record's
         monkeypatch.setattr(run_module, "sobolev_norm_disk", lambda f, s: 0.0)
@@ -254,17 +266,31 @@ class TestRuns:
         run_single(cfg, 100.0, fixed_flow)
         assert len(passes) <= 4 * cfg.n_outputs
 
-    def test_fixed_flow_keeps_no_maps(self, tmp_path):
-        # maps carry cached inverses and plans; the records need neither
+    def test_fixed_flow_keeps_no_maps(self, tmp_path, monkeypatch):
+        # maps carry cached inverses and plans; the records need neither.
+        # The same holds for the unsplit reference of oracle_compare.
+        references = []
+        compare = run_module._compare
+
+        def kept(free, reference, *args):
+            references.append(reference)
+            return compare(free, reference, *args)
+
+        monkeypatch.setattr(run_module, "_compare", kept)
         cfg = small_config(tmp_path)
-        fixed_flow = run_module._FixedFlow(cfg)
-        last = fixed_flow.at(cfg.n_outputs - 1)
-        assert len(fixed_flow._outputs) == cfg.n_outputs
-        assert all(type(a) is VectorField and type(b) is VectorField
-                   for a, b in fixed_flow._outputs)
-        assert last is fixed_flow._outputs[-1]
-        assert np.array_equal(last[0].values,
-                              fixed_flow._state.zeta.displacement.values)
+        assert run_single(cfg, 100.0).converged
+        assert oracle_compare(cfg).converged
+        fixed, unsplit = references
+        assert (fixed.name, unsplit.name) == ("fixed", "unsplit")
+        last_maps = (fixed._state.zeta, unsplit._state[0])
+        for reference, n, last_map in zip(references, (cfg.n_outputs, 6),
+                                          last_maps):
+            assert len(reference._outputs) == n
+            assert all(type(a) is VectorField and type(b) is VectorField
+                       for a, b in reference._outputs)
+            # of the states only the last is held, to step from
+            assert np.array_equal(reference._outputs[-1][0].values,
+                                  last_map.displacement.values)
 
     def test_sweep_rows_equal_single_runs(self, tmp_path):
         cfg = small_config(tmp_path, k_list=(100.0, 200.0, 400.0))
@@ -291,11 +317,11 @@ class TestRuns:
 
     def test_oracle_compare_rows(self, tmp_path):
         cfg = small_config(tmp_path)
-        rows = oracle_compare(cfg)
-        assert len(rows) == 6
-        assert rows[0][0] == 0.0
-        assert rows[-1][0] == pytest.approx(cfg.T, rel=1e-12)
-        assert all(gap >= 0.0 for _, gap, _ in rows)
+        record = oracle_compare(cfg)
+        assert record.converged and len(record.times) == 6
+        assert record.times[0] == 0.0
+        assert record.times[-1] == pytest.approx(cfg.T, rel=1e-12)
+        assert all(gap >= 0.0 for gap in record.series["eta_gap_H1"])
 
     def test_oracle_steps_each_integrator_under_its_own_bound(
             self, monkeypatch):
@@ -303,13 +329,24 @@ class TestRuns:
         # 0.01 segment; explicit RK4 takes five
         free = count_calls(monkeypatch, run_module.step_free_boundary)
         unsplit = count_calls(monkeypatch, run_module.step_unsplit)
-        rows = oracle_compare(ExperimentConfig())
+        record = oracle_compare(ExperimentConfig())
         assert [args[1] for args in free] == pytest.approx([0.01] * 5,
                                                            rel=1e-12)
         assert [args[2] for args in unsplit] == pytest.approx([0.002] * 25,
                                                               rel=1e-12)
-        assert [t for t, _, _ in rows] == pytest.approx(
+        assert record.times == pytest.approx(
             [0.01 * j for j in range(6)], rel=1e-12)
+
+    def test_oracle_names_a_free_flow_failure(self, monkeypatch):
+        break_free_flow(monkeypatch, 0.015)
+        record = oracle_compare(ExperimentConfig())
+        assert not record.converged
+        assert record.failure == ("free flow, SolverError: "
+                                  "free flow breaks down")
+        # the free flow's time: its step from t = 0.02 failed
+        assert record.fail_time == pytest.approx(0.02, rel=1e-12)
+        assert record.times == pytest.approx((0.0, 0.01, 0.02), rel=1e-12)
+        assert all(len(v) == 3 for v in record.series.values())
 
     def test_oracle_grid_is_half_the_config_with_at_least_12_angles(
             self, monkeypatch):
@@ -491,6 +528,18 @@ class TestCli:
         assert main(["oracle-compare", "--config", str(p)]) == 2
         assert capsys.readouterr().err.startswith(
             "solver failed at t = 0.024 (unsplit flow, VolumeDefectError: ")
+        lines = (tmp_path / "oracle_gap.csv").read_text().splitlines()
+        assert lines[0] == "time,eta_gap_H1,etadot_gap_H1"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == (
+            pytest.approx([0.0, 0.01, 0.02], rel=1e-12))
+
+    def test_oracle_free_flow_breakdown_exits_2_with_the_rows_before_it(
+            self, tmp_path, capsys, monkeypatch):
+        break_free_flow(monkeypatch, 0.015)
+        assert main(["oracle-compare", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "solver failed at t = 0.02 (free flow, SolverError: "
+            "free flow breaks down)\n")
         lines = (tmp_path / "oracle_gap.csv").read_text().splitlines()
         assert lines[0] == "time,eta_gap_H1,etadot_gap_H1"
         assert [float(line.split(",")[0]) for line in lines[1:]] == (
