@@ -48,8 +48,9 @@ def divergence(w):
 
 def laplacian(f):
     g = f.grid
-    C = np.einsum("mij,mj->mi", g.lap_stack, g.to_modes(f.values).T)
-    return ScalarField(g, g.from_modes(C.T))
+    C = np.einsum("mij,...mj->...mi", g.lap_stack,
+                  g.to_modes(f.values).swapaxes(-1, -2))
+    return ScalarField(g, g.from_modes(C.swapaxes(-1, -2)))
 
 
 def hessian(f):
@@ -91,20 +92,27 @@ def _ring_weights(grid, r0, theta0):
     # w_k / (r0 - x_k) in place, so the plan allocates little beyond itself
     pos = r0[:, None] - grid.x_full[grid.pos_full]
     neg = r0[:, None] - grid.x_full[grid.neg_full]
-    dist = np.abs(pos)
-    near = dist.argmin(axis=1)
-    nearest = near, dist[np.arange(r0.size), near]
-    on_node = dist < 1e-14  # r0 >= 0 meets no negative node
+    # column i of pos is grid.r[i], which increases: the nearest node is
+    # one of the two around r0, the inner one on a tie
+    hi = np.minimum(np.searchsorted(grid.r, r0), grid.n_r - 1)
+    lo = np.maximum(hi - 1, 0)
+    at = np.arange(r0.size)
+    d_lo, d_hi = np.abs(pos[at, lo]), np.abs(pos[at, hi])
+    near = np.where(d_lo <= d_hi, lo, hi)
+    nearest = near, np.minimum(d_lo, d_hi)
+    hit = np.flatnonzero(nearest[1] < 1e-14)  # r0 >= 0 meets no negative node
+    on_node = hit, near[hit]
     pos[on_node] = 1.0
     np.divide(grid.bary_weights[grid.pos_full], pos, out=pos)
     np.divide(grid.bary_weights[grid.neg_full], neg, out=neg)
     even = pos + neg
     radial = (even, np.subtract(pos, neg, out=neg))
+    del pos  # before the angular factors are allocated
     total = even.sum(axis=1, keepdims=True)
-    hit = on_node.any(axis=1)
     for rows in radial:
         rows /= total
-        rows[hit] = on_node[hit]
+        rows[hit] = 0.0
+        rows[on_node] = 1.0
     P, M, n = r0.size, grid.n_modes, grid.n_theta
     z = np.exp(1j * theta0)
     angular = [np.empty((P, (M + 1 - p) // 2), dtype=complex) for p in (0, 1)]
@@ -175,7 +183,9 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
 
     fields is one field or a sequence of fields on one grid; the result
     is (P, F), one column per component, in the order of the fields and,
-    within a VectorField, x then y.  Exact trigonometric
+    within a VectorField, x then y.  Fields with M members take M point
+    sets of equal size stacked member by member, member i evaluated at
+    set i only.  Exact trigonometric
     evaluation in theta, barycentric polynomial evaluation in r over the
     doubled node set.  Points whose radius overshoots 1 by at most
     clamp_tol are evaluated by the radial polynomial's natural extension
@@ -186,13 +196,16 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     shares the plan; the components take one batched product per
     parity, which numpy runs as one (P, n_r) @ (n_r, 2 M_p) product per
     component, shapes free of F, so a column has the bits of its field
-    evaluated alone.
+    evaluated alone; with members, the member axis is one more batch
+    axis of those products.
     """
     if isinstance(fields, (ScalarField, VectorField)):
         fields = (fields,)
     grid = fields[0].grid
+    members = grid.member_shape
     values = np.concatenate(
-        [f.values.reshape(-1, grid.n_r, grid.n_theta) for f in fields])
+        [f.values.reshape((-1,) + members + (grid.n_r, grid.n_theta))
+         for f in fields])
     if plan is None:
         plan = evaluation_plan(grid, points, clamp_tol=clamp_tol)
     elif plan.clamp_tol != clamp_tol:
@@ -201,11 +214,16 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     C = grid.to_modes(values)
     # per parity, (F, n_r, 2 M_p): each ring's (Re, -Im) pairs
     rings = [np.conj(C[..., p::2]).view(float) for p in (0, 1)]
-    even, odd = (np.einsum("fpk,pk->pf", W @ R, T)
+    even, odd = (np.einsum("f...pk,...pk->...pf",
+                           W.reshape(members + (-1, grid.n_r)) @ R,
+                           T.reshape(members + (-1, T.shape[-1])))
                  for W, R, T in zip(plan.radial, rings, plan.angular))
-    out = even + odd
+    out = (even + odd).reshape(-1, len(values))
+    # a snapped row takes the stored sample of its own member
     rows, i, j = plan.snap
-    out[rows] = values[:, i, j].T
+    per_member = len(out) // (grid.members or 1)
+    out[rows] = values.reshape(len(values), -1, grid.n_r, grid.n_theta)[
+        :, rows // per_member, i, j].T
     return out
 
 
@@ -221,6 +239,8 @@ STAGE_CLAMP = 1e-5
 def compose(f, g, *, clamp_tol=None):
     """f after g: sample f at the image points of the disk map g.
 
+    With a member axis, f and g have the same members, and member i of
+    f is sampled at the image points of member i of g.
     clamp_tol widens the boundary-overshoot allowance; time-step stage
     maps drift outside the circle by O(dt^2) and need more slack than
     a converged diffeomorphism.  The plan of g's image points is kept
@@ -277,4 +297,4 @@ def inverse_jacobian(g, jacobian=None):
 
 
 def restrict_boundary(f):
-    return BoundaryFunction.from_samples(f.grid, f.values[-1, :])
+    return BoundaryFunction.from_samples(f.grid, f.values[..., -1, :])

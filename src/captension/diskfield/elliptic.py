@@ -15,19 +15,20 @@ __all__ = ["solve_dirichlet", "harmonic_extension"]
 
 
 def solve_dirichlet(rhs, bdata=None):
-    """Solve laplacian(g) = rhs with g = bdata on the boundary circle."""
+    """Solve laplacian(g) = rhs with g = bdata on the boundary circle,
+    member by member when rhs (and bdata) carry a member axis."""
     grid = rhs.grid
-    C = grid.to_modes(rhs.values).T.copy()  # (n_modes, n_r)
+    C = grid.to_modes(rhs.values).swapaxes(-1, -2).copy()  # (..., n_modes, n_r)
     if bdata is None:
-        C[:, -1] = 0.0
+        C[..., -1] = 0.0
     else:
-        C[:, -1] = bdata.rfft_coeffs()
-    sol = np.einsum("mij,mj->mi", grid.dirichlet_inv, C)
-    return ScalarField(grid, grid.from_modes(sol.T))
+        C[..., -1] = bdata.rfft_coeffs()
+    sol = np.einsum("mij,...mj->...mi", grid.dirichlet_inv, C)
+    return ScalarField(grid, grid.from_modes(sol.swapaxes(-1, -2)))
 
 
 def harmonic_extension(bdata):
     """Harmonic function with the given boundary trace: sum c_m r^|m| e^(i m theta)."""
     grid = bdata.grid
-    prof = grid.harmonic_profiles * bdata.rfft_coeffs()[:, None]  # (n_modes, n_r)
-    return ScalarField(grid, grid.from_modes(prof.T))
+    prof = grid.harmonic_profiles * bdata.rfft_coeffs()[..., None]  # (..., n_modes, n_r)
+    return ScalarField(grid, grid.from_modes(prof.swapaxes(-1, -2)))

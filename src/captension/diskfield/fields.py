@@ -6,26 +6,32 @@ has one of length 2 holding its Cartesian components, values[0] = x and
 values[1] = y, so derivative passes and evaluations take every component
 in one call.  Instances are immutable; every operation returns a new
 object.
+
+A field on a grid with M members (grid.with_members(M)) carries a
+member axis of length M just before (n_r, n_theta): M fields of one
+kind stepped together, such as the k of a sweep.  A BoundaryFunction
+carries it before its modes.  Member i of every operation has the bits
+of that operation on member i alone.
 """
 
 import numpy as np
 
-from ..errors import NonFiniteError
+from ..errors import NoConvergenceError, NonFiniteError
 
 __all__ = ["ScalarField", "VectorField", "BoundaryFunction", "DiskMap",
-           "identity_map", "rotation_map"]
+           "identity_map", "rotation_map", "MemberSolve"]
 
 
 class _Field:
     """Samples of one field on a grid; _lead is the shape of the axes
-    in front of (n_r, n_theta)."""
+    in front of the member axis, if any, and (n_r, n_theta)."""
 
     __slots__ = ("grid", "values")
     _lead = ()
 
     def __init__(self, grid, values):
         values = np.ascontiguousarray(values, dtype=float)
-        shape = self._lead + (grid.n_r, grid.n_theta)
+        shape = self._lead + grid.sample_shape
         if values.shape != shape:
             raise ValueError(
                 f"{type(self).__name__} sample shape {values.shape} does not "
@@ -39,9 +45,20 @@ class _Field:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @property
+    def members(self):
+        """The length of the member axis, None without one."""
+        return self.grid.members
+
+    def take(self, index):
+        """Member index alone (an int) or the members listed (an array)."""
+        members = None if np.ndim(index) == 0 else len(index)
+        return type(self)(self.grid.with_members(members),
+                          self.values[..., index, :, :])
+
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros(cls._lead + (grid.n_r, grid.n_theta)))
+        return cls(grid, np.zeros(cls._lead + grid.sample_shape))
 
     def __add__(self, other):
         return type(self)(self.grid, self.values + _samples(other))
@@ -60,6 +77,15 @@ class _Field:
 
 def _samples(operand):
     return operand.values if isinstance(operand, _Field) else operand
+
+
+def _ring_product(transform, rings):
+    """transform of one ring, or of each member's ring as a one-row
+    product of its own: as rows of one product the members would take
+    other bits than a ring alone."""
+    if rings.ndim == 1:
+        return transform(rings)
+    return transform(rings[..., None, :])[..., 0, :]
 
 
 class ScalarField(_Field):
@@ -102,14 +128,13 @@ class BoundaryFunction:
 
     def __init__(self, grid, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (grid.n_modes,):
+        if coeffs.shape != grid.member_shape + (grid.n_modes,):
             raise ValueError(f"expected {grid.n_modes} boundary coefficients")
-        if abs(coeffs[0].imag) > 1e-12 * (1 + abs(coeffs[0])) or \
-           abs(coeffs[-1].imag) > 1e-12 * (1 + abs(coeffs[-1])):
+        ends = coeffs[..., ::grid.n_modes - 1]  # modes 0 and Nyquist
+        if (np.abs(ends.imag) > 1e-12 * (1 + np.abs(ends))).any():
             raise ValueError("m=0 and Nyquist coefficients of a real series must be real")
         coeffs = coeffs.copy()
-        coeffs[0] = coeffs[0].real
-        coeffs[-1] = coeffs[-1].real
+        coeffs[..., ::grid.n_modes - 1] = ends.real
         coeffs.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "coeffs", coeffs)
@@ -123,11 +148,12 @@ class BoundaryFunction:
 
     @classmethod
     def from_samples(cls, grid, ring):
+        """From samples on the n_theta angles, one row per member."""
         ring = np.asarray(ring, dtype=float)
-        if ring.shape != (grid.n_theta,):
+        if ring.shape[-1] != grid.n_theta:
             raise ValueError("boundary sample count must equal n_theta")
-        C = grid.to_modes(ring) / grid.n_theta
-        C[-1] *= 0.5
+        C = _ring_product(grid.to_modes, ring) / grid.n_theta
+        C[..., -1] *= 0.5
         return cls(grid, C)
 
     @classmethod
@@ -139,17 +165,18 @@ class BoundaryFunction:
 
     def samples(self):
         C = self.coeffs.copy()
-        C[-1] *= 2.0
-        return self.grid.from_modes(C * self.grid.n_theta)
+        C[..., -1] *= 2.0
+        return _ring_product(self.grid.from_modes, C * self.grid.n_theta)
 
     def rfft_coeffs(self):
         """Coefficients in numpy rfft convention (for the modal solvers)."""
         C = self.coeffs * self.grid.n_theta
-        C[-1] *= 2.0
+        C[..., -1] *= 2.0
         return C
 
     def max_abs(self):
-        return float(np.abs(self.samples()).max())
+        """max |samples|, per member when there is a member axis."""
+        return np.abs(self.samples()).max(axis=-1)
 
 
 class DiskMap:
@@ -184,19 +211,28 @@ class DiskMap:
         """The map with the vector field w added to its displacement."""
         return DiskMap(self.displacement + w, kind=self.kind)
 
+    def take(self, index):
+        """The map of member index alone, or of the members listed."""
+        return DiskMap(self.displacement.take(index), kind=self.kind)
+
+    def _nodes(self):
+        """grid.xy, broadcastable against the displacement's samples."""
+        xy = self.grid.xy
+        return xy if self.grid.members is None else xy[:, None]
+
     def image(self):
-        """Node images as one (2, n_r, n_theta) array, x then y."""
-        return self.grid.xy + self.displacement.values
+        """Node images as one (2, [M,] n_r, n_theta) array, x then y."""
+        return self._nodes() + self.displacement.values
 
     def image_points(self):
-        """(n_r*n_theta, 2) array of node images."""
+        """([M *] n_r*n_theta, 2) array of node images, member by member."""
         return self.image().reshape(2, -1).T
 
     def renormalize_boundary(self):
         """Project the boundary ring radially back onto the unit circle."""
         m = self.image()
-        m[:, -1, :] *= 1.0 / np.hypot(m[0, -1, :], m[1, -1, :])
-        return DiskMap(VectorField(self.grid, m - self.grid.xy), kind=self.kind)
+        m[..., -1, :] *= 1.0 / np.hypot(m[0, ..., -1, :], m[1, ..., -1, :])
+        return DiskMap(VectorField(self.grid, m - self._nodes()), kind=self.kind)
 
 
 def identity_map(grid, kind="diffeo"):
@@ -208,3 +244,56 @@ def rotation_map(grid, alpha):
     dx = ca * grid.xx - sa * grid.yy - grid.xx
     dy = sa * grid.xx + ca * grid.yy - grid.yy
     return DiskMap(VectorField.from_arrays(grid, dx, dy))
+
+
+class MemberSolve:
+    """Per-member convergence of a fixed-point iteration on a field that
+    may carry a member axis.
+
+    check(x, res) takes the iterate x of the members still iterating
+    and their residuals res, once per iteration, and returns True once
+    every member is done; result is then the field of every member's
+    result.  A member below tol keeps that x as its result and stops;
+    keep is then the positions, among the members check was given, of
+    those that go on (None while none stops).  A member whose residual is not
+    below factor times its residual `window` iterations earlier raises
+    NoConvergenceError, `stalled` formatted with that residual.
+    """
+
+    def __init__(self, like, tol, window, factor, stalled):
+        self.tol, self.window, self.factor = tol, window, factor
+        self.stalled = stalled
+        self.result = self.keep = None
+        self._history = []  # per iteration a float, or one per member
+        self._like = like
+        if like.members is not None:
+            self._done = np.empty_like(like.values)
+            self._active = np.arange(like.members)
+
+    def check(self, x, res):
+        h, window = self._history, self.window
+        if self._like.members is None:
+            if res < self.tol:
+                self.result = x
+                return True
+            if len(h) >= window and not res < self.factor * h[-window]:
+                raise NoConvergenceError(self.stalled.format(res))
+            h.append(res)
+            return False
+        done = res < self.tol
+        self.keep = None
+        if done.any():
+            self._done[..., self._active[done], :, :] = x.values[..., done, :, :]
+            if done.all():
+                self.result = type(x)(self._like.grid, self._done)
+                return True
+            self.keep = np.flatnonzero(~done)
+            self._active, res = self._active[self.keep], res[self.keep]
+        if len(h) >= window:
+            stuck = ~(res < self.factor * h[-window][self._active])
+            if stuck.any():
+                raise NoConvergenceError(self.stalled.format(res[stuck][0]))
+        # the entries of members that stopped are never read
+        h.append(np.empty(self._like.members))
+        h[-1][self._active] = res
+        return False

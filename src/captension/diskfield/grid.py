@@ -25,6 +25,8 @@ on a few dozen angles an FFT call costs almost only its call overhead,
 and the matrix product about half as much or less.
 """
 
+import copy
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -70,8 +72,15 @@ class DiskGrid:
     """Immutability-by-convention container of nodes and cached operators.
 
     Do not mutate attributes after construction; use make_grid() to get a
-    shared cached instance.
+    shared cached instance.  members is the length of the member axis of
+    the fields on this grid, None for fields without one, member_shape
+    that axis as a shape, () or (M,), and sample_shape the shape of a
+    scalar field's samples; the grids of one shape share every node and
+    operator.
     """
+
+    members = None
+    member_shape = ()
 
     def __init__(self, n_theta, n_r):
         if n_theta % 2 != 0 or n_theta < 8:
@@ -81,6 +90,7 @@ class DiskGrid:
         self.n_theta = int(n_theta)
         self.n_r = int(n_r)
         self.n_modes = n_theta // 2 + 1
+        self.sample_shape = (self.n_r, self.n_theta)
 
         # full doubled radial grid, odd order N so no node sits at r = 0
         N = 2 * n_r - 1
@@ -197,6 +207,11 @@ class DiskGrid:
                      "hodge_grad", "harmonic_profiles"):
             getattr(self, name).setflags(write=False)
 
+    def with_members(self, members):
+        """The grid of this shape for fields of `members` members (None:
+        without a member axis)."""
+        return make_grid(self.n_theta, self.n_r, members)
+
     # ---- transforms -------------------------------------------------
 
     def to_modes(self, values):
@@ -231,11 +246,18 @@ class DiskGrid:
         return self.integrate(a * b)
 
 
-def make_grid(n_theta, n_r):
-    """Shared cached grid; construction happens at most once per shape."""
-    key = (int(n_theta), int(n_r))
+def make_grid(n_theta, n_r, members=None):
+    """Shared cached grid; construction happens at most once per shape,
+    and a grid with members shares the operators of its shape's grid."""
+    key = (int(n_theta), int(n_r), members)
     grid = _GRID_CACHE.get(key)
     if grid is None:
-        grid = DiskGrid(*key)
+        if members is None:
+            grid = DiskGrid(*key[:2])
+        else:
+            grid = copy.copy(make_grid(*key[:2]))
+            grid.members = int(members)
+            grid.member_shape = (grid.members,)
+            grid.sample_shape = grid.member_shape + grid.sample_shape
         _GRID_CACHE[key] = grid
     return grid

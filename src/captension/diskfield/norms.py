@@ -1,4 +1,4 @@
-"""Sobolev norms: orders 0 and 1 on the disk, real orders on the circle."""
+"""Sobolev norms of orders 0 and 1 on the disk."""
 
 import numpy as np
 
@@ -6,7 +6,7 @@ from ..errors import UnsupportedOrderError
 from .calculus import grad_values
 from .fields import ScalarField, VectorField
 
-__all__ = ["sobolev_norm_disk", "sobolev_norm_boundary", "l2_norm_disk"]
+__all__ = ["sobolev_norm_disk", "l2_norm_disk"]
 
 
 def sobolev_norm_disk(f, s):
@@ -31,16 +31,14 @@ def sobolev_norm_disk(f, s):
 
 
 def l2_norm_disk(f):
-    return sobolev_norm_disk(f, 0)
-
-
-def sobolev_norm_boundary(b, s):
-    """H^s(circle) norm from the Fourier multiplier (1 + m^2)^s; any real s >= 0."""
-    if s < 0:
-        raise UnsupportedOrderError("boundary Sobolev order must be >= 0")
-    grid = b.grid
-    weights = np.full(grid.n_modes, 2.0)
-    weights[0] = 1.0
-    mult = (1.0 + grid.modes.astype(float) ** 2) ** s
-    total = 2.0 * np.pi * np.sum(weights * mult * np.abs(b.coeffs) ** 2)
-    return float(np.sqrt(total))
+    """The L2 norm; with a member axis, an array of each member's norm."""
+    if f.members is None:
+        return sobolev_norm_disk(f, 0)
+    # grid.integrate of each component of each member: its row sums,
+    # then their product with weights_r as a batch of one-by-one
+    # products, which numpy runs as the dot of a member alone; the
+    # components are summed in order, as sobolev_norm_disk does
+    grid = f.grid
+    rows = (f.values * f.values).sum(axis=-1)[..., None, :]
+    sq = (2.0 * np.pi / grid.n_theta) * (rows @ grid.weights_r[:, None])
+    return np.sqrt(sq.reshape(-1, f.members).sum(axis=0))

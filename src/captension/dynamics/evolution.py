@@ -70,7 +70,8 @@ def rhs_free_boundary(state):
     arbitration oracle for that choice.
 
     Derivatives: (grad f, grad fdot), then (D^2 f, D^2 fdot, Dv), then
-    D^3 f; D^2 f serves L, L1^-1, w and D eta = I + D^2 f.
+    D^3 f; D^2 f serves L, L1^-1, w and D eta = I + D^2 f.  A state
+    with a member axis gets the rates of every member from one call.
     """
     grid = state.f.grid
     vx, vy = state.v.values
@@ -84,7 +85,8 @@ def rhs_free_boundary(state):
     grad_p = pressure_gradient(
         DiskMap(VectorField(grid, grads[0]), kind="embedding"),
         pullback_velocity(state, VectorField(grid, grads[1]), hess_f),
-        state.k, jacobian=(1.0 + sx[0, 0], sy[0, 0], sx[0, 1], 1.0 + sy[0, 1]))
+        state.k_factor,
+        jacobian=(1.0 + sx[0, 0], sy[0, 0], sx[0, 1], 1.0 + sy[0, 1]))
 
     dv_grad_fdot = _hessian_apply(grid, hess_fdot, state.v)
     dvv_grad_f = VectorField(grid, vx * vx * tx[0] + vx * vy * (ty[0] + tx[1])
@@ -100,7 +102,10 @@ def rhs_free_boundary(state):
     vdot = -(conv - q_conv) - solve_L1_inverse(
         state.f, 2.0 * dv_grad_fdot + dvv_grad_f, hess_f)
 
-    beta_velocity = compose(state.v, state.beta, clamp_tol=STAGE_CLAMP)
+    # each stage map is composed once: through a map of its own, whose
+    # cache goes with this call, no state keeps the plan for the step
+    beta_velocity = compose(state.v, DiskMap(state.beta.displacement),
+                            clamp_tol=STAGE_CLAMP)
     return state.fdot, fddot, vdot, beta_velocity
 
 
@@ -115,10 +120,10 @@ def capillary_frequencies(k, n_theta):
     linear capillary oscillation (h, g)' = (g, -omega^2 h) of the modes
     h of f and g of fdot on the circle.  It is 0 for m = 0, 1 and at the
     Nyquist mode, whose theta-derivative the grid zeroes, so it feels
-    no curvature force."""
+    no curvature force.  A column of k gives one row per k."""
     m = np.arange(n_theta // 2 + 1, dtype=float)
     omega = np.sqrt(k * m * (m * m - 1.0))
-    omega[-1] = 0.0
+    omega[..., -1] = 0.0
     return omega
 
 
@@ -144,15 +149,16 @@ def step_free_boundary(state, dt):
     of w turns its modes to t, takes f as the volume-constrained
     potential of h (so stage maps stay volume preserving) and gives
     fdot the harmonic extension of its mode defect.  Stage one is the
-    given state itself.
+    given state itself.  A state with a member axis steps every member
+    in one call, each turned by the omega of its own k; dt must then
+    meet the bound of the largest k.
     """
     grid, k = state.f.grid, state.k
-    bound = dt_free_max(k, grid.n_theta)
+    omega = capillary_frequencies(state.k_factor, grid.n_theta)
+    bound = np.pi / omega.max()
     if dt > bound * (1.0 + 1e-12):
         raise ConfigError(
             f"dt = {dt:.3e} exceeds the capillary rotation bound {bound:.3e}")
-
-    omega = capillary_frequencies(k, grid.n_theta)
     inert = omega == 0.0
 
     def turn(t):
@@ -161,7 +167,7 @@ def step_free_boundary(state, dt):
                          [-omega * s, c]])
 
     def apply(op, z):
-        return np.einsum("ijm,jm->im", op, z)
+        return np.einsum("ij...,j...->i...", op, z)
 
     def nonlinear(stage, z):
         """The rates of (fdot, v, beta, modes of fdot) at a stage with

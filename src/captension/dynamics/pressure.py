@@ -49,6 +49,8 @@ def pressure_gradient(eta, w, k, det_tol=1e-6, jacobian=None):
     leaves grad q alone, so dropping the mean of kappa keeps the solve
     well scaled.  det_tol bounds |det Deta - 1| for the solve.  jacobian,
     the entries of Deta when the caller has them, spares their pass.
+    With a member axis, k is a column of one k per member (see
+    FreeBoundaryState.k_factor).
     """
     grid = eta.grid
     _, (b11, b12, b21, b22) = inverse_jacobian(eta, jacobian)
@@ -60,7 +62,8 @@ def pressure_gradient(eta, w, k, det_tol=1e-6, jacobian=None):
     tr_g2 = g11 * g11 + 2.0 * g12 * g21 + g22 * g22
 
     kappa = boundary_curvature(eta.displacement)
-    bdata = BoundaryFunction.from_samples(grid, k * (kappa - kappa.mean()))
+    bdata = BoundaryFunction.from_samples(
+        grid, k * (kappa - kappa.mean(axis=-1, keepdims=True)))
     q = solve_pulled_back_laplacian(eta, ScalarField(grid, -tr_g2), bdata,
                                     det_tol=det_tol)
     qx, qy = gradient(q).values

@@ -9,14 +9,11 @@ from ..diskfield import (
     DiskMap,
     ScalarField,
     VectorField,
-    divergence,
     gradient,
     identity_map,
-    jacobian_det,
     laplacian,
 )
 from ..projections import hodge_P
-from ..shape import volume_residual
 
 
 @dataclass(frozen=True)
@@ -25,7 +22,8 @@ class FreeBoundaryState:
 
     f and fdot are the boundary-oscillation potential and its rate, v is
     the interior velocity (divergence free, boundary tangent) driving
-    beta, and k the surface tension coefficient.
+    beta, and k the surface tension coefficient.  With a member axis on
+    every field, k is a tuple of one k per member; time is shared.
     """
 
     f: ScalarField
@@ -37,27 +35,33 @@ class FreeBoundaryState:
 
     @classmethod
     def from_velocity(cls, grid, u0, k):
-        """Undeformed start at t = 0: f = fdot = 0, beta = id, v = P u0."""
-        return cls(
-            f=ScalarField.zeros(grid),
-            fdot=ScalarField.zeros(grid),
-            v=hodge_P(u0),
-            beta=identity_map(grid),
-            time=0.0,
-            k=float(k),
-        )
+        """Undeformed start at t = 0: f = fdot = 0, beta = id, v = P u0;
+        one member per k when k is a sequence."""
+        v = hodge_P(u0)
+        if np.ndim(k) == 0:
+            return cls(f=ScalarField.zeros(grid), fdot=ScalarField.zeros(grid),
+                       v=v, beta=identity_map(grid), time=0.0, k=float(k))
+        ks = tuple(float(x) for x in k)
+        grid = grid.with_members(len(ks))
+        f = ScalarField.zeros(grid)
+        return cls(f=f, fdot=f, v=VectorField(grid, np.repeat(
+            v.values[:, None], len(ks), axis=1)), beta=identity_map(grid),
+                   time=0.0, k=ks)
 
-    def constraint_defects(self):
-        """Measured invariant violations: div v, v tangency, volume residual,
-        beta Jacobian."""
-        div_v = float(np.abs(divergence(self.v).values).max())
-        v, nu = self.v.values[:, -1], self.v.grid.xy[:, -1]
-        return {
-            "div_v": div_v,
-            "v_normal": float(np.abs((v * nu).sum(axis=0)).max()),
-            "volume_residual": volume_residual(self.f)[0],
-            "beta_jacobian": float(np.abs(jacobian_det(self.beta).values - 1.0).max()),
-        }
+    @property
+    def k_factor(self):
+        """k as a factor of samples shaped (..., [M,] n): a float, or a
+        column of one k per member."""
+        return self.k if isinstance(self.k, float) else np.array(self.k)[:, None]
+
+    def take(self, index):
+        """The state of member index alone (an int), or of the members
+        listed (an array)."""
+        return FreeBoundaryState(
+            f=self.f.take(index), fdot=self.fdot.take(index),
+            v=self.v.take(index), beta=self.beta.take(index), time=self.time,
+            k=self.k[index] if np.ndim(index) == 0
+            else tuple(self.k[i] for i in index))
 
 
 @dataclass(frozen=True)

@@ -107,27 +107,26 @@ def _fixed_flow(config):
         _substeps(config.T / (config.n_outputs - 1), config.dt_fixed))
 
 
-def _compare(free, reference, n_outputs, segment, free_bound):
-    """Step the free flow beside `reference` over n_outputs - 1 segments,
-    the free step substepped under free_bound, and record both at each
-    output time.  A solver failure in either flow closes the record
-    early with converged = False, the failing flow's time in fail_time
-    and, in failure, that flow's name, the error class and its message.
-    """
-    n_free, dt_free = _substeps(segment, free_bound)
-    times = [0.0]
-    series = {q: [] for q in ("nabla_f_L2", "nabla_f_H1", "eta_gap_H1",
-                              "etadot_gap_H1", "energy_drift")}
+class _Row:
+    """The records of one k along the output times, until a failure
+    closes it."""
 
-    def record(f_state, ref_displacement, ref_velocity, e0):
+    def __init__(self):
+        self.times = []
+        self.series = {q: [] for q in ("nabla_f_L2", "nabla_f_H1",
+                                       "eta_gap_H1", "etadot_gap_H1",
+                                       "energy_drift")}
+        self.e0 = self.k = self.fail_time = self.failure = None
+
+    def record(self, f_state, ref_displacement, ref_velocity):
         # every value is computed before any is stored, so a failure
-        # leaves the series as long as times; returns the energy, and
-        # the first record's energy is the e0 of the drift
+        # leaves the series as long as times; the first record's energy
+        # is the e0 of the drift
         derivatives = output_derivatives(f_state)
         gf = derivatives[0]
         eta, etadot = reconstruct_eta(f_state, derivatives)
         energy = energy_report(f_state, derivatives).E
-        e0 = energy if e0 is None else e0
+        e0 = energy if self.e0 is None else self.e0
         row = {
             "nabla_f_L2": sobolev_norm_disk(gf, 0),
             "nabla_f_H1": sobolev_norm_disk(gf, 1),
@@ -137,37 +136,101 @@ def _compare(free, reference, n_outputs, segment, free_bound):
             "energy_drift": abs(energy - e0) / max(abs(e0), 1e-30),
         }
         for q, value in row.items():
-            series[q].append(value)
-        return energy
+            self.series[q].append(value)
+        self.times.append(f_state.time)
+        self.e0, self.k = e0, f_state.k
 
-    e0 = record(free, *reference.at(0), None)
-    fail_time = failure = None
-    for j in range(1, n_outputs):
+    def close(self, flow, time, exc):
+        self.fail_time = time
+        self.failure = "%s flow, %s: %s" % (flow, type(exc).__name__, exc)
+
+    def result(self):
+        series = self.series
+        return RunRecord(
+            k=self.k,
+            times=tuple(self.times),
+            sup_nabla_f_L2=max(series["nabla_f_L2"]),
+            sup_nabla_f_H1=max(series["nabla_f_H1"]),
+            sup_eta_gap_H1=max(series["eta_gap_H1"]),
+            sup_etadot_gap_H1=max(series["etadot_gap_H1"]),
+            energy_drift=max(series["energy_drift"]),
+            converged=self.failure is None,
+            fail_time=self.fail_time,
+            failure=self.failure,
+            series={q: tuple(v) for q, v in series.items()},
+        )
+
+
+def _members(free):
+    """The one-member states of free, one per member."""
+    if free.f.members is None:
+        return [free]
+    return [free.take(i) for i in range(free.f.members)]
+
+
+def _compare(free, reference, n_outputs, substeps):
+    """Step the free flow beside `reference` over n_outputs - 1 segments
+    of substeps = (n, dt), and record both at each output time.  Returns
+    one RunRecord per member of free, one if it has no member axis.
+
+    Every member is stepped by one step_free_boundary call per substep.
+    A solver failure in that call steps every member of it again, one
+    by one, from the state before it, and each goes on alone.  A solver
+    failure in either flow closes the records it reaches early, with
+    converged = False, the failing flow's time in fail_time and, in
+    failure, that flow's name, the error class and its message.
+    """
+    rows = [_Row() for _ in _members(free)]
+    for row, member in zip(rows, _members(free)):
+        row.record(member, *reference.at(0))
+    _advance(free, rows, reference, 1, 0, n_outputs, substeps)
+    return tuple(row.result() for row in rows)
+
+
+def _advance(free, rows, reference, j, sub, n_outputs, substeps):
+    """_compare's loop from substep `sub` of output segment j on; rows[i]
+    records member i of free."""
+    n_free, dt_free = substeps
+    while j < n_outputs:
+        for sub in range(sub, n_free):
+            try:
+                stepped = step_free_boundary(free, dt_free)
+            except SolverError as exc:
+                if free.f.members is None:
+                    rows[0].close("free", free.time, exc)
+                else:
+                    for row, member in zip(rows, _members(free)):
+                        _advance(member, [row], reference, j, sub, n_outputs,
+                                 substeps)
+                return
+            free = stepped
+        sub = 0
         try:
-            for _ in range(n_free):
-                free = step_free_boundary(free, dt_free)
-            record(free, *reference.at(j), e0)
+            ref = reference.at(j)
         except SolverError as exc:
-            flow, fail_time = "free", free.time
-            if reference.failure is not None and exc is reference.failure[1]:
-                flow, fail_time = reference.name, reference.failure[0]
-            failure = "%s flow, %s: %s" % (flow, type(exc).__name__, exc)
-            break
-        times.append(free.time)
+            for row in rows:
+                row.close(reference.name, reference.failure[0], exc)
+            return
+        going = []
+        for i, (row, member) in enumerate(zip(rows, _members(free))):
+            try:
+                row.record(member, *ref)
+                going.append(i)
+            except SolverError as exc:
+                row.close("free", free.time, exc)
+        if len(going) < len(rows):
+            if not going:
+                return
+            free = free.take(going if len(going) > 1 else going[0])
+            rows = [rows[i] for i in going]
+        j += 1
 
-    return RunRecord(
-        k=free.k,
-        times=tuple(times),
-        sup_nabla_f_L2=max(series["nabla_f_L2"]),
-        sup_nabla_f_H1=max(series["nabla_f_H1"]),
-        sup_eta_gap_H1=max(series["eta_gap_H1"]),
-        sup_etadot_gap_H1=max(series["etadot_gap_H1"]),
-        energy_drift=max(series["energy_drift"]),
-        converged=failure is None,
-        fail_time=fail_time,
-        failure=failure,
-        series={q: tuple(v) for q, v in series.items()},
-    )
+
+def _free_substeps(config, k):
+    """(n, dt) of the free flow per output segment at k: under dt_fixed
+    and dt_free_max."""
+    return _substeps(config.T / (config.n_outputs - 1),
+                     min(config.dt_fixed, dt_free_max(k, config.n_theta)))
 
 
 def run_single(config, k, fixed_flow=None):
@@ -184,20 +247,34 @@ def run_single(config, k, fixed_flow=None):
     """
     if fixed_flow is None:
         fixed_flow = _fixed_flow(config)
+    return _records(config, (k,), fixed_flow)[0]
+
+
+def _records(config, ks, fixed_flow):
+    """The records of every k in ks, in order, compared with fixed_flow.
+    The k that share their free substeps are stepped together, as the
+    members of one state, and a k alone as a state without members."""
     grid = make_grid(config.n_theta, config.n_r)
     u0 = stream_initial_velocity(grid, config.stream_mode, config.amplitude)
-    return _compare(
-        FreeBoundaryState.from_velocity(grid, u0, k), fixed_flow,
-        config.n_outputs, config.T / (config.n_outputs - 1),
-        min(config.dt_fixed, dt_free_max(k, config.n_theta)))
+    groups = {}
+    for k in ks:
+        groups.setdefault(_free_substeps(config, k), []).append(k)
+    by_k = {}
+    for substeps, group in groups.items():
+        free = FreeBoundaryState.from_velocity(
+            grid, u0, group if len(group) > 1 else group[0])
+        for row in _compare(free, fixed_flow, config.n_outputs, substeps):
+            by_k[row.k] = row
+    return [by_k[float(k)] for k in ks]
 
 
 def run_sweep(config):
-    """run_single per k, one after another, all compared with one fixed-disk
+    """The rows of run_single for every k, compared with one fixed-disk
     flow integrated once for this call; fit decay exponents over the
-    converged rows (three or more needed for a fit)."""
-    fixed_flow = _fixed_flow(config)
-    rows = [run_single(config, k, fixed_flow) for k in config.k_list]
+    converged rows (three or more needed for a fit).  Each row has the
+    bits of run_single at its k, though the k that share their free
+    substeps are stepped together."""
+    rows = _records(config, config.k_list, _fixed_flow(config))
 
     fitted = {}
     good = [r for r in rows if r.converged]
@@ -241,4 +318,5 @@ def oracle_compare(config):
         lambda state, dt: step_unsplit(*state, dt, k),
         lambda state: (state[0].displacement, state[1]),
         _substeps(segment, dt_max(k, n_theta)))
-    return _compare(free, unsplit, 6, segment, dt_free_max(k, n_theta))
+    return _compare(free, unsplit, 6,
+                    _substeps(segment, dt_free_max(k, n_theta)))[0]

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import NoConvergenceError, VolumeDefectError
 from .diskfield import (
+    MemberSolve,
     ScalarField,
     VectorField,
     grad_values,
@@ -46,15 +47,19 @@ TOL_ELL = 1e-9
 
 def _hodge_modes(w, stack):
     """Per-mode products of a Hodge matrix stack of the grid with the
-    (Re, Im) columns of the modes of (u_r, i u_theta), from one rfft."""
+    (Re, Im) columns of the modes of (u_r, i u_theta), from one rfft;
+    (..., rows, n_modes), the member axis a batch axis of the products."""
     g = w.grid
     wx, wy = w.values
     C = g.to_modes(np.stack([g.cos_t * wx + g.sin_t * wy,
                              g.cos_t * wy - g.sin_t * wx]))
     C[1] *= 1j
-    C = np.ascontiguousarray(C.reshape(2 * g.n_r, g.n_modes).T).view(float)
-    sol = stack @ C.reshape(g.n_modes, 2 * g.n_r, 2)
-    return sol.view(complex)[..., 0].T
+    # (..., n_modes, 2, n_r) in one copy: per mode (u_r, i u_theta)
+    members = C.shape[1:-2]
+    C = np.ascontiguousarray(C.transpose(
+        tuple(range(1, C.ndim - 2)) + (C.ndim - 1, 0, C.ndim - 2))).view(float)
+    sol = stack @ C.reshape(members + (g.n_modes, 2 * g.n_r, 2))
+    return sol.view(complex)[..., 0].swapaxes(-1, -2)
 
 
 def hodge_potential(w):
@@ -67,7 +72,8 @@ def hodge_Q(w):
     """Gradient part of w, grad g without forming g: hodge_grad gives the
     modes of (d_r g, -i (1/r) d_theta g), one irfft takes both back."""
     g = w.grid
-    sol = _hodge_modes(w, g.hodge_grad).reshape(2, g.n_r, g.n_modes)
+    sol = _hodge_modes(w, g.hodge_grad)
+    sol = sol.reshape(sol.shape[:-2] + (2, g.n_r, g.n_modes)).swapaxes(0, -3)
     sol[1] *= 1j
     gr, gt = g.from_modes(sol)
     return VectorField(g, [g.cos_t * gr - g.sin_t * gt,
@@ -102,21 +108,20 @@ def solve_L1_inverse(f, target, hess=None):
 
     Raises NoConvergenceError when the residual fails to halve over a
     50-iteration window, the practical signal that f is too large.
+    Members iterate together, each until its own residual passes.
     """
-    grid = target.grid
     hess = hess or hessian(f)
     tgt = hodge_P(target)
     w = tgt
-    history = []
+    solve = MemberSolve(tgt, TOL_L1, 50, 0.5,
+                        "L1 inverse stalled at residual {:.3e} (Hessian too large)")
     for _ in range(5000):
-        phw = hodge_P(_hessian_apply(grid, hess, w))
-        res = l2_norm_disk(w + phw - tgt)
-        if res < TOL_L1:
-            return w
-        history.append(res)
-        if len(history) > 50 and not res < 0.5 * history[-51]:
-            raise NoConvergenceError(
-                f"L1 inverse stalled at residual {res:.3e} (Hessian too large)")
+        phw = hodge_P(_hessian_apply(w.grid, hess, w))
+        if solve.check(w, l2_norm_disk(w + phw - tgt)):
+            return solve.result
+        if solve.keep is not None:
+            tgt, phw = tgt.take(solve.keep), phw.take(solve.keep)
+            hess = tuple(h[solve.keep] for h in hess)
         w = tgt - phw
     raise NoConvergenceError(
         "L1 inverse: no convergence in 5000 iterations")
@@ -134,6 +139,7 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
     r = 1 ring the Dirichlet condition, not the PDE, is enforced.  The
     tolerance is relative to the data scale, so large sources or large
     boundary values do not demand residuals below the roundoff floor.
+    Members iterate together, each until its own residual passes.
     """
     grid = rhs.grid
     if xi.grid is not grid:
@@ -153,28 +159,30 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
                                              a12 * gx + a22 * gy]))
         return dx[0] + dy[1]
 
-    scale = max(1.0, l2_norm_disk(rhs))
+    scale = np.maximum(1.0, l2_norm_disk(rhs))
     if bdata is not None:
-        scale = max(scale, bdata.max_abs())
+        scale = np.maximum(scale, bdata.max_abs())
     g = solve_dirichlet(rhs, bdata)
-    history = []
+    rhs = rhs.values
+    solve = MemberSolve(g, TOL_ELL, 20, 0.9,
+                        "pulled-back Laplacian stalled at residual {:.3e}")
     for _ in range(400):
-        resid = rhs.values - op(g.values)
-        resid[-1, :] = 0.0
+        resid = rhs - op(g.values)
+        resid[..., -1, :] = 0.0
         # the top angular mode (n_theta is even) has no sine partner, so
         # the composed-derivative operator and the assembled
         # preconditioner disagree on it; the iteration corrects the
         # resolved modes and leaves that aliasing slack alone
         C = grid.to_modes(resid)
-        C[:, -1] = 0.0
-        resid = grid.from_modes(C)
-        res = float(np.sqrt(max(grid.l2_inner(resid, resid), 0.0))) / scale
-        if res < TOL_ELL:
-            return g
-        history.append(res)
-        if len(history) > 20 and not res < 0.9 * history[-21]:
-            raise NoConvergenceError(
-                f"pulled-back Laplacian stalled at residual {res:.3e}")
-        g = g + solve_dirichlet(ScalarField(grid, resid))
+        C[..., -1] = 0.0
+        resid = ScalarField(g.grid, grid.from_modes(C))
+        if solve.check(g, l2_norm_disk(resid) / scale):
+            return solve.result
+        keep = solve.keep
+        if keep is not None:
+            g, resid = g.take(keep), resid.take(keep)
+            rhs, a11, a12, a22, scale = (
+                x[keep] for x in (rhs, a11, a12, a22, scale))
+        g = g + solve_dirichlet(resid)
     raise NoConvergenceError(
         "pulled-back Laplacian: no convergence in 400 iterations")

@@ -27,6 +27,7 @@ from .diskfield import (
     STAGE_CLAMP,
     BoundaryFunction,
     DiskMap,
+    MemberSolve,
     ScalarField,
     compose,
     evaluate_vector_at,
@@ -70,11 +71,12 @@ class CurvatureExpansion:
 
 
 def volume_residual(f):
-    """(max |lap f + det D^2 f| over the interior rings, det D^2 f); on
-    the r = 1 ring the trace condition replaces the equation."""
+    """(max |lap f + det D^2 f| over the interior rings, per member when
+    f has a member axis, det D^2 f); on the r = 1 ring the trace
+    condition replaces the equation."""
     fxx, fxy, fyx, fyy = hessian(f)
     det = fxx * fyy - fxy * fyx
-    return float(np.abs((laplacian(f).values + det)[:-1, :]).max()), det
+    return np.abs((laplacian(f).values + det)[..., :-1, :]).max(axis=(-2, -1)), det
 
 
 def solve_volume_constraint(h):
@@ -83,29 +85,30 @@ def solve_volume_constraint(h):
     Fixed-point iteration f <- harmonic_extension(h) - lap^-1(det D^2 f)
     (zero-trace inverse), which contracts at a rate proportional to the
     amplitude of h; data too large for it is rejected by its stalling.
-    Returns f once its volume_residual is below TOL_VOL.
+    Returns f once its volume_residual is below TOL_VOL; members
+    iterate together, each until its own residual passes.
     """
     grid = h.grid
     base = harmonic_extension(h)
     # D^2 of the harmonic base is trace free with entries at most
     # s = 2 sum m (m - 1) |h_m|, so its residual is at most 2 s^2: data
     # that small would pass the first check, which is then skipped
+    # unless another member needs it
     m = grid.modes
-    s = 2.0 * float(np.sum(m * (m - 1) * np.abs(h.coeffs)))
-    if 2.0 * s * s < 0.1 * TOL_VOL:
+    s = 2.0 * np.sum(m * (m - 1) * np.abs(h.coeffs), axis=-1)
+    if np.all(2.0 * s * s < 0.1 * TOL_VOL):
         return base
+    solve = MemberSolve(base, TOL_VOL, 20, 0.5,
+                        "volume-constraint iteration stalled at residual "
+                        "{:.3e} (boundary data too large)")
     f = base
-    history = []
     for _ in range(400):
         res, det = volume_residual(f)
-        if res < TOL_VOL:
-            return f
-        history.append(res)
-        if len(history) > 20 and not res < 0.5 * history[-21]:
-            raise NoConvergenceError(
-                f"volume-constraint iteration stalled at residual {res:.3e} "
-                "(boundary data too large)")
-        f = base - solve_dirichlet(ScalarField(grid, det))
+        if solve.check(f, res):
+            return solve.result
+        if solve.keep is not None:
+            base, det = base.take(solve.keep), det[solve.keep]
+        f = base - solve_dirichlet(ScalarField(base.grid, det))
     raise NoConvergenceError(
         "volume constraint: no convergence in 400 iterations")
 
@@ -128,7 +131,7 @@ def _boundary_tangent_data(displacement):
     circle part is differentiated exactly.
     """
     grid = displacement.grid
-    C = grid.to_modes(displacement.values[:, -1, :])
+    C = grid.to_modes(displacement.values[..., -1, :])
     ax, ay, bx, by = grid.from_modes(
         np.concatenate([C * grid.ik, C * grid.ik ** 2]))
     tx = -np.sin(grid.theta) + ax

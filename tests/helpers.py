@@ -4,13 +4,39 @@ import sys
 
 import numpy as np
 
-from captension.diskfield import (BoundaryFunction, DiskGrid, VectorField,
-                                  calculus, restrict_boundary,
-                                  sobolev_norm_boundary)
+from captension.diskfield import (BoundaryFunction, DiskGrid, DiskMap,
+                                  VectorField, calculus, divergence,
+                                  jacobian_det, restrict_boundary)
 from captension.dynamics import FreeBoundaryState, rhs_free_boundary
 from captension.dynamics.states import rk4
+from captension.errors import UnsupportedOrderError
 from captension.projections import hodge_P
-from captension.shape import solve_volume_constraint
+from captension.shape import solve_volume_constraint, volume_residual
+
+
+def sobolev_norm_boundary(b, s):
+    """H^s(circle) norm from the Fourier multiplier (1 + m^2)^s; any real s >= 0."""
+    if s < 0:
+        raise UnsupportedOrderError("boundary Sobolev order must be >= 0")
+    grid = b.grid
+    weights = np.full(grid.n_modes, 2.0)
+    weights[0] = 1.0
+    mult = (1.0 + grid.modes.astype(float) ** 2) ** s
+    total = 2.0 * np.pi * np.sum(weights * mult * np.abs(b.coeffs) ** 2)
+    return float(np.sqrt(total))
+
+
+def constraint_defects(state):
+    """Measured invariant violations of a free-flow state: div v, v
+    tangency, volume residual, beta Jacobian."""
+    div_v = float(np.abs(divergence(state.v).values).max())
+    v, nu = state.v.values[:, -1], state.v.grid.xy[:, -1]
+    return {
+        "div_v": div_v,
+        "v_normal": float(np.abs((v * nu).sum(axis=0)).max()),
+        "volume_residual": volume_residual(state.f)[0],
+        "beta_jacobian": float(np.abs(jacobian_det(state.beta).values - 1.0).max()),
+    }
 
 
 def random_boundary(grid, rng, norm_bound, s=2.5, max_mode=8):
@@ -99,3 +125,21 @@ def step_free_rk4(state, dt):
         f=solve_volume_constraint(restrict_boundary(f)), fdot=fdot,
         v=hodge_P(v), beta=beta.renormalize_boundary(),
         time=state.time + dt, k=state.k)
+
+
+def stack(items):
+    """Fields, boundary functions, disk maps or one-member free-flow
+    states of one grid as the members of one, in order."""
+    first = items[0]
+    if isinstance(first, FreeBoundaryState):
+        return FreeBoundaryState(
+            *(stack([getattr(s, n) for s in items])
+              for n in ("f", "fdot", "v", "beta")),
+            time=first.time, k=tuple(s.k for s in items))
+    if isinstance(first, DiskMap):
+        return DiskMap(stack([m.displacement for m in items]), kind=first.kind)
+    grid = first.grid.with_members(len(items))
+    if isinstance(first, BoundaryFunction):
+        return BoundaryFunction(grid, np.stack([b.coeffs for b in items]))
+    return type(first)(grid, np.stack([f.values for f in items],
+                                      axis=len(first._lead)))

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
-from helpers import count_ffts
+from helpers import (count_calls, count_ffts, random_boundary,
+                     random_poly_field, stack)
 
+from captension import projections
 from captension.diskfield import (DiskMap, ScalarField, VectorField, compose,
-                                  divergence, evaluate_vector_at,
+                                  divergence, elliptic, evaluate_vector_at,
                                   evaluation_plan, grad_values, gradient,
-                                  hessian, identity_map, jacobian_det,
-                                  laplacian, restrict_boundary, rotation_map)
+                                  harmonic_extension, hessian, identity_map,
+                                  jacobian_det, laplacian, restrict_boundary,
+                                  rotation_map, solve_dirichlet)
+from captension.dynamics import (FreeBoundaryState, dt_free_max,
+                                 pressure_gradient, rhs_free_boundary,
+                                 step_free_boundary)
 from captension.errors import PointOutsideDomainError
+from captension.projections import (hodge_P, hodge_Q, hodge_potential,
+                                    solve_L1_inverse,
+                                    solve_pulled_back_laplacian)
+from captension.shape import boundary_curvature, solve_volume_constraint
 
 
 def poly(grid):
@@ -119,6 +129,82 @@ def test_grad_values_of_a_stack_matches_each_field(grid, rng):
         fx, fy = grad_values(grid, stack[k])
         assert np.array_equal(dx[k], fx)
         assert np.array_equal(dy[k], fy)
+
+
+def _arrays(out):
+    """The sample arrays of a kernel's output, in a fixed order."""
+    if isinstance(out, tuple):
+        return [a for o in out for a in _arrays(o)]
+    if isinstance(out, FreeBoundaryState):
+        return _arrays((out.f, out.fdot, out.v, out.beta.displacement))
+    for name in ("values", "coeffs"):
+        if hasattr(out, name):
+            return [getattr(out, name)]
+    return [np.asarray(out)]
+
+
+def _same_bits(batched, singles):
+    """Member i of every output of a batched call has the bits of the
+    one-member call singles[i]."""
+    for i, single in enumerate(singles):
+        for got, want in zip(_arrays(batched), _arrays(single), strict=True):
+            axis = next(a for a in range(got.ndim)
+                        if got.shape[:a] + got.shape[a + 1:] == want.shape)
+            assert np.array_equal(np.take(got, i, axis=axis), want), i
+
+
+def test_each_batched_kernel_keeps_every_members_bits(grid, rng, monkeypatch):
+    # three members of different fields, different k and boundary data
+    # of different size, so each iterative solve takes its own number of
+    # iterations per member
+    ks = (50.0, 200.0, 800.0)
+    bdry = [random_boundary(grid, rng, a) for a in (1e-9, 0.05, 0.2)]
+    vecs = [random_poly_field(grid, rng) for _ in ks]
+    scalars = [ScalarField(grid, v.values[0]) for v in vecs]
+    data = [random_boundary(grid, rng, 1.0) for _ in ks]
+    fs = [solve_volume_constraint(h) for h in bdry]
+    etas = [DiskMap(gradient(f), kind="embedding") for f in fs]
+    betas = [DiskMap(v * (0.01 * (1.0 - grid.rr ** 2))) for v in vecs]
+    states = [FreeBoundaryState(
+        f=f, fdot=harmonic_extension(b) * 0.1, v=hodge_P(v), beta=beta,
+        time=0.0, k=k) for f, b, v, beta, k in zip(fs, data, vecs, betas, ks)]
+    dt = 0.5 * dt_free_max(ks[-1], grid.n_theta)
+    kernels = {
+        "hodge_Q": (hodge_Q, [vecs]),
+        "hodge_potential": (hodge_potential, [vecs]),
+        "solve_dirichlet": (solve_dirichlet, [scalars, data]),
+        "harmonic_extension": (harmonic_extension, [data]),
+        "restrict_boundary": (restrict_boundary, [scalars]),
+        "boundary_curvature": (
+            boundary_curvature, [[gradient(f) for f in fs]]),
+        "solve_volume_constraint": (solve_volume_constraint, [bdry]),
+        "solve_L1_inverse": (solve_L1_inverse, [fs, vecs]),
+        "solve_pulled_back_laplacian": (
+            solve_pulled_back_laplacian, [etas, scalars, data]),
+        "compose": (compose, [vecs, betas]),
+        "rhs_free_boundary": (rhs_free_boundary, [states]),
+        "step_free_boundary": (lambda s: step_free_boundary(s, dt), [states]),
+    }
+    for kernel, args in kernels.values():
+        singles = [kernel(*member) for member in zip(*args)]
+        _same_bits(kernel(*map(stack, args)), singles)
+    # pressure_gradient takes one k per member as a column
+    singles = [pressure_gradient(eta, v, k) for eta, v, k in zip(etas, vecs, ks)]
+    _same_bits(pressure_gradient(stack(etas), stack(vecs),
+                                 np.array(ks)[:, None]), singles)
+    # the members of each solve converge after different iteration counts
+    for kernel, counted, args in (
+            (solve_volume_constraint, elliptic.solve_dirichlet, [bdry]),
+            (solve_L1_inverse, projections.hodge_P, [fs, vecs]),
+            (solve_pulled_back_laplacian, elliptic.solve_dirichlet,
+             [etas, scalars, data])):
+        counts = []
+        for member in zip(*args):
+            calls = count_calls(monkeypatch, counted)
+            kernel(*member)
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert len(set(counts)) == len(ks), (kernel.__name__, counts)
 
 
 def test_derivatives_make_one_transform_each_way_per_pass(grid, monkeypatch):

@@ -298,6 +298,45 @@ class TestRuns:
         assert rows == tuple(run_single(cfg, k) for k in cfg.k_list)
         assert all(r.converged and r.fail_time is None for r in rows)
 
+    def test_sweep_steps_every_k_in_one_call_per_substep(self, tmp_path,
+                                                         monkeypatch):
+        # the bench sweep: 3 substeps, each one batched step of 4 RHS
+        # calls for all four k
+        from captension.dynamics import rhs_free_boundary
+
+        cfg = ExperimentConfig(n_theta=32, n_r=16, T=0.0025, n_outputs=2,
+                               k_list=(100.0, 200.0, 400.0, 800.0),
+                               out_dir=str(tmp_path))
+        steps = count_calls(monkeypatch, run_module.step_free_boundary)
+        rhs = count_calls(monkeypatch, rhs_free_boundary)
+        assert all(r.converged for r in run_sweep(cfg).rows)
+        assert (len(steps), len(rhs)) == (3, 12)
+        assert all(state.k == cfg.k_list for state, _ in steps)
+
+    def test_a_failing_k_closes_only_its_own_row(self, tmp_path, monkeypatch):
+        # from t = 1.4e-3 on, every RHS of a state holding k = 200 raises:
+        # the batched step of the second substep of segment 2 fails, is
+        # stepped again member by member, and only k = 200 stops there
+        from captension.dynamics import evolution
+
+        original = evolution.rhs_free_boundary
+
+        def failing(state):
+            if state.time >= 1.4e-3 and 200.0 in np.atleast_1d(state.k):
+                raise SolverError("solve stalls at k = 200")
+            return original(state)
+
+        monkeypatch.setattr(evolution, "rhs_free_boundary", failing)
+        cfg = small_config(tmp_path, k_list=(100.0, 200.0, 400.0),
+                           T=3e-3, n_outputs=4, dt_fixed=5e-4)
+        rows = run_sweep(cfg).rows
+        assert rows == tuple(run_single(cfg, k) for k in cfg.k_list)
+        assert [r.converged for r in rows] == [True, False, True]
+        assert rows[1].failure == ("free flow, SolverError: "
+                                   "solve stalls at k = 200")
+        assert rows[1].fail_time == pytest.approx(1.5e-3, rel=1e-12)
+        assert rows[1].times == pytest.approx((0.0, 1e-3), rel=1e-12)
+
     def test_fixed_flow_failure_closes_every_row(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path, k_list=(100.0, 200.0, 400.0),
                            T=3e-3, n_outputs=4)

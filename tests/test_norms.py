@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import sobolev_norm_boundary
+
 from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
                                   grad_values, l2_norm_disk, make_grid,
-                                  sobolev_norm_boundary, sobolev_norm_disk)
+                                  sobolev_norm_disk)
 from captension.errors import UnsupportedOrderError
 
 
