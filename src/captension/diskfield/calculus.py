@@ -75,52 +75,55 @@ def advect(u, z):
     return type(z)(z.grid, ux * dx + uy * dy)
 
 
-def _ring_weights(grid, r0, theta0):
+def _ring_weights(grid, points, r0):
     """The weights of an evaluation plan (see evaluation_plan).
 
     Returns (radial, angular, nearest); radial and angular are each a
     pair (even modes, odd modes).
-    radial[p] (P, n_r): barycentric weights of the doubled radial nodes,
+    radial[p] (n_r, P): barycentric weights of the doubled radial nodes,
     folded onto the positive ones by the parity of F(-r, theta) =
     (-1)^m F(r, theta) (positive plus negative node for even m, minus
-    for odd) and normalised; one-hot on a radial node.  angular[p]
-    (P, 2 M_p): (cos, sin) pairs of s_m e^{i m theta0} for the M_p modes
-    of that parity, raised from one exp per point by multiplication.
+    for odd) and normalised by column; one-hot on a radial node.
+    angular[p] (P, 2 M_p): (cos, sin) pairs of s_m e^{i m theta0} for
+    the M_p modes of that parity, raised column by column from
+    e^{i theta0} = (x + i y)/r0, 1 at the origin, by multiplication.
     nearest = (i, gap): index into grid.r of each point's nearest radial
     node and the distance to it.
     """
     # w_k / (r0 - x_k) in place, so the plan allocates little beyond itself
-    pos = r0[:, None] - grid.x_full[grid.pos_full]
-    neg = r0[:, None] - grid.x_full[grid.neg_full]
-    # column i of pos is grid.r[i], which increases: the nearest node is
+    pos = r0 - grid.x_full[grid.pos_full, None]
+    neg = r0 - grid.x_full[grid.neg_full, None]
+    # row i of pos is grid.r[i], which increases: the nearest node is
     # one of the two around r0, the inner one on a tie
     hi = np.minimum(np.searchsorted(grid.r, r0), grid.n_r - 1)
     lo = np.maximum(hi - 1, 0)
-    at = np.arange(r0.size)
-    d_lo, d_hi = np.abs(pos[at, lo]), np.abs(pos[at, hi])
+    d_lo, d_hi = np.abs(r0 - grid.r[lo]), np.abs(r0 - grid.r[hi])
     near = np.where(d_lo <= d_hi, lo, hi)
     nearest = near, np.minimum(d_lo, d_hi)
     hit = np.flatnonzero(nearest[1] < 1e-14)  # r0 >= 0 meets no negative node
-    on_node = hit, near[hit]
+    on_node = near[hit], hit
     pos[on_node] = 1.0
-    np.divide(grid.bary_weights[grid.pos_full], pos, out=pos)
-    np.divide(grid.bary_weights[grid.neg_full], neg, out=neg)
+    np.divide(grid.bary_weights[grid.pos_full, None], pos, out=pos)
+    np.divide(grid.bary_weights[grid.neg_full, None], neg, out=neg)
     even = pos + neg
     radial = (even, np.subtract(pos, neg, out=neg))
     del pos  # before the angular factors are allocated
-    total = even.sum(axis=1, keepdims=True)
+    total = even.sum(axis=0)
     for rows in radial:
         rows /= total
-        rows[hit] = 0.0
-        rows[on_node] = 1.0
+        if hit.size:
+            rows[:, hit] = 0.0
+            rows[on_node] = 1.0
     P, M, n = r0.size, grid.n_modes, grid.n_theta
-    z = np.exp(1j * theta0)
+    z = np.divide(points, np.where(r0 > 0.0, r0, np.inf)[:, None],
+                  out=np.empty((P, 2))).view(complex)[:, 0]
+    z[r0 == 0.0] = 1.0
     angular = [np.empty((P, (M + 1 - p) // 2), dtype=complex) for p in (0, 1)]
-    power = np.full(P, 2.0 / n, dtype=complex)
-    for m in range(1, M):
-        power *= z
-        angular[m % 2][:, m // 2] = power
     # s_m = 2/n but 1/n at m = 0 and at the Nyquist mode m = n/2
+    angular[0][:, 0] = 2.0 / n
+    for m in range(1, M):
+        np.multiply(angular[(m - 1) % 2][:, (m - 1) // 2], z,
+                    out=angular[m % 2][:, m // 2])
     angular[0][:, 0] = 1.0 / n
     angular[(M - 1) % 2][:, -1] *= 0.5
     return radial, tuple(a.view(float) for a in angular), nearest
@@ -128,26 +131,29 @@ def _ring_weights(grid, r0, theta0):
 
 def _clamp_points(grid, points, tol):
     points = np.asarray(points, dtype=float)
-    x, y = points[:, 0], points[:, 1]
-    r0 = np.hypot(x, y)
+    r0 = np.hypot(points[:, 0], points[:, 1])
     if np.any(r0 > 1.0 + tol):
         raise PointOutsideDomainError("evaluation point outside the closed "
                                       f"disk (|p| = {r0.max():.6g})")
-    return r0, np.arctan2(y, x)
+    return points, r0
 
 
-def _node_snap(grid, gap, theta0):
+def _node_snap(grid, points, gap):
     """Detect queries that coincide with grid nodes (up to roundoff).
 
     gap is each query's distance to its nearest radial node, from
-    _ring_weights.  Returns (mask, j_idx); snapped queries return stored
-    samples bit-exactly rather than going through the interpolation
-    arithmetic.
+    _ring_weights; only those within 1e-13 of one take an angle.  Returns
+    (rows, j), the snapped queries and their angular nodes; they return
+    stored samples bit-exactly, not through the interpolation.
     """
+    rows = np.flatnonzero(gap < 1e-13)
+    if not rows.size:
+        return rows, rows
+    theta0 = np.arctan2(points[rows, 1], points[rows, 0])
     k = np.round(theta0 / (2.0 * np.pi / grid.n_theta))
     ang_err = np.abs(theta0 - 2.0 * np.pi * k / grid.n_theta)
-    mask = (gap < 1e-13) & (ang_err < 1e-13)
-    return mask, k.astype(int) % grid.n_theta
+    on = ang_err < 1e-13
+    return rows[on], k[on].astype(int) % grid.n_theta
 
 
 class EvaluationPlan(NamedTuple):
@@ -163,16 +169,17 @@ def evaluation_plan(grid, points, *, clamp_tol):
     """The plan of evaluating fields at plane points (array-like (P, 2)).
 
     It runs the clamp check under clamp_tol (see evaluate_vector_at)
-    and holds the folded radial weights and angular factors of
-    _ring_weights and the node snap, as snap = (rows, i, j): the rows
-    that coincide with the node (grid.r[i], theta_j).  A plan is a
-    value: its arrays are read-only, so whoever owns the points (a
-    map's cache) keeps it and passes it to every evaluation there.
+    and holds the folded radial weights (points last) and angular
+    factors (points first) of _ring_weights and the node snap, as snap
+    = (rows, i, j): the rows that coincide with the node (grid.r[i],
+    theta_j).  A plan is a value: its arrays are read-only, so whoever
+    owns the points (a map's cache) keeps it and passes it to every
+    evaluation there.
     """
-    r0, theta0 = _clamp_points(grid, points, clamp_tol)
-    radial, angular, (i, gap) = _ring_weights(grid, r0, theta0)
-    mask, j = _node_snap(grid, gap, theta0)
-    snap = np.flatnonzero(mask), i[mask], j[mask]
+    points, r0 = _clamp_points(grid, points, clamp_tol)
+    radial, angular, (i, gap) = _ring_weights(grid, points, r0)
+    rows, j = _node_snap(grid, points, gap)
+    snap = rows, i[rows], j
     for a in (*radial, *angular, *snap):
         a.setflags(write=False)
     return EvaluationPlan(clamp_tol, radial, angular, snap)
@@ -196,8 +203,8 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     shares the plan; the components take one batched product per
     parity, which numpy runs as one (P, n_r) @ (n_r, 2 M_p) product per
     component, shapes free of F, so a column has the bits of its field
-    evaluated alone; with members, the member axis is one more batch
-    axis of those products.
+    evaluated alone ((P, n_r) is the transposed view of the plan's
+    radial weights); members are one more batch axis of the products.
     """
     if isinstance(fields, (ScalarField, VectorField)):
         fields = (fields,)
@@ -215,15 +222,16 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     # per parity, (F, n_r, 2 M_p): each ring's (Re, -Im) pairs
     rings = [np.conj(C[..., p::2]).view(float) for p in (0, 1)]
     even, odd = (np.einsum("f...pk,...pk->...pf",
-                           W.reshape(members + (-1, grid.n_r)) @ R,
+                           W.T.reshape(members + (-1, grid.n_r)) @ R,
                            T.reshape(members + (-1, T.shape[-1])))
                  for W, R, T in zip(plan.radial, rings, plan.angular))
     out = (even + odd).reshape(-1, len(values))
     # a snapped row takes the stored sample of its own member
     rows, i, j = plan.snap
-    per_member = len(out) // (grid.members or 1)
-    out[rows] = values.reshape(len(values), -1, grid.n_r, grid.n_theta)[
-        :, rows // per_member, i, j].T
+    if rows.size:
+        per_member = len(out) // (grid.members or 1)
+        out[rows] = values.reshape(len(values), -1, grid.n_r, grid.n_theta)[
+            :, rows // per_member, i, j].T
     return out
 
 

@@ -189,9 +189,10 @@ class DiskMap:
     preimages of the nodes and their evaluation plan (invert_disk_map),
     "inverse_jacobian" the entries of D(map)^-1 (inverse_jacobian), and
     ("image_plan", clamp_tol) the plan of the node images under that
-    clamp tolerance (compose).  A map derived from this one (w added,
-    boundary renormalised) starts with an empty cache and holds no
-    reference to this one, so no chain of maps is kept alive.
+    clamp tolerance (compose; euler_Z composes through a fresh map, so a
+    stage map keeps its inverse alone).  A map derived from this one (w
+    added, boundary renormalised) starts with an empty cache and holds
+    no reference to this one, so no chain of maps is kept alive.
     """
 
     __slots__ = ("grid", "displacement", "kind", "_cache")

@@ -242,9 +242,6 @@ class DiskGrid:
         """integral over the disk of a sample array (area element r dr dtheta)."""
         return (2.0 * np.pi / self.n_theta) * float(self.weights_r @ values.sum(axis=1))
 
-    def l2_inner(self, a, b):
-        return self.integrate(a * b)
-
 
 def make_grid(n_theta, n_r, members=None):
     """Shared cached grid; construction happens at most once per shape,

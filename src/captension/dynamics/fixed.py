@@ -11,6 +11,7 @@ stream function's velocity is divergence-free.
 
 from ..diskfield import (
     STAGE_CLAMP,
+    DiskMap,
     VectorField,
     advect,
     compose,
@@ -34,9 +35,9 @@ def invert_disk_map(alpha, near=None):
     """Preimages of the grid nodes under a near-identity disk map.
 
     Newton with the stage-map slack STAGE_CLAMP, from near's preimages
-    and their plan when near (a map close to alpha, such as the base
-    map of alpha's time step) has its inverse cached, else from the
-    first guess x - d(x).  The preimages and the plan of Newton's
+    and their plan when near (a map close to alpha, such as the map
+    inverted last in alpha's step) has its inverse cached, else from
+    the first guess x - d(x).  The preimages and the plan of Newton's
     converged pass are cached on the (immutable) map, so repeated
     operator applications at one alpha pay once, and the evaluation at
     the preimages that follows builds no plan.  step_fixed_euler inverts
@@ -57,24 +58,30 @@ def invert_disk_map(alpha, near=None):
 def euler_Z(alpha, vel, near=None):
     """Lagrangian acceleration Z(alpha, v) = (Q((u.grad) P u)) o alpha
     with u = v o alpha^-1.  near, a map close to alpha whose inverse is
-    cached, warm-starts the inversion of alpha (see invert_disk_map)."""
+    cached, warm-starts the inversion of alpha (see invert_disk_map).
+    Composing through a map of its own leaves alpha its inverse alone."""
     Y = invert_disk_map(alpha, near)
     vals = evaluate_vector_at(vel, Y, clamp_tol=STAGE_CLAMP,
                               plan=alpha._cache["inverse"][1])
     u = VectorField(alpha.grid, vals.T.reshape(vel.values.shape))
-    return compose(hodge_Q(advect(u, hodge_P(u))), alpha,
-                   clamp_tol=STAGE_CLAMP)
+    return compose(hodge_Q(advect(u, hodge_P(u))),
+                   DiskMap(alpha.displacement), clamp_tol=STAGE_CLAMP)
 
 
 def step_fixed_euler(state, dt):
     """RK4 on (zeta, zetadot) and the boundary renormalisation of zeta;
-    no projection follows.  Every stage map after the first, and the
-    renormalised end map, start Newton from the preimages and plan
-    cached on the base map state.zeta."""
-    zeta, vel = rk4(lambda y: (y[1], euler_Z(*y, near=state.zeta)),
-                    (state.zeta, state.zetadot), dt)
+    no projection follows.  Newton starts from the map inverted last:
+    stage 3 from stage 2, (dt^2/4) Z away, and the renormalised end map
+    from stage 4, O(dt^3) away, each in two passes, not three."""
+    last = [state.zeta]  # held with its inverse alone
+
+    def rates(y):
+        last[0], acc = y[0], euler_Z(*y, near=last[0])
+        return y[1], acc
+
+    zeta, vel = rk4(rates, (state.zeta, state.zetadot), dt)
     zeta_new = zeta.renormalize_boundary()
-    invert_disk_map(zeta_new, near=state.zeta)
+    invert_disk_map(zeta_new, near=last[0])
     return FixedEulerState(zeta=zeta_new, zetadot=vel, time=state.time + dt)
 
 

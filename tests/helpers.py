@@ -26,6 +26,53 @@ def sobolev_norm_boundary(b, s):
     return float(np.sqrt(total))
 
 
+def l2_inner(grid, a, b):
+    """L2 inner product over the disk of two sample arrays."""
+    return grid.integrate(a * b)
+
+
+def reference_plan(grid, points):
+    """(radial, angular, snap) of the plan of points by the first
+    formula of evaluation plans: points on the first axis, one arctan2
+    and one exp per point, the angular factors raised column by column.
+    Per parity, radial[p] is (P, n_r) and angular[p] (P, M_p) complex;
+    snap = (rows, i, j)."""
+    points = np.asarray(points, dtype=float)
+    x, y = points[:, 0], points[:, 1]
+    r0, theta0 = np.hypot(x, y), np.arctan2(y, x)
+    pos = r0[:, None] - grid.x_full[grid.pos_full]
+    neg = r0[:, None] - grid.x_full[grid.neg_full]
+    hi = np.minimum(np.searchsorted(grid.r, r0), grid.n_r - 1)
+    lo = np.maximum(hi - 1, 0)
+    at = np.arange(r0.size)
+    d_lo, d_hi = np.abs(pos[at, lo]), np.abs(pos[at, hi])
+    near = np.where(d_lo <= d_hi, lo, hi)
+    gap = np.minimum(d_lo, d_hi)
+    hit = np.flatnonzero(gap < 1e-14)
+    on_node = hit, near[hit]
+    pos[on_node] = 1.0
+    pos = grid.bary_weights[grid.pos_full] / pos
+    neg = grid.bary_weights[grid.neg_full] / neg
+    total = (pos + neg).sum(axis=1, keepdims=True)
+    radial = (pos + neg) / total, (pos - neg) / total
+    for rows in radial:
+        rows[hit] = 0.0
+        rows[on_node] = 1.0
+    P, M, n = r0.size, grid.n_modes, grid.n_theta
+    z = np.exp(1j * theta0)
+    angular = [np.empty((P, (M + 1 - p) // 2), dtype=complex) for p in (0, 1)]
+    power = np.full(P, 2.0 / n, dtype=complex)
+    for m in range(1, M):
+        power *= z
+        angular[m % 2][:, m // 2] = power
+    angular[0][:, 0] = 1.0 / n
+    angular[(M - 1) % 2][:, -1] *= 0.5
+    k = np.round(theta0 / (2.0 * np.pi / n))
+    mask = (gap < 1e-13) & (np.abs(theta0 - 2.0 * np.pi * k / n) < 1e-13)
+    snap = np.flatnonzero(mask), near[mask], k[mask].astype(int) % n
+    return radial, angular, snap
+
+
 def constraint_defects(state):
     """Measured invariant violations of a free-flow state: div v, v
     tangency, volume residual, beta Jacobian."""

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from helpers import (count_calls, count_ffts, random_boundary,
-                     random_poly_field, stack)
+                     random_poly_field, reference_plan, stack)
 
 from captension import projections
 from captension.diskfield import (DiskMap, ScalarField, VectorField, compose,
                                   divergence, elliptic, evaluate_vector_at,
                                   evaluation_plan, grad_values, gradient,
                                   harmonic_extension, hessian, identity_map,
-                                  jacobian_det, laplacian, restrict_boundary,
-                                  rotation_map, solve_dirichlet)
+                                  jacobian_det, laplacian, make_grid,
+                                  restrict_boundary, rotation_map,
+                                  solve_dirichlet, STAGE_CLAMP)
 from captension.dynamics import (FreeBoundaryState, dt_free_max,
                                  pressure_gradient, rhs_free_boundary,
                                  step_free_boundary)
@@ -68,6 +69,58 @@ def test_evaluate_at_nodes_is_bit_exact(grid):
     pts = np.column_stack([grid.xx.ravel(), grid.yy.ravel()])
     vals = evaluate_at(f, pts)
     assert np.array_equal(vals, f.values.ravel())
+
+
+def _disk_points(rng, radii):
+    angles = rng.uniform(0.0, 2.0 * np.pi, radii.size)
+    return radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _planned(plan):
+    """A plan's (radial, angular, snap) in the layout of reference_plan."""
+    return (tuple(W.T for W in plan.radial),
+            tuple(T.view(complex) for T in plan.angular), plan.snap)
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (32, 16), (64, 32)])
+def test_plans_match_the_first_formula(shape, rng):
+    # within 1e-15 of the points-first formula with its arctan2 and exp,
+    # its theta = 0 at the origin, and the same node snap
+    grid = make_grid(*shape)
+    nodes = np.column_stack([grid.xx.ravel(), grid.yy.ravel()])
+    point_sets = {
+        "interior": _disk_points(rng, np.sqrt(rng.uniform(0.0, 1.0, 512))),
+        "past the rim": _disk_points(
+            rng, 1.0 + rng.uniform(0.0, STAGE_CLAMP, 64)),
+        "origin": np.array([[0.0, 0.0], [0.3, -0.2], [0.0, 0.0]]),
+        "nodes": nodes,
+    }
+    for name, points in point_sets.items():
+        got = _planned(evaluation_plan(grid, points, clamp_tol=STAGE_CLAMP))
+        want = reference_plan(grid, points)
+        for a, b in zip((*got[0], *got[1]), (*want[0], *want[1])):
+            assert np.abs(a - b).max() <= 1e-15, name
+        for a, b in zip(got[2], want[2]):
+            assert np.array_equal(a, b), name
+    assert got[2][0].size == len(nodes)
+    # member i of a stack of four 512-point sets keeps its own plan's bits
+    sets = [_disk_points(rng, np.sqrt(rng.uniform(0.0, 1.0, 512)))
+            for _ in range(4)]
+    sets[2][::7] = nodes[:74]
+    stacked = evaluation_plan(make_grid(*shape, members=4),
+                              np.concatenate(sets), clamp_tol=STAGE_CLAMP)
+    for i, points in enumerate(sets):
+        alone = evaluation_plan(grid, points, clamp_tol=STAGE_CLAMP)
+        part = slice(512 * i, 512 * (i + 1))
+        for a, b in zip(stacked.radial, alone.radial):
+            assert np.array_equal(a[:, part], b)
+        for a, b in zip(stacked.angular, alone.angular):
+            assert np.array_equal(a[part], b)
+        rows, r_i, r_j = stacked.snap
+        mine = (rows >= part.start) & (rows < part.stop)
+        for a, b in zip((rows[mine] - part.start, r_i[mine], r_j[mine]),
+                        alone.snap):
+            assert np.array_equal(a, b)
 
 
 def test_evaluate_outside_raises(grid):

@@ -22,12 +22,14 @@ from captension.dynamics import (FixedEulerState, FreeBoundaryState,
                                  stream_initial_velocity,
                                  stream_initial_vorticity, unsplit_acceleration,
                                  vorticity_particle_step, vorticity_velocity)
+from captension import shape
+from captension.dynamics import fixed
 from captension.dynamics.states import rk4
 from captension.errors import ConfigError
 from captension.harness import measure_frequency
 from captension.projections import solve_pulled_back_laplacian
 from captension.shape import (boundary_curvature, curvature_exact,
-                              solve_volume_constraint)
+                              invert_points, solve_volume_constraint)
 
 
 def test_pressure_solve_rigid_rotation(grid):
@@ -387,18 +389,60 @@ def test_warm_started_inversion_matches_a_cold_one(grid, monkeypatch):
         assert np.abs(warm - cold).max() < 1e-13
 
 
-def test_a_fixed_step_builds_twelve_plans(grid, monkeypatch):
-    # three stage maps and the end map: each an inversion of about
-    # three Newton passes, one plan a pass but the warm-started first;
-    # and four compositions, one per stage, the base map's among them.
-    # The base map's preimages and plans were built in the previous
-    # step, which inverts its end map and composes nothing with it
-    state = _lagrangian_workload_step(grid)
-    assert "inverse" in state.zeta._cache
+def test_a_fixed_step_builds_ten_plans(grid, monkeypatch):
+    # three stage maps and the end map: stages 2 and 4 invert in three
+    # Newton passes, stage 3 and the end map, warm-started from the map
+    # inverted just before, in two; one plan a pass but the first; and
+    # four compositions, one per stage, the base map's among them.  The
+    # base map's preimages and plans were built in the previous step,
+    # which inverts its end map and composes nothing with it.  Stage 1
+    # composes through a map of its own: the base map keeps its inverse
+    # and no plan of its node images
+    base = _lagrangian_workload_step(grid)
+    assert "inverse" in base.zeta._cache
     plans = count_plans(monkeypatch)
-    state = step_fixed_euler(state, 0.005)
-    assert len(plans) <= 12
-    assert "inverse" in state.zeta._cache
+    state = step_fixed_euler(base, 0.005)
+    assert len(plans) == 10
+    assert set(base.zeta._cache) == set(state.zeta._cache) == {"inverse"}
+
+
+def test_the_lagrangian_workload_inverts_in_201_newton_passes(
+        grid, monkeypatch):
+    # the bench lagrangian_oracle run: 20 fixed steps of dt = 0.005 at
+    # amplitude 0.4 beside the vorticity oracle.  Starting every
+    # inversion from the base map took 321 plans and 241 passes
+    amp, dt = 0.4, 0.005
+    passes = []
+    newton_eval = shape.evaluate_vector_at
+
+    def counted_eval(*args, **kwargs):
+        passes.append(args)
+        return newton_eval(*args, **kwargs)
+
+    per_inversion = []
+
+    def counted_invert(*args):
+        before = len(passes)
+        result = invert_points(*args)
+        per_inversion.append(len(passes) - before)
+        return result
+
+    monkeypatch.setattr(shape, "evaluate_vector_at", counted_eval)
+    monkeypatch.setattr(fixed, "invert_points", counted_invert)
+    plans = count_plans(monkeypatch)
+    state = FixedEulerState.from_velocity(
+        grid, stream_initial_velocity(grid, 2, amp))
+    omega = stream_initial_vorticity(grid, 2, amp)
+    phi = identity_map(grid)
+    for _ in range(20):
+        state = step_fixed_euler(state, dt)
+        omega, phi = vorticity_particle_step(omega, phi, dt)
+    assert (len(plans), len(passes)) == (281, 201)
+    # the identity map at t = 0, then per step stages 2, 3, 4 and the
+    # end map: stage 3 and the end map in two passes
+    assert per_inversion == [1] + [3, 2, 3, 2] * 20
+    gap = sobolev_norm_disk(state.zeta.displacement - phi.displacement, 1)
+    assert gap < 1e-9
 
 
 def test_reconstruct_eta_builds_one_plan(grid, monkeypatch):

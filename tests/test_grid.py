@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import l2_inner
+
 import captension
 from captension.diskfield import BoundaryFunction, make_grid
 from captension.errors import ConfigError
@@ -120,7 +122,7 @@ def test_l2_inner_matches_integral(grid):
     f = grid.xx
     g = grid.yy ** 2
     direct = grid.integrate(f * g)
-    assert grid.l2_inner(f, g) == pytest.approx(direct, abs=1e-13)
+    assert l2_inner(grid, f, g) == pytest.approx(direct, abs=1e-13)
 
 
 @settings(max_examples=20, deadline=None)
