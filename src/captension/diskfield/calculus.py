@@ -235,16 +235,16 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     return out
 
 
-# Boundary-overshoot allowance of compose when the caller gives none: wider
-# than the raw interpolation default, so image points of a diffeomorphism
-# that sit a hair past the circle are still evaluated, not rejected.
+# Boundary-overshoot allowance of compose by default: wider than the raw
+# interpolation default, so image points of a diffeomorphism that sit a
+# hair past the circle are still evaluated, not rejected.
 _COMPOSE_CLAMP = 1e-8
 
 # stage maps of an explicit step overshoot the circle by O(dt^2)
 STAGE_CLAMP = 1e-5
 
 
-def compose(f, g, *, clamp_tol=None):
+def compose(f, g, *, clamp_tol=_COMPOSE_CLAMP):
     """f after g: sample f at the image points of the disk map g.
 
     With a member axis, f and g have the same members, and member i of
@@ -262,8 +262,6 @@ def compose(f, g, *, clamp_tol=None):
         raise ValueError("compose requires a diffeomorphism of the disk")
     if not isinstance(f, (ScalarField, VectorField)):
         raise TypeError("compose expects a ScalarField or VectorField on the left")
-    if clamp_tol is None:
-        clamp_tol = _COMPOSE_CLAMP
     points = g.image_points()
     key = "image_plan", clamp_tol
     plan = g._cache.get(key)

@@ -80,22 +80,14 @@ def _samples(operand):
 
 
 def _ring_product(transform, rings):
-    """transform of one ring, or of each member's ring as a one-row
-    product of its own: as rows of one product the members would take
-    other bits than a ring alone."""
-    if rings.ndim == 1:
-        return transform(rings)
+    """transform of every ring as a one-row product of its own: as rows
+    of one product the members would take other bits than a ring alone,
+    and a lone ring takes the bits of its plain transform."""
     return transform(rings[..., None, :])[..., 0, :]
 
 
 class ScalarField(_Field):
     __slots__ = ()
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        """Sample fn(x, y) at the nodes."""
-        vals = np.asarray(fn(grid.xx, grid.yy), dtype=float)
-        return cls(grid, np.broadcast_to(vals, grid.xx.shape))
 
     @classmethod
     def from_polar(cls, grid, fn):
@@ -128,8 +120,10 @@ class BoundaryFunction:
 
     def __init__(self, grid, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != grid.member_shape + (grid.n_modes,):
-            raise ValueError(f"expected {grid.n_modes} boundary coefficients")
+        shape = grid.member_shape + (grid.n_modes,)
+        if coeffs.shape != shape:
+            raise ValueError(f"BoundaryFunction coefficient shape "
+                             f"{coeffs.shape} does not match {shape}")
         ends = coeffs[..., ::grid.n_modes - 1]  # modes 0 and Nyquist
         if (np.abs(ends.imag) > 1e-12 * (1 + np.abs(ends))).any():
             raise ValueError("m=0 and Nyquist coefficients of a real series must be real")
@@ -155,13 +149,6 @@ class BoundaryFunction:
         C = _ring_product(grid.to_modes, ring) / grid.n_theta
         C[..., -1] *= 0.5
         return cls(grid, C)
-
-    @classmethod
-    def single_mode(cls, grid, m, amplitude):
-        """amplitude*cos(m theta)."""
-        c = np.zeros(grid.n_modes, dtype=complex)
-        c[m] = amplitude if m == 0 else 0.5 * amplitude
-        return cls(grid, c)
 
     def samples(self):
         C = self.coeffs.copy()

@@ -31,9 +31,8 @@ def sobolev_norm_disk(f, s):
 
 
 def l2_norm_disk(f):
-    """The L2 norm; with a member axis, an array of each member's norm."""
-    if f.members is None:
-        return sobolev_norm_disk(f, 0)
+    """The L2 norm, sobolev_norm_disk(f, 0) bit for bit; with a member
+    axis, an array of each member's norm."""
     # grid.integrate of each component of each member: its row sums,
     # then their product with weights_r as a batch of one-by-one
     # products, which numpy runs as the dot of a member alone; the
@@ -41,4 +40,5 @@ def l2_norm_disk(f):
     grid = f.grid
     rows = (f.values * f.values).sum(axis=-1)[..., None, :]
     sq = (2.0 * np.pi / grid.n_theta) * (rows @ grid.weights_r[:, None])
-    return np.sqrt(sq.reshape(-1, f.members).sum(axis=0))
+    norms = np.sqrt(sq.reshape(-1, f.members or 1).sum(axis=0))
+    return norms if f.members else float(norms[0])

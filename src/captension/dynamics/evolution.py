@@ -88,16 +88,16 @@ def rhs_free_boundary(state):
         state.k_factor,
         jacobian=(1.0 + sx[0, 0], sy[0, 0], sx[0, 1], 1.0 + sy[0, 1]))
 
-    dv_grad_fdot = _hessian_apply(grid, hess_fdot, state.v)
+    dv_grad_fdot = _hessian_apply(hess_fdot, state.v)
     dvv_grad_f = VectorField(grid, vx * vx * tx[0] + vx * vy * (ty[0] + tx[1])
                              + vy * vy * ty[1])
     conv = VectorField(grid, vx * sx[2] + vy * sy[2])
     q_conv = hodge_Q(conv)
 
     bracket = (2.0 * dv_grad_fdot + dvv_grad_f
-               + apply_L(state.f, q_conv, hess_f) + grad_p)
+               + apply_L(q_conv, hess_f) + grad_p)
     m = solve_L1_inverse(state.f, hodge_P(bracket), hess_f)
-    fddot = hodge_potential(apply_L(state.f, m, hess_f) - bracket)
+    fddot = hodge_potential(apply_L(m, hess_f) - bracket)
 
     vdot = -(conv - q_conv) - solve_L1_inverse(
         state.f, 2.0 * dv_grad_fdot + dvv_grad_f, hess_f)
@@ -214,23 +214,23 @@ def output_derivatives(state):
     return grad_f, grad_fdot, w
 
 
-def energy_report(state, derivatives=None):
+def energy_report(state, derivatives):
     """Kinetic plus surface energy; E is the conserved total.
 
     The kinetic term integrates |eta_dot|^2 = |w o beta|^2 with
     w = grad fdot + L v; beta preserves the measure, so the composition
     drops out of the integral and w is integrated directly.
-    derivatives is output_derivatives(state) when the caller has it.
+    derivatives is output_derivatives(state).
     """
-    grad_f, _, w = derivatives or output_derivatives(state)
+    grad_f, _, w = derivatives
     kinetic = 0.5 * l2_norm_disk(w) ** 2
-    potential = state.k * (boundary_length(state.f, grad_f) - 2.0 * np.pi)
+    potential = state.k * (boundary_length(grad_f) - 2.0 * np.pi)
     return EnergyReport(kinetic=kinetic, potential=potential,
                         E=kinetic + potential)
 
 
-def reconstruct_eta(state, derivatives=None):
+def reconstruct_eta(state, derivatives):
     """(eta, eta_dot) at reference labels, for norm comparisons;
-    derivatives as for energy_report."""
-    grad_f, _, w = derivatives or output_derivatives(state)
-    return compose_Phi(state.beta, state.f, grad_f), compose(w, state.beta)
+    derivatives is output_derivatives(state)."""
+    grad_f, _, w = derivatives
+    return compose_Phi(state.beta, grad_f), compose(w, state.beta)

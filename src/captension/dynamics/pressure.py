@@ -33,11 +33,10 @@ from ..shape import boundary_curvature
 __all__ = ["pressure_gradient", "pullback_velocity"]
 
 
-def pullback_velocity(state, grad_fdot=None, hess_f=None):
-    """w = grad fdot + L v, the fluid velocity seen at reference points;
-    a caller holding grad fdot or D^2 f passes them."""
-    return (grad_fdot or gradient(state.fdot)) + apply_L(state.f, state.v,
-                                                         hess_f)
+def pullback_velocity(state, grad_fdot, hess_f):
+    """w = grad fdot + L v, the fluid velocity seen at reference points,
+    from grad fdot and D^2 f."""
+    return grad_fdot + apply_L(state.v, hess_f)
 
 
 def pressure_gradient(eta, w, k, det_tol=1e-6, jacobian=None):

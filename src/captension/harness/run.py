@@ -233,21 +233,17 @@ def _free_substeps(config, k):
                      min(config.dt_fixed, dt_free_max(k, config.n_theta)))
 
 
-def run_single(config, k, fixed_flow=None):
+def run_single(config, k):
     """Integrate the free-surface flow at one k and compare it with the
     fixed-disk flow from the same u0.
 
     Both trajectories share the output time grid, and both substep each
     segment under the configured dt_fixed; the free solver's step is
     also capped by dt_free_max, under which its integrating factor
-    turns the fastest capillary mode by at most pi.  `fixed_flow` is
-    the k-independent fixed-disk flow that `run_sweep` shares between
-    its k values; alone, run_single integrates its own.  A failing flow
-    is named "free" or "fixed" in the record's failure.
+    turns the fastest capillary mode by at most pi.  A failing flow is
+    named "free" or "fixed" in the record's failure.
     """
-    if fixed_flow is None:
-        fixed_flow = _fixed_flow(config)
-    return _records(config, (k,), fixed_flow)[0]
+    return _records(config, (k,), _fixed_flow(config))[0]
 
 
 def _records(config, ks, fixed_flow):

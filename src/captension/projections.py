@@ -85,16 +85,16 @@ def hodge_P(w):
     return w - hodge_Q(w)
 
 
-def _hessian_apply(grid, hess, w):
+def _hessian_apply(hess, w):
     """Pointwise matrix action (D^2 f) w from precomputed Hessian arrays."""
     fxx, fxy, fyx, fyy = hess
     wx, wy = w.values
-    return VectorField(grid, [fxx * wx + fxy * wy, fyx * wx + fyy * wy])
+    return VectorField(w.grid, [fxx * wx + fxy * wy, fyx * wx + fyy * wy])
 
 
-def apply_L(f, w, hess=None):
+def apply_L(w, hess):
     """L w = w + (D^2 f) w; hess is D^2 f as hessian(f) returns it."""
-    return w + _hessian_apply(f.grid, hess or hessian(f), w)
+    return w + _hessian_apply(hess, w)
 
 
 def solve_L1_inverse(f, target, hess=None):
@@ -104,7 +104,7 @@ def solve_L1_inverse(f, target, hess=None):
     Hessian of f is small, which is the only regime in which L1 is known
     to be invertible.  The target is pre-projected because time stepping
     feeds in fields with harmless ~1e-12 gradient components.  hess is
-    D^2 f, as for apply_L.
+    D^2 f, as for apply_L; without it, hessian(f) is taken.
 
     Raises NoConvergenceError when the residual fails to halve over a
     50-iteration window, the practical signal that f is too large.
@@ -116,7 +116,7 @@ def solve_L1_inverse(f, target, hess=None):
     solve = MemberSolve(tgt, TOL_L1, 50, 0.5,
                         "L1 inverse stalled at residual {:.3e} (Hessian too large)")
     for _ in range(5000):
-        phw = hodge_P(_hessian_apply(w.grid, hess, w))
+        phw = hodge_P(_hessian_apply(hess, w))
         if solve.check(w, l2_norm_disk(w + phw - tgt)):
             return solve.result
         if solve.keep is not None:

@@ -113,11 +113,9 @@ def solve_volume_constraint(h):
         "volume constraint: no convergence in 400 iterations")
 
 
-def compose_Phi(beta, f, grad_f=None):
-    """The embedding (id + grad f) o beta as a DiskMap; a caller holding
-    grad f passes it."""
-    moved = compose(grad_f or gradient(f), beta)
-    return DiskMap(beta.displacement + moved, kind="embedding")
+def compose_Phi(beta, grad_f):
+    """The embedding (id + grad f) o beta as a DiskMap."""
+    return DiskMap(beta.displacement + compose(grad_f, beta), kind="embedding")
 
 
 def _boundary_tangent_data(displacement):
@@ -205,11 +203,10 @@ def curvature_expansion(f):
                               M4=mk(m4), M5=mk(m5))
 
 
-def boundary_length(f, grad_f=None):
-    """Arclength of the deformed boundary; 2*pi exactly for a circle.
-    A caller holding grad f passes it."""
-    speed = _boundary_tangent_data(grad_f or gradient(f))[-1]
-    return (2.0 * np.pi / f.grid.n_theta) * float(speed.sum())
+def boundary_length(grad_f):
+    """Arclength of the boundary of id + grad f; 2*pi exactly for a circle."""
+    speed = _boundary_tangent_data(grad_f)[-1]
+    return (2.0 * np.pi / grad_f.grid.n_theta) * float(speed.sum())
 
 
 def invert_points(alpha, targets, start, plan=None):

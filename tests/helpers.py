@@ -5,13 +5,26 @@ import sys
 import numpy as np
 
 from captension.diskfield import (BoundaryFunction, DiskGrid, DiskMap,
-                                  VectorField, calculus, divergence,
-                                  jacobian_det, restrict_boundary)
+                                  ScalarField, VectorField, calculus,
+                                  divergence, jacobian_det, restrict_boundary)
 from captension.dynamics import FreeBoundaryState, rhs_free_boundary
 from captension.dynamics.states import rk4
 from captension.errors import UnsupportedOrderError
 from captension.projections import hodge_P
 from captension.shape import solve_volume_constraint, volume_residual
+
+
+def from_function(grid, fn):
+    """The ScalarField of fn(x, y) sampled at the nodes."""
+    vals = np.asarray(fn(grid.xx, grid.yy), dtype=float)
+    return ScalarField(grid, np.broadcast_to(vals, grid.xx.shape))
+
+
+def single_mode(grid, m, amplitude):
+    """The BoundaryFunction amplitude*cos(m theta)."""
+    c = np.zeros(grid.n_modes, dtype=complex)
+    c[m] = amplitude if m == 0 else 0.5 * amplitude
+    return BoundaryFunction(grid, c)
 
 
 def sobolev_norm_boundary(b, s):

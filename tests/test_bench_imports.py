@@ -1,5 +1,7 @@
 """The benchmark under bench/ imports the package by name; those names
-must keep resolving, or every bench run and bench test breaks at import.
+must keep resolving, or every bench run and bench test breaks at import,
+and every call it makes into the package must fit the signature of the
+callable it calls (bench/test_bench.py is not run with this suite).
 Its tracer also derives iteration counts from the calls a solver makes
 beneath it (bench/tracer.py WATCHES); the call patterns it relies on are
 pinned here.  Last, every workload runs through bench/worker.py as
@@ -9,13 +11,14 @@ path fails here."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from helpers import count_calls
+from helpers import count_calls, from_function, single_mode
 
 import captension
 from captension.diskfield import (BoundaryFunction, ScalarField, calculus,
@@ -59,6 +62,95 @@ def test_every_bench_import_resolves():
     assert not missing
 
 
+_MISSING = object()
+
+
+def _resolve(expr, scope):
+    """The object a call's func expression names through scope, the
+    captension names a file imports, following attributes of modules and
+    classes; _MISSING for an attribute they lack, None outside scope."""
+    if isinstance(expr, ast.Name):
+        return scope.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        owner = _resolve(expr.value, scope)
+        if inspect.ismodule(owner) or inspect.isclass(owner):
+            return getattr(owner, expr.attr, _MISSING)
+    return None
+
+
+def _own(node):
+    """The nodes of node's own scope: every descendant but those inside a
+    nested function, whose def node itself is included."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _own(child)
+
+
+def _scope_calls(node, outer, where, out):
+    """Append to out the calls of captension callables in node's own
+    scope, whose names are outer's, less those node binds by a def or
+    class, plus the captension names node imports; then those of every
+    nested function."""
+    scope, own = dict(outer), list(_own(node))
+    for n in own:
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                          ast.ClassDef)):
+            scope.pop(n.name, None)
+    for n in own:
+        if (isinstance(n, ast.ImportFrom) and n.module
+                and n.module.split(".")[0] == "captension"):
+            module = importlib.import_module(n.module)
+            for a in n.names:
+                scope[a.asname or a.name] = (
+                    getattr(module, a.name) if hasattr(module, a.name)
+                    else importlib.import_module(f"{n.module}.{a.name}"))
+        elif isinstance(n, ast.Import):
+            for a in n.names:
+                if a.name.split(".")[0] == "captension":
+                    module = importlib.import_module(a.name)
+                    scope[a.asname or "captension"] = (
+                        module if a.asname else captension)
+    for n in own:
+        if isinstance(n, ast.Call):
+            fn = _resolve(n.func, scope)
+            if fn is _MISSING or (callable(fn) and getattr(
+                    fn, "__module__", "").startswith("captension")):
+                out.append((f"{where}:{n.lineno}", ast.unparse(n.func), fn, n))
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _scope_calls(n, scope, where, out)
+
+
+def _bench_calls():
+    """(where, func source, callable or _MISSING, call node) for every call
+    in bench/*.py of an imported captension callable, of an attribute of
+    an imported captension module, or of a classmethod of one."""
+    out = []
+    for path in sorted(BENCH.glob("*.py")):
+        _scope_calls(ast.parse(path.read_text(encoding="utf-8")), {},
+                     path.name, out)
+    return out
+
+
+def test_every_bench_call_fits_its_callables_signature():
+    checked, broken = 0, []
+    for where, name, fn, call in _bench_calls():
+        if fn is _MISSING:
+            broken.append(f"{where} {name}: no such attribute")
+            continue
+        if (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords)):
+            continue  # *args or **kwargs: the arity is not in the source
+        try:
+            inspect.signature(fn).bind(*call.args,
+                                       **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            broken.append(f"{where} {name}: {exc}")
+        checked += 1
+    assert checked > 20
+    assert not broken
+
+
 def test_every_first_step_stamp_wraps_what_the_runs_call():
     # worker.py stamps set-up's end on getattr(captension.dynamics, n) for
     # n in FIRST_STEP, a lookup the import scan above does not see
@@ -84,13 +176,13 @@ def test_dirichlet_solves_beneath_the_traced_solvers(coarse_grid,
     # pbl_iters and volume_iters count solve_dirichlet calls beyond the
     # first guess; converged-at-once data must read 0 iterations
     solves = count_calls(monkeypatch, elliptic.solve_dirichlet)
-    rhs = ScalarField.from_function(coarse_grid, lambda x, y: x * y)
+    rhs = from_function(coarse_grid, lambda x, y: x * y)
     solve_pulled_back_laplacian(identity_map(coarse_grid), rhs)
     assert len(solves) == 1
     solves.clear()
     solve_volume_constraint(BoundaryFunction.zeros(coarse_grid))
     assert not solves
-    harmonic_extension(BoundaryFunction.single_mode(coarse_grid, 2, 0.1))
+    harmonic_extension(single_mode(coarse_grid, 2, 0.1))
     assert not solves
 
 

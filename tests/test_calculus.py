@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from helpers import (count_calls, count_ffts, random_boundary,
-                     random_poly_field, reference_plan, stack)
+from helpers import (count_calls, count_ffts, from_function,
+                     random_boundary, random_poly_field, reference_plan,
+                     stack)
 
 from captension import projections
-from captension.diskfield import (DiskMap, ScalarField, VectorField, compose,
-                                  divergence, elliptic, evaluate_vector_at,
-                                  evaluation_plan, grad_values, gradient,
-                                  harmonic_extension, hessian, identity_map,
-                                  jacobian_det, laplacian, make_grid,
+from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
+                                  VectorField, compose, divergence, elliptic,
+                                  evaluate_vector_at, evaluation_plan,
+                                  grad_values, gradient, harmonic_extension,
+                                  hessian, identity_map, jacobian_det,
+                                  l2_norm_disk, laplacian, make_grid,
                                   restrict_boundary, rotation_map,
-                                  solve_dirichlet, STAGE_CLAMP)
+                                  sobolev_norm_disk, solve_dirichlet,
+                                  STAGE_CLAMP)
 from captension.dynamics import (FreeBoundaryState, dt_free_max,
                                  pressure_gradient, rhs_free_boundary,
                                  step_free_boundary)
@@ -23,7 +26,7 @@ from captension.shape import boundary_curvature, solve_volume_constraint
 
 
 def poly(grid):
-    return ScalarField.from_function(
+    return from_function(
         grid, lambda x, y: x ** 3 - 2.0 * x * y ** 2 + 0.5 * y + 1.0)
 
 
@@ -168,7 +171,7 @@ def test_evaluate_every_angular_mode(grid_name, request, rng):
     pts = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
     for m in range(g.n_theta // 2 + 1):
         phase = 0.3 if m < g.n_theta // 2 else 0.0
-        f = ScalarField.from_function(
+        f = from_function(
             g, lambda x, y: np.hypot(x, y) ** m
             * np.cos(m * np.arctan2(y, x) + phase))
         exact = radii ** m * np.cos(m * angles + phase)
@@ -228,6 +231,9 @@ def test_each_batched_kernel_keeps_every_members_bits(grid, rng, monkeypatch):
         "solve_dirichlet": (solve_dirichlet, [scalars, data]),
         "harmonic_extension": (harmonic_extension, [data]),
         "restrict_boundary": (restrict_boundary, [scalars]),
+        "BoundaryFunction.samples": (BoundaryFunction.samples, [data]),
+        "l2_norm_disk of scalars": (l2_norm_disk, [scalars]),
+        "l2_norm_disk of vectors": (l2_norm_disk, [vecs]),
         "boundary_curvature": (
             boundary_curvature, [[gradient(f) for f in fs]]),
         "solve_volume_constraint": (solve_volume_constraint, [bdry]),
@@ -313,9 +319,27 @@ def test_restrict_boundary_matches_ring(grid):
     assert np.allclose(b.samples(), f.values[-1, :], atol=1e-12)
 
 
+@pytest.mark.parametrize("grid_name", ["grid", "coarse_grid"])
+def test_a_field_without_members_keeps_the_one_field_formulas_bits(
+        grid_name, request, rng):
+    # l2_norm_disk and the boundary rings run the member path for every
+    # field; without a member axis that path must give the bits of the
+    # formulas of one field: grid.integrate per component, and the plain
+    # transform of one ring with the Nyquist mode halved
+    g = request.getfixturevalue(grid_name)
+    w = random_poly_field(g, rng)
+    scalars = [ScalarField(g, c) for c in w.values]
+    for f in scalars + [w]:
+        assert l2_norm_disk(f) == sobolev_norm_disk(f, 0)
+    for f in scalars:
+        expected = g.to_modes(f.values[-1]) / g.n_theta
+        expected[-1] *= 0.5
+        assert np.array_equal(restrict_boundary(f).coeffs, expected)
+
+
 def test_normal_derivative_boundary(grid):
     # grad f . nu of r^2 cos(2 theta) at r = 1 is 2 cos(2 theta)
-    f = ScalarField.from_function(grid, lambda x, y: x ** 2 - y ** 2)
+    f = from_function(grid, lambda x, y: x ** 2 - y ** 2)
     gx, gy = gradient(f).values[:, -1, :]
     nd = gx * np.cos(grid.theta) + gy * np.sin(grid.theta)
     assert np.allclose(nd, 2.0 * np.cos(2.0 * grid.theta), atol=1e-11)

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import l2_inner
+from helpers import from_function, l2_inner, single_mode
 
-from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
-                                  divergence, gradient, harmonic_extension,
-                                  laplacian, restrict_boundary,
-                                  solve_dirichlet)
+from captension.diskfield import (ScalarField, VectorField, divergence,
+                                  gradient, harmonic_extension, laplacian,
+                                  restrict_boundary, solve_dirichlet)
 from captension.projections import hodge_potential
 
 
 def test_dirichlet_homogeneous_manufactured(grid):
     # u = (1 - r^2) x  =>  lap u = -8x, u = 0 on the circle
-    rhs = ScalarField.from_function(grid, lambda x, y: -8.0 * x)
+    rhs = from_function(grid, lambda x, y: -8.0 * x)
     u = solve_dirichlet(rhs)
     exact = (1.0 - grid.rr ** 2) * grid.xx
     assert np.allclose(u.values, exact, atol=1e-12)
@@ -20,7 +19,7 @@ def test_dirichlet_homogeneous_manufactured(grid):
 
 def test_dirichlet_with_boundary_data(grid):
     # u = x^2 - y^2 is harmonic; data cos(2 theta) on the circle
-    bdata = BoundaryFunction.single_mode(grid, 2, 1.0)
+    bdata = single_mode(grid, 2, 1.0)
     u = solve_dirichlet(ScalarField.zeros(grid), bdata)
     assert np.allclose(u.values, grid.xx ** 2 - grid.yy ** 2, atol=1e-12)
 
@@ -52,7 +51,7 @@ def test_neumann_green_identity(grid):
     w = VectorField.from_arrays(grid, grid.xx ** 2 * grid.yy + 0.3,
                                 grid.xx - grid.yy ** 3)
     u = hodge_potential(w)
-    v = ScalarField.from_function(grid, lambda x, y: x ** 2 + 0.3 * y)
+    v = from_function(grid, lambda x, y: x ** 2 + 0.3 * y)
     gu, gv = gradient(u), gradient(v)
     lhs = (l2_inner(grid, gu.values[0], gv.values[0])
            + l2_inner(grid, gu.values[1], gv.values[1]))
@@ -66,7 +65,7 @@ def test_neumann_green_identity(grid):
 
 
 def test_harmonic_extension_single_mode(grid):
-    b = BoundaryFunction.single_mode(grid, 3, 0.7)
+    b = single_mode(grid, 3, 0.7)
     u = harmonic_extension(b)
     exact = 0.7 * grid.rr ** 3 * np.cos(3.0 * grid.tt)
     assert np.allclose(u.values, exact, atol=1e-12)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from captension.diskfield import ScalarField, VectorField
+from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
+                                  make_grid)
 from captension.errors import NonFiniteError
 
 KINDS = pytest.mark.parametrize("cls", [ScalarField, VectorField])
@@ -21,6 +22,19 @@ def test_wrong_shape_is_a_value_error(grid, cls):
         cls(grid, np.zeros(shape[:-1] + (grid.n_theta + 1,)))
     with pytest.raises(ValueError):
         cls(grid, np.zeros(sample_shape(OTHER_KIND[cls], grid)))
+
+
+def test_boundary_coefficients_of_a_wrong_member_axis_name_both_shapes():
+    # nine coefficients are right on 16 angles, but not on the member
+    # axis: the message names the shape given and the shape expected
+    grid = make_grid(16, 8)
+    for on, coeffs, message in (
+            (grid, np.zeros((3, 9)), "shape (3, 9) does not match (9,)"),
+            (grid.with_members(3), np.zeros(9),
+             "shape (9,) does not match (3, 9)")):
+        with pytest.raises(ValueError) as err:
+            BoundaryFunction(on, coeffs)
+        assert message in str(err.value)
 
 
 @KINDS

@@ -263,7 +263,7 @@ class TestRuns:
                             lambda state, dt: dataclasses.replace(
                                 state, time=state.time + dt))
         passes = count_calls(monkeypatch, calculus.grad_values)
-        run_single(cfg, 100.0, fixed_flow)
+        run_module._records(cfg, (100.0,), fixed_flow)
         assert len(passes) <= 4 * cfg.n_outputs
 
     def test_fixed_flow_keeps_no_maps(self, tmp_path, monkeypatch):

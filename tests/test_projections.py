@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import count_calls, count_ffts, l2_inner, random_poly_field
+from helpers import (count_calls, count_ffts, from_function, l2_inner,
+                     random_poly_field)
 
 from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
                                   compose, divergence, gradient, hessian,
@@ -35,7 +36,7 @@ def test_projection_identities(grid, rng):
 
 def test_q_reproduces_admissible_gradients(grid):
     # grad g with dg/dr = 0 on the circle is exactly reproduced by Q
-    g = ScalarField.from_function(
+    g = from_function(
         grid, lambda x, y: (x ** 2 + y ** 2) ** 2 - 2.0 * (x ** 2 + y ** 2))
     w = gradient(g)
     assert l2_norm_disk(hodge_Q(w) - w) < 1e-10
@@ -92,32 +93,30 @@ def test_p_keeps_rigid_rotation(grid):
 
 
 def test_apply_L_identity_at_zero_potential(grid, rng):
-    f = ScalarField.zeros(grid)
     w = random_poly_field(grid, rng)
-    out = apply_L(f, w)
+    out = apply_L(w, hessian(ScalarField.zeros(grid)))
     assert l2_norm_disk(out - w) == 0.0
 
 
 def test_a_precomputed_hessian_gives_the_same_bits(grid, rng):
-    f = ScalarField.from_function(grid, lambda x, y: 0.01 * (x ** 3 - y ** 3))
+    f = from_function(grid, lambda x, y: 0.01 * (x ** 3 - y ** 3))
     hess = hessian(f)
     w = random_poly_field(grid, rng)
-    assert np.array_equal(apply_L(f, w, hess).values, apply_L(f, w).values)
     assert np.array_equal(solve_L1_inverse(f, w, hess).values,
                           solve_L1_inverse(f, w).values)
 
 
 def test_L1_inverse_round_trip(grid, rng):
     # small Hessian: L1 w recovered from its image
-    f = ScalarField.from_function(grid, lambda x, y: 0.01 * (x ** 3 - y ** 3))
+    f = from_function(grid, lambda x, y: 0.01 * (x ** 3 - y ** 3))
     w = hodge_P(random_poly_field(grid, rng))
-    target = hodge_P(apply_L(f, w))
+    target = hodge_P(apply_L(w, hessian(f)))
     back = solve_L1_inverse(f, target)
     assert l2_norm_disk(back - w) < 1e-8
 
 
 def test_L1_inverse_is_linear(grid, rng):
-    f = ScalarField.from_function(grid, lambda x, y: 0.02 * x * y ** 2)
+    f = from_function(grid, lambda x, y: 0.02 * x * y ** 2)
     a = random_poly_field(grid, rng)
     b = random_poly_field(grid, rng)
     sum_inv = solve_L1_inverse(f, a + b)
@@ -128,7 +127,7 @@ def test_L1_inverse_is_linear(grid, rng):
 def test_L1_inverse_rejects_large_hessian(grid, rng):
     # a Hessian of order one breaks the contraction; the divergence must
     # surface as a solver error, never as a silently wrong answer
-    f = ScalarField.from_function(grid, lambda x, y: 2.0 * (x ** 2 - y ** 2))
+    f = from_function(grid, lambda x, y: 2.0 * (x ** 2 - y ** 2))
     w = random_poly_field(grid, rng)
     with pytest.raises(SolverError):
         solve_L1_inverse(f, w)
@@ -136,7 +135,7 @@ def test_L1_inverse_rejects_large_hessian(grid, rng):
 
 def test_pulled_back_laplacian_identity_map(grid):
     from captension.diskfield import identity_map
-    rhs = ScalarField.from_function(grid, lambda x, y: -8.0 * x)
+    rhs = from_function(grid, lambda x, y: -8.0 * x)
     g = solve_pulled_back_laplacian(identity_map(grid), rhs)
     exact = (1.0 - grid.rr ** 2) * grid.xx
     assert np.allclose(g.values, exact, atol=1e-10)
@@ -145,7 +144,7 @@ def test_pulled_back_laplacian_identity_map(grid):
 def test_pulled_back_laplacian_rotation_oracle(grid):
     # for a rotation R: lap_R g = (lap(g o R^-1)) o R; manufacture both sides
     rot = rotation_map(grid, 0.4)
-    u = ScalarField.from_function(
+    u = from_function(
         grid, lambda x, y: (1.0 - x ** 2 - y ** 2) * (x + 0.5 * y ** 2))
     rhs = compose(laplacian(u), rot)
     bdata = BoundaryFunction.from_samples(grid, compose(u, rot).values[-1, :])

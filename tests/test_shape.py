@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import boundary_values, count_calls, random_boundary
+from helpers import (boundary_values, count_calls, from_function,
+                     random_boundary, single_mode)
 
-from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
-                                  VectorField, evaluate_vector_at, gradient,
+from captension.diskfield import (BoundaryFunction, DiskMap, VectorField,
+                                  evaluate_vector_at, gradient,
                                   harmonic_extension, hessian, identity_map,
                                   jacobian_det, l2_norm_disk, laplacian,
                                   restrict_boundary, rotation_map)
@@ -65,7 +66,7 @@ def test_linear_boundary_data_gives_translation(grid):
 
 
 def test_mode_two_constraint(grid):
-    h = BoundaryFunction.single_mode(grid, 2, 0.05)
+    h = single_mode(grid, 2, 0.05)
     f = solve_volume_constraint(h)
     det = jacobian_det(graph_map(f)).values
     assert np.abs(det[:-1, :] - 1.0).max() < 1e-7
@@ -107,7 +108,7 @@ def test_expansion_matches_exact_curvature(grid, rng):
 
 def test_curvature_against_finite_differences(grid):
     # independent oracle: dense central differences on the boundary curve
-    h = BoundaryFunction.single_mode(grid, 3, 0.02)
+    h = single_mode(grid, 3, 0.02)
     f = solve_volume_constraint(h)
     g = gradient(f)
     bx = BoundaryFunction.from_samples(grid, g.values[0, -1, :])
@@ -127,18 +128,19 @@ def test_curvature_against_finite_differences(grid):
 
 
 def test_degenerate_tangent_raises(grid):
-    shrink = ScalarField.from_function(grid, lambda x, y: -0.4 * (x * x + y * y))
+    shrink = from_function(grid, lambda x, y: -0.4 * (x * x + y * y))
     with pytest.raises(DegenerateTangentError):
         curvature_exact(shrink)
 
 
 def test_boundary_length_and_normal(grid):
     f = solve_volume_constraint(BoundaryFunction.zeros(grid))
-    assert boundary_length(f) == pytest.approx(2.0 * np.pi, abs=1e-12)
+    assert boundary_length(gradient(f)) == pytest.approx(2.0 * np.pi,
+                                                abs=1e-12)
 
 
 def test_boundary_length_against_dense_quadrature(grid):
-    h = BoundaryFunction.single_mode(grid, 2, 0.04)
+    h = single_mode(grid, 2, 0.04)
     f = solve_volume_constraint(h)
     g = gradient(f)
     bx = BoundaryFunction.from_samples(grid, g.values[0, -1, :])
@@ -147,14 +149,14 @@ def test_boundary_length_against_dense_quadrature(grid):
     cx = np.cos(t) + boundary_values(bx, t)
     cy = np.sin(t) + boundary_values(by, t)
     dense = np.trapezoid(np.hypot(np.gradient(cx, t), np.gradient(cy, t)), t)
-    assert boundary_length(f) == pytest.approx(dense, abs=1e-6)
+    assert boundary_length(g) == pytest.approx(dense, abs=1e-6)
 
 
 def test_compose_Phi_identity_is_graph_map(grid, rng):
     h = random_boundary(grid, rng, 0.03)
     f = solve_volume_constraint(h)
-    eta = compose_Phi(identity_map(grid), f)
     g = gradient(f)
+    eta = compose_Phi(identity_map(grid), g)
     assert np.allclose(eta.displacement.values[0], g.values[0], atol=1e-12)
     assert np.allclose(eta.displacement.values[1], g.values[1], atol=1e-12)
 
@@ -164,8 +166,8 @@ def test_compose_Phi_with_node_rotation(grid, rng):
     # composition samples grad f at stored nodes, three steps on in theta
     f = solve_volume_constraint(random_boundary(grid, rng, 0.03))
     beta = rotation_map(grid, 2.0 * np.pi * 3 / grid.n_theta)
-    eta = compose_Phi(beta, f)
     g = gradient(f)
+    eta = compose_Phi(beta, g)
     expected = beta.displacement.values + np.roll(g.values, -3, axis=2)
     assert np.abs(eta.displacement.values - expected).max() < 1e-13
 
