@@ -157,7 +157,8 @@ def _node_snap(grid, points, gap):
 
 
 class EvaluationPlan(NamedTuple):
-    """What every field evaluated at one point set shares."""
+    """What every field evaluated at one point set shares.  compose builds
+    one per call; invert_disk_map keeps one beside a map's preimages."""
 
     clamp_tol: float
     radial: tuple
@@ -172,9 +173,8 @@ def evaluation_plan(grid, points, *, clamp_tol):
     and holds the folded radial weights (points last) and angular
     factors (points first) of _ring_weights and the node snap, as snap
     = (rows, i, j): the rows that coincide with the node (grid.r[i],
-    theta_j).  A plan is a value: its arrays are read-only, so whoever
-    owns the points (a map's cache) keeps it and passes it to every
-    evaluation there.
+    theta_j).  A plan is a value: its arrays are read-only, so it may
+    serve every evaluation at its points.
     """
     points, r0 = _clamp_points(grid, points, clamp_tol)
     radial, angular, (i, gap) = _ring_weights(grid, points, r0)
@@ -247,29 +247,31 @@ STAGE_CLAMP = 1e-5
 def compose(f, g, *, clamp_tol=_COMPOSE_CLAMP):
     """f after g: sample f at the image points of the disk map g.
 
+    f is a field or a tuple of fields, and the result takes the same
+    form; every field is sampled through one plan of g's image points,
+    built for this call, and each has the bits of its own composition.
     With a member axis, f and g have the same members, and member i of
     f is sampled at the image points of member i of g.
     clamp_tol widens the boundary-overshoot allowance; time-step stage
     maps drift outside the circle by O(dt^2) and need more slack than
-    a converged diffeomorphism.  The plan of g's image points is kept
-    in g's cache under its clamp_tol, so every composition with g
-    after the first reuses it; a tighter clamp_tol builds, and checks,
-    its own.
+    a converged diffeomorphism.
     """
     if not isinstance(g, DiskMap):
         raise TypeError("compose expects a DiskMap on the right")
     if g.kind != "diffeo":
         raise ValueError("compose requires a diffeomorphism of the disk")
-    if not isinstance(f, (ScalarField, VectorField)):
-        raise TypeError("compose expects a ScalarField or VectorField on the left")
+    fields = f if isinstance(f, tuple) else (f,)
+    if not all(isinstance(h, (ScalarField, VectorField)) for h in fields):
+        raise TypeError("compose expects a field or a tuple of fields on the left")
     points = g.image_points()
-    key = "image_plan", clamp_tol
-    plan = g._cache.get(key)
-    if plan is None:
-        plan = g._cache[key] = evaluation_plan(g.grid, points,
-                                               clamp_tol=clamp_tol)
-    vals = evaluate_vector_at(f, points, clamp_tol=clamp_tol, plan=plan)
-    return type(f)(g.grid, vals.T.reshape(f.values.shape))
+    plan = evaluation_plan(g.grid, points, clamp_tol=clamp_tol)
+    vals = evaluate_vector_at(fields, points, clamp_tol=clamp_tol, plan=plan)
+    out, a = [], 0
+    for h in fields:
+        b = a + h.values.size // len(vals)
+        out.append(type(h)(g.grid, vals[:, a:b].T.reshape(h.values.shape)))
+        a = b
+    return tuple(out) if isinstance(f, tuple) else out[0]
 
 
 def jacobian_det(g):

@@ -138,7 +138,8 @@ class BoundaryFunction:
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.n_modes, dtype=complex))
+        return cls(grid, np.zeros(grid.member_shape + (grid.n_modes,),
+                                  dtype=complex))
 
     @classmethod
     def from_samples(cls, grid, ring):
@@ -172,14 +173,14 @@ class DiskMap:
     kind is "diffeo" for volume-preserving maps of the disk to itself
     (beta, zeta) and "embedding" for maps whose image may leave the disk
     (eta, id + grad f).  The _cache slot memoizes expensive derived data
-    on the immutable instance, all of it read-only: "inverse" holds the
-    preimages of the nodes and their evaluation plan (invert_disk_map),
-    "inverse_jacobian" the entries of D(map)^-1 (inverse_jacobian), and
-    ("image_plan", clamp_tol) the plan of the node images under that
-    clamp tolerance (compose; euler_Z composes through a fresh map, so a
-    stage map keeps its inverse alone).  A map derived from this one (w
-    added, boundary renormalised) starts with an empty cache and holds
-    no reference to this one, so no chain of maps is kept alive.
+    on the immutable instance, all of it read-only, each entry written
+    and read by one function: "inverse" holds the preimages of the nodes
+    and their evaluation plan (invert_disk_map), and "inverse_jacobian"
+    det D(map) and the entries of D(map)^-1 (inverse_jacobian).  No plan
+    of the node images is kept: compose builds one per call.  A map
+    derived from this one (w added, boundary renormalised) starts with
+    an empty cache and holds no reference to this one, so no chain of
+    maps is kept alive.
     """
 
     __slots__ = ("grid", "displacement", "kind", "_cache")

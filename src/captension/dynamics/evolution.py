@@ -36,7 +36,7 @@ from ..projections import (
     hodge_potential,
     solve_L1_inverse,
 )
-from ..shape import boundary_length, compose_Phi, solve_volume_constraint
+from ..shape import boundary_length, solve_volume_constraint
 from .pressure import pressure_gradient, pullback_velocity
 from .states import EnergyReport, FreeBoundaryState, rk4
 
@@ -102,10 +102,7 @@ def rhs_free_boundary(state):
     vdot = -(conv - q_conv) - solve_L1_inverse(
         state.f, 2.0 * dv_grad_fdot + dvv_grad_f, hess_f)
 
-    # each stage map is composed once: through a map of its own, whose
-    # cache goes with this call, no state keeps the plan for the step
-    beta_velocity = compose(state.v, DiskMap(state.beta.displacement),
-                            clamp_tol=STAGE_CLAMP)
+    beta_velocity = compose(state.v, state.beta, clamp_tol=STAGE_CLAMP)
     return state.fdot, fddot, vdot, beta_velocity
 
 
@@ -230,7 +227,9 @@ def energy_report(state, derivatives):
 
 
 def reconstruct_eta(state, derivatives):
-    """(eta, eta_dot) at reference labels, for norm comparisons;
-    derivatives is output_derivatives(state)."""
+    """(eta, eta_dot) at reference labels, for norm comparisons:
+    eta = (id + grad f) o beta and eta_dot = w o beta, composed through
+    one plan of beta's images; derivatives is output_derivatives(state)."""
     grad_f, _, w = derivatives
-    return compose_Phi(state.beta, grad_f), compose(w, state.beta)
+    shift, eta_dot = compose((grad_f, w), state.beta)
+    return DiskMap(state.beta.displacement + shift, kind="embedding"), eta_dot

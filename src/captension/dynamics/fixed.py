@@ -11,7 +11,6 @@ stream function's velocity is divergence-free.
 
 from ..diskfield import (
     STAGE_CLAMP,
-    DiskMap,
     VectorField,
     advect,
     compose,
@@ -32,16 +31,18 @@ __all__ = [
 
 
 def invert_disk_map(alpha, near=None):
-    """Preimages of the grid nodes under a near-identity disk map.
+    """(preimages, plan): the preimages of the grid nodes under a
+    near-identity disk map, and the evaluation plan of Newton's
+    converged pass at them.
 
     Newton with the stage-map slack STAGE_CLAMP, from near's preimages
     and their plan when near (a map close to alpha, such as the map
     inverted last in alpha's step) has its inverse cached, else from
-    the first guess x - d(x).  The preimages and the plan of Newton's
-    converged pass are cached on the (immutable) map, so repeated
-    operator applications at one alpha pay once, and the evaluation at
-    the preimages that follows builds no plan.  step_fixed_euler inverts
-    its end map, so the next step's first stage finds them cached.
+    the first guess x - d(x).  Both are cached on the (immutable) map,
+    so repeated operator applications at one alpha pay once, and an
+    evaluation at the preimages passes the plan and builds none.
+    step_fixed_euler inverts its end map, so the next step's first
+    stage finds them cached.
     """
     cached = alpha._cache.get("inverse")
     if cached is None:
@@ -52,28 +53,28 @@ def invert_disk_map(alpha, near=None):
         Y, plan = invert_points(alpha, X, *warm)
         Y.setflags(write=False)
         cached = alpha._cache["inverse"] = Y, plan
-    return cached[0]
+    return cached
 
 
 def euler_Z(alpha, vel, near=None):
     """Lagrangian acceleration Z(alpha, v) = (Q((u.grad) P u)) o alpha
     with u = v o alpha^-1.  near, a map close to alpha whose inverse is
-    cached, warm-starts the inversion of alpha (see invert_disk_map).
-    Composing through a map of its own leaves alpha its inverse alone."""
-    Y = invert_disk_map(alpha, near)
-    vals = evaluate_vector_at(vel, Y, clamp_tol=STAGE_CLAMP,
-                              plan=alpha._cache["inverse"][1])
+    cached, warm-starts the inversion of alpha (see invert_disk_map)."""
+    Y, plan = invert_disk_map(alpha, near)
+    vals = evaluate_vector_at(vel, Y, clamp_tol=STAGE_CLAMP, plan=plan)
     u = VectorField(alpha.grid, vals.T.reshape(vel.values.shape))
-    return compose(hodge_Q(advect(u, hodge_P(u))),
-                   DiskMap(alpha.displacement), clamp_tol=STAGE_CLAMP)
+    return compose(hodge_Q(advect(u, hodge_P(u))), alpha,
+                   clamp_tol=STAGE_CLAMP)
 
 
 def step_fixed_euler(state, dt):
     """RK4 on (zeta, zetadot) and the boundary renormalisation of zeta;
     no projection follows.  Newton starts from the map inverted last:
     stage 3 from stage 2, (dt^2/4) Z away, and the renormalised end map
-    from stage 4, O(dt^3) away, each in two passes, not three."""
-    last = [state.zeta]  # held with its inverse alone
+    from stage 4, O(dt^3) away, each in two passes, not three.  A map
+    held as the last one keeps its inverse alone: compose keeps no plan
+    of its images."""
+    last = [state.zeta]
 
     def rates(y):
         last[0], acc = y[0], euler_Z(*y, near=last[0])

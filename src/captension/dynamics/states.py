@@ -52,7 +52,7 @@ class FreeBoundaryState:
     def k_factor(self):
         """k as a factor of samples shaped (..., [M,] n): a float, or a
         column of one k per member."""
-        return self.k if isinstance(self.k, float) else np.array(self.k)[:, None]
+        return self.k if np.ndim(self.k) == 0 else np.array(self.k)[:, None]
 
     def take(self, index):
         """The state of member index alone (an int), or of the members

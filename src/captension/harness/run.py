@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, NonpositiveValueError, SolverError
-from ..diskfield import DiskMap, VectorField, make_grid, sobolev_norm_disk
+from ..diskfield import identity_map, make_grid, sobolev_norm_disk
 from ..dynamics import (
     FixedEulerState,
     FreeBoundaryState,
@@ -308,9 +308,8 @@ def oracle_compare(config):
     u0 = stream_initial_velocity(grid, config.stream_mode, config.amplitude)
     free = FreeBoundaryState.from_velocity(grid, u0, k)
     segment = min(config.T, 0.05) / 5
-    eta = DiskMap(VectorField.zeros(grid), kind="embedding")
     unsplit = _Reference(
-        "unsplit", (eta, free.v),
+        "unsplit", (identity_map(grid, kind="embedding"), free.v),
         lambda state, dt: step_unsplit(*state, dt, k),
         lambda state: (state[0].displacement, state[1]),
         _substeps(segment, dt_max(k, n_theta)))

@@ -1,5 +1,5 @@
-"""Boundary shape machinery: the volume-constraint potential, the graph
-embedding built on it, pointwise inversion of disk maps, and curvature.
+"""Boundary shape machinery: the volume-constraint potential of the graph
+embedding, pointwise inversion of disk maps, and curvature.
 
 A small boundary function h determines a potential f with
 
@@ -26,10 +26,8 @@ from .errors import (
 from .diskfield import (
     STAGE_CLAMP,
     BoundaryFunction,
-    DiskMap,
     MemberSolve,
     ScalarField,
-    compose,
     evaluate_vector_at,
     evaluation_plan,
     gradient,
@@ -44,7 +42,6 @@ __all__ = [
     "CurvatureExpansion",
     "solve_volume_constraint",
     "volume_residual",
-    "compose_Phi",
     "boundary_curvature",
     "curvature_exact",
     "curvature_expansion",
@@ -111,11 +108,6 @@ def solve_volume_constraint(h):
         f = base - solve_dirichlet(ScalarField(base.grid, det))
     raise NoConvergenceError(
         "volume constraint: no convergence in 400 iterations")
-
-
-def compose_Phi(beta, grad_f):
-    """The embedding (id + grad f) o beta as a DiskMap."""
-    return DiskMap(beta.displacement + compose(grad_f, beta), kind="embedding")
 
 
 def _boundary_tangent_data(displacement):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import (count_calls, count_ffts, from_function,
+from helpers import (count_calls, count_ffts, count_plans, from_function,
                      random_boundary, random_poly_field, reference_plan,
                      stack)
 
@@ -241,6 +241,8 @@ def test_each_batched_kernel_keeps_every_members_bits(grid, rng, monkeypatch):
         "solve_pulled_back_laplacian": (
             solve_pulled_back_laplacian, [etas, scalars, data]),
         "compose": (compose, [vecs, betas]),
+        "compose of a tuple": (lambda s, v, b: compose((s, v), b),
+                               [scalars, vecs, betas]),
         "rhs_free_boundary": (rhs_free_boundary, [states]),
         "step_free_boundary": (lambda s: step_free_boundary(s, dt), [states]),
     }
@@ -289,23 +291,46 @@ def test_compose_with_identity_is_identity(grid):
     assert np.allclose(compose(f, identity_map(grid)).values, f.values, atol=0.0)
 
 
-def test_compose_keeps_one_read_only_plan_per_clamp_tolerance(grid):
+def test_compose_builds_a_read_only_plan_per_call_and_keeps_none(
+        grid, monkeypatch):
     # the image overshoots the circle by 1e-6: inside a 1e-5 allowance,
-    # outside the default 1e-8 one, whatever plan is already kept
+    # outside the default 1e-8 one, whatever was composed before
     f = poly(grid)
     g = DiskMap(VectorField(grid, 1e-6 * grid.xy))
     points = g.image_points()
     fresh = evaluate_vector_at(f, points, clamp_tol=1e-5)[:, 0]
-    for _ in range(2):
+    plans = count_plans(monkeypatch)
+    for calls in (1, 2):
         assert np.array_equal(compose(f, g, clamp_tol=1e-5).values.ravel(),
                               fresh)
+        assert len(plans) == calls
     with pytest.raises(PointOutsideDomainError):
         compose(f, g)
-    plan = g._cache["image_plan", 1e-5]
+    assert g._cache == {}
+    plan = evaluation_plan(grid, points, clamp_tol=1e-5)
     assert not any(a.flags.writeable
                    for a in (*plan.radial, *plan.angular, *plan.snap))
     with pytest.raises(ValueError):
         evaluate_vector_at(f, points, clamp_tol=1e-8, plan=plan)
+
+
+@pytest.mark.parametrize("members", [None, 3], ids=["single", "members"])
+def test_each_field_of_a_tuple_compose_has_its_own_bits(grid, rng, members):
+    # one plan serves every field of the tuple, one column block each
+    def draw(make):
+        items = [make() for _ in range(members or 1)]
+        return items[0] if members is None else stack(items)
+
+    s = draw(lambda: ScalarField(grid, random_poly_field(grid, rng).values[0]))
+    v = draw(lambda: random_poly_field(grid, rng))
+    g = draw(lambda: DiskMap(random_poly_field(grid, rng)
+                             * (0.01 * (1.0 - grid.rr ** 2))))
+    fields = (s, v, s)
+    composed = compose(fields, g)
+    assert isinstance(composed, tuple)
+    for got, field in zip(composed, fields, strict=True):
+        assert type(got) is type(field)
+        assert np.array_equal(got.values, compose(field, g).values)
 
 
 def test_jacobian_det_of_rotation(grid):

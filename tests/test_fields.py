@@ -37,6 +37,13 @@ def test_boundary_coefficients_of_a_wrong_member_axis_name_both_shapes():
         assert message in str(err.value)
 
 
+def test_boundary_zeros_carry_the_member_axis():
+    for members, shape in ((None, (9,)), (3, (3, 9))):
+        b = BoundaryFunction.zeros(make_grid(16, 8, members))
+        assert b.coeffs.shape == shape
+        assert not b.coeffs.any()
+
+
 @KINDS
 def test_nan_sample_is_rejected(grid, cls):
     values = np.zeros(sample_shape(cls, grid))

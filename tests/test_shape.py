@@ -9,8 +9,9 @@ from captension.diskfield import (BoundaryFunction, DiskMap, VectorField,
                                   harmonic_extension, hessian, identity_map,
                                   jacobian_det, l2_norm_disk, laplacian,
                                   restrict_boundary, rotation_map)
+from captension.dynamics import FreeBoundaryState, reconstruct_eta
 from captension.errors import DegenerateTangentError
-from captension.shape import (boundary_length, compose_Phi, curvature_exact,
+from captension.shape import (boundary_length, curvature_exact,
                               curvature_expansion, invert_points,
                               solve_volume_constraint)
 
@@ -152,24 +153,34 @@ def test_boundary_length_against_dense_quadrature(grid):
     assert boundary_length(g) == pytest.approx(dense, abs=1e-6)
 
 
-def test_compose_Phi_identity_is_graph_map(grid, rng):
-    h = random_boundary(grid, rng, 0.03)
-    f = solve_volume_constraint(h)
+def _reconstructed(beta, f):
+    """(eta, eta_dot, grad f) of reconstruct_eta at beta, with grad f
+    standing in for w too."""
     g = gradient(f)
-    eta = compose_Phi(identity_map(grid), g)
+    state = FreeBoundaryState(f=f, fdot=f, v=VectorField.zeros(beta.grid),
+                              beta=beta, time=0.0, k=100.0)
+    return (*reconstruct_eta(state, (g, g, g)), g)
+
+
+def test_reconstruct_eta_at_identity_is_graph_map(grid, rng):
+    f = solve_volume_constraint(random_boundary(grid, rng, 0.03))
+    eta, eta_dot, g = _reconstructed(identity_map(grid), f)
+    assert eta.kind == "embedding"
     assert np.allclose(eta.displacement.values[0], g.values[0], atol=1e-12)
     assert np.allclose(eta.displacement.values[1], g.values[1], atol=1e-12)
+    assert np.allclose(eta_dot.values, g.values, atol=1e-12)
 
 
-def test_compose_Phi_with_node_rotation(grid, rng):
+def test_reconstruct_eta_with_node_rotation(grid, rng):
     # a rotation by three angular steps maps nodes onto nodes, so the
     # composition samples grad f at stored nodes, three steps on in theta
     f = solve_volume_constraint(random_boundary(grid, rng, 0.03))
     beta = rotation_map(grid, 2.0 * np.pi * 3 / grid.n_theta)
-    g = gradient(f)
-    eta = compose_Phi(beta, g)
-    expected = beta.displacement.values + np.roll(g.values, -3, axis=2)
+    eta, eta_dot, g = _reconstructed(beta, f)
+    rolled = np.roll(g.values, -3, axis=2)
+    expected = beta.displacement.values + rolled
     assert np.abs(eta.displacement.values - expected).max() < 1e-13
+    assert np.abs(eta_dot.values - rolled).max() < 1e-13
 
 
 def test_newton_drops_the_jacobian_once_the_residual_is_small(grid,
