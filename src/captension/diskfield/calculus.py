@@ -6,7 +6,8 @@ Cartesian derivatives are assembled pointwise from the polar ones,
     d_y = sin(theta) d_r + (cos(theta)/r) d_theta,
 
 which is safe because the grid has no node at r = 0 and smooth fields keep
-(1/r) d_theta bounded.  The Laplacian is NOT built from these (it uses the
+(1/r) d_theta bounded; DiskGrid.polar_derivatives takes the polar ones with
+no angular transform.  The Laplacian is NOT built from these (it uses the
 per-mode polar form cached on the grid), so divergence(gradient(f)) vs
 laplacian(f) is a genuine two-route consistency check.
 """
@@ -25,14 +26,11 @@ __all__ = ["grad_values", "gradient", "divergence", "laplacian", "hessian",
 
 
 def grad_values(grid, values):
-    """(d_x, d_y) of samples shaped (..., n_r, n_theta), from one polar pass.
-
-    Stacking several fields into one call costs one transform each way
-    and gives the same bits as one call per field.
-    """
-    A, B = grid.polar_derivatives(values)
-    B = B * grid.inv_r
-    return grid.cos_t * A - grid.sin_t * B, grid.sin_t * A + grid.cos_t * B
+    """(d_x, d_y) of samples shaped (..., n_r, n_theta), from one polar pass;
+    a stack of fields gives the bits of one call per field."""
+    polar = grid.polar_derivatives(values)
+    terms = grid.polar_to_xy[(slice(None),) * 2 + (None,) * (values.ndim - 2)] * polar
+    return np.add(terms[:, 0], terms[:, 1], out=polar)
 
 
 def gradient(f):
@@ -64,7 +62,7 @@ def hessian(f):
     factored first derivatives.
     """
     g = f.grid
-    dx, dy = grad_values(g, np.stack(grad_values(g, f.values)))
+    dx, dy = grad_values(g, grad_values(g, f.values))
     return dx[0], dy[0], dx[1], dy[1]
 
 

@@ -242,7 +242,8 @@ class MemberSolve:
     check(x, res) takes the iterate x of the members still iterating
     and their residuals res, once per iteration, and returns True once
     every member is done; result is then the field of every member's
-    result.  A member below tol keeps that x as its result and stops;
+    result.  x may be a tuple of fields, like `like`; result is then
+    the tuple.  A member below tol keeps that x as its result and stops;
     keep is then the positions, among the members check was given, of
     those that go on (None while none stops).  A member whose residual is not
     below factor times its residual `window` iterations earlier raises
@@ -254,14 +255,15 @@ class MemberSolve:
         self.stalled = stalled
         self.result = self.keep = None
         self._history = []  # per iteration a float, or one per member
-        self._like = like
-        if like.members is not None:
-            self._done = np.empty_like(like.values)
-            self._active = np.arange(like.members)
+        self._like = like if isinstance(like, tuple) else (like,)
+        self._members = self._like[0].members
+        if self._members is not None:
+            self._done = [np.empty_like(f.values) for f in self._like]
+            self._active = np.arange(self._members)
 
     def check(self, x, res):
         h, window = self._history, self.window
-        if self._like.members is None:
+        if self._members is None:
             if res < self.tol:
                 self.result = x
                 return True
@@ -272,9 +274,11 @@ class MemberSolve:
         done = res < self.tol
         self.keep = None
         if done.any():
-            self._done[..., self._active[done], :, :] = x.values[..., done, :, :]
+            for kept, xi in zip(self._done, x if isinstance(x, tuple) else (x,)):
+                kept[..., self._active[done], :, :] = xi.values[..., done, :, :]
             if done.all():
-                self.result = type(x)(self._like.grid, self._done)
+                result = [type(f)(f.grid, a) for f, a in zip(self._like, self._done)]
+                self.result = tuple(result) if isinstance(x, tuple) else result[0]
                 return True
             self.keep = np.flatnonzero(~done)
             self._active, res = self._active[self.keep], res[self.keep]
@@ -283,6 +287,6 @@ class MemberSolve:
             if stuck.any():
                 raise NoConvergenceError(self.stalled.format(res[stuck][0]))
         # the entries of members that stopped are never read
-        h.append(np.empty(self._like.members))
+        h.append(np.empty(self._members))
         h[-1][self._active] = res
         return False

@@ -22,7 +22,9 @@ never modified and one instance serves every field of its shape.
 The angular transform to the rfft layout and back (to_modes and
 from_modes) is one product against a cached real DFT matrix each way:
 on a few dozen angles an FFT call costs almost only its call overhead,
-and the matrix product about half as much or less.
+and the matrix product about half as much or less.  The polar
+derivatives take no transform at all: each is one real product on the
+samples (see polar_derivatives).
 """
 
 import copy
@@ -69,9 +71,9 @@ def _lagrange_weighted_integrals(x, w_bary):
 
 
 class DiskGrid:
-    """Immutability-by-convention container of nodes and cached operators.
+    """Container of nodes and cached operators, every array read-only.
 
-    Do not mutate attributes after construction; use make_grid() to get a
+    Do not rebind attributes after construction; use make_grid() to get a
     shared cached instance.  members is the length of the member axis of
     the fields on this grid, None for fields without one, member_shape
     that axis as a shape, () or (M,), and sample_shape the shape of a
@@ -121,14 +123,18 @@ class DiskGrid:
         self.xx, self.yy = self.xy
         self.cos_t = np.cos(self.theta)[None, :]
         self.sin_t = np.sin(self.theta)[None, :]
-        self.inv_r = (1.0 / self.r)[:, None]
+        # (d_x, d_y) = polar_to_xy[:, 0] d_r + polar_to_xy[:, 1] d_theta
+        c, s, inv_r = np.cos(self.tt), np.sin(self.tt), 1.0 / self.rr
+        self.polar_to_xy = np.array([[c, -s * inv_r], [s, c * inv_r]])
 
         D_full = _cheb_lobatto_diff(x_full, wb)
         D2_full = D_full @ D_full
         pp = np.ix_(self.pos_full, self.pos_full)
         pn = np.ix_(self.pos_full, self.neg_full)
-        self.Dr = {+1: D_full[pp] + D_full[pn], -1: D_full[pp] - D_full[pn]}
-        self.Drr = {+1: D2_full[pp] + D2_full[pn], -1: D2_full[pp] - D2_full[pn]}
+        Dr = {+1: D_full[pp] + D_full[pn], -1: D_full[pp] - D_full[pn]}
+        Drr = {+1: D2_full[pp] + D2_full[pn], -1: D2_full[pp] - D2_full[pn]}
+        # d_r on the samples: positive-node rows, [D_pp; D_pn] (2 n_r x n_r)
+        self._dr_rows = np.vstack([D_full[pp], D_full[pn]])
 
         # radial quadrature weights for integral_0^1 g(r) r dr, g given on
         # the positive nodes with the doubled-grid reflection implied
@@ -158,6 +164,8 @@ class DiskGrid:
         ik = 1j * self.modes.astype(float)
         ik[-1] = 0.0  # Nyquist derivative vanishes at the sample points
         self.ik = ik
+        # d_theta on the samples, values @ _dtheta: ik on every unit vector
+        self._dtheta = (self._dft.view(complex) * ik).view(float) @ self._idft
 
         # per-mode polar Laplacian and cached solve operators
         r = self.r
@@ -168,7 +176,7 @@ class DiskGrid:
         self.hodge_grad = np.empty((self.n_modes, 2 * n_r, 2 * n_r))
         for m in range(self.n_modes):
             p = +1 if m % 2 == 0 else -1
-            Lm = self.Drr[p] + inv_r[:, None] * self.Dr[p] - (m * m) * np.diag(inv_r ** 2)
+            Lm = Drr[p] + inv_r[:, None] * Dr[p] - (m * m) * np.diag(inv_r ** 2)
             lap[m] = Lm
             A = Lm.copy()
             A[-1, :] = 0.0
@@ -178,8 +186,8 @@ class DiskGrid:
             # to g: lap g = (1/r) d_r (r u_r) + (m/r) i u_theta inside
             # (ik is 0 at Nyquist) and d_r g = u_r on the circle
             B = Lm.copy()
-            B[-1, :] = self.Dr[p][-1, :]
-            div = np.hstack([self.Dr[-p] + np.diag(inv_r),
+            B[-1, :] = Dr[p][-1, :]
+            div = np.hstack([Dr[-p] + np.diag(inv_r),
                              np.diag(self.ik[m].imag * inv_r)])
             div[-1] = 0.0
             div[-1, n_r - 1] = 1.0
@@ -193,7 +201,7 @@ class DiskGrid:
             hodge[m] = np.linalg.solve(B, div)[:n_r]
             # hodge_grad[m]: the same columns to (d_r g, -i (1/r) d_theta g)
             self.hodge_grad[m] = np.vstack(
-                [self.Dr[p] @ hodge[m], self.ik[m].imag * inv_r[:, None] * hodge[m]])
+                [Dr[p] @ hodge[m], self.ik[m].imag * inv_r[:, None] * hodge[m]])
         self.lap_stack = lap
         self.dirichlet_inv = dir_inv
         self.hodge_inv = hodge
@@ -201,11 +209,11 @@ class DiskGrid:
         # harmonic radial profiles r^m per mode
         self.harmonic_profiles = r[None, :] ** self.modes[:, None]
 
-        for name in ("x_full", "bary_weights", "pos_full", "neg_full", "r", "theta",
-                     "rr", "tt", "xy", "xx", "yy", "weights_r", "modes", "ik",
-                     "_dft", "_idft", "lap_stack", "dirichlet_inv", "hodge_inv",
-                     "hodge_grad", "harmonic_profiles"):
-            getattr(self, name).setflags(write=False)
+        # every field of this shape reads these operators
+        for value in vars(self).values():
+            for a in value.values() if isinstance(value, dict) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
 
     def with_members(self, members):
         """The grid of this shape for fields of `members` members (None:
@@ -226,21 +234,30 @@ class DiskGrid:
     def polar_derivatives(self, values):
         """(d_r, d_theta) of samples shaped (..., n_r, n_theta), stacked.
 
-        One forward transform, the radial derivative folded per mode by
-        its parity, and one inverse transform of both derivatives.
+        One real product each, on the samples.  d_r takes the doubled
+        grid's rows at the positive nodes: the positive-node columns act
+        on the samples, the negative-node columns on the samples half a
+        turn round, by F(-r, theta) = F(r, theta + pi); per mode m this
+        is the folded matrix D_pp + (-1)^m D_pn.  d_theta is the Fourier
+        derivative matrix, zero on the Nyquist mode.
         """
-        C = self.to_modes(values)
-        out = np.empty((2,) + C.shape, dtype=complex)
-        out[0, ..., 0::2] = self.Dr[+1] @ C[..., 0::2]
-        out[0, ..., 1::2] = self.Dr[-1] @ C[..., 1::2]
-        out[1] = C * self.ik
-        return self.from_modes(out)
+        lead, halves = values.shape[:-2], (self.n_r, 2, self.n_theta // 2)
+        # (..., positive or negative columns, n_r, half turn, angle in it)
+        S = (self._dr_rows @ values).reshape(lead + (2,) + halves)
+        out = np.empty((2,) + values.shape)
+        np.add(S[..., 0, :, :, :], S[..., 1, :, ::-1, :],
+               out=out[0].reshape(lead + halves))
+        np.matmul(values, self._dtheta, out=out[1])
+        return out
 
     # ---- quadrature -------------------------------------------------
 
     def integrate(self, values):
-        """integral over the disk of a sample array (area element r dr dtheta)."""
-        return (2.0 * np.pi / self.n_theta) * float(self.weights_r @ values.sum(axis=1))
+        """integral over the disk (area element r dr dtheta) of samples
+        (..., n_r, n_theta), one per field: its row sums meet weights_r
+        in a one-row product of its own, so a member keeps its lone bits."""
+        rows = values.sum(axis=-1)[..., None, :]
+        return (2.0 * np.pi / self.n_theta) * (rows @ self.weights_r[:, None])[..., 0, 0]
 
 
 def make_grid(n_theta, n_r, members=None):

@@ -24,7 +24,6 @@ from ..diskfield import (
     ScalarField,
     VectorField,
     grad_values,
-    gradient,
     inverse_jacobian,
 )
 from ..projections import apply_L, solve_pulled_back_laplacian
@@ -63,7 +62,6 @@ def pressure_gradient(eta, w, k, det_tol=1e-6, jacobian=None):
     kappa = boundary_curvature(eta.displacement)
     bdata = BoundaryFunction.from_samples(
         grid, k * (kappa - kappa.mean(axis=-1, keepdims=True)))
-    q = solve_pulled_back_laplacian(eta, ScalarField(grid, -tr_g2), bdata,
-                                    det_tol=det_tol)
-    qx, qy = gradient(q).values
+    qx, qy = solve_pulled_back_laplacian(
+        eta, ScalarField(grid, -tr_g2), bdata, det_tol=det_tol)[1].values
     return VectorField(grid, [b11 * qx + b21 * qy, b12 * qx + b22 * qy])

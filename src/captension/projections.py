@@ -128,7 +128,8 @@ def solve_L1_inverse(f, target, hess=None):
 
 
 def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
-    """Solve lap_xi g = rhs, g = bdata on the boundary circle.
+    """Solve lap_xi g = rhs, g = bdata on the boundary circle; returns
+    (g, grad g), grad g as its accepting check took it: gradient(g)'s bits.
 
     lap_xi g = (lap(g o xi^-1)) o xi for a volume-preserving map xi.  In
     divergence form this is d_i(a_ij d_j g) with a = (Dxi)^-1 (Dxi)^-T,
@@ -153,21 +154,23 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
     a12 = b11 * b21 + b12 * b22
     a22 = b21 * b21 + b22 * b22
 
-    def op(vals):
-        gx, gy = grad_values(grid, vals)
+    def op(vals):  # lap_xi vals, and grad vals on the way
+        grad = grad_values(grid, vals)
+        gx, gy = grad
         dx, dy = grad_values(grid, np.stack([a11 * gx + a12 * gy,
                                              a12 * gx + a22 * gy]))
-        return dx[0] + dy[1]
+        return dx[0] + dy[1], grad
 
     scale = np.maximum(1.0, l2_norm_disk(rhs))
     if bdata is not None:
         scale = np.maximum(scale, bdata.max_abs())
     g = solve_dirichlet(rhs, bdata)
     rhs = rhs.values
-    solve = MemberSolve(g, TOL_ELL, 20, 0.9,
+    solve = MemberSolve((g, VectorField.zeros(g.grid)), TOL_ELL, 20, 0.9,
                         "pulled-back Laplacian stalled at residual {:.3e}")
     for _ in range(400):
-        resid = rhs - op(g.values)
+        lap, grad = op(g.values)
+        resid = rhs - lap
         resid[..., -1, :] = 0.0
         # the top angular mode (n_theta is even) has no sine partner, so
         # the composed-derivative operator and the assembled
@@ -176,7 +179,8 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
         C = grid.to_modes(resid)
         C[..., -1] = 0.0
         resid = ScalarField(g.grid, grid.from_modes(C))
-        if solve.check(g, l2_norm_disk(resid) / scale):
+        if solve.check((g, VectorField(g.grid, grad)),
+                       l2_norm_disk(resid) / scale):
             return solve.result
         keep = solve.keep
         if keep is not None:

@@ -7,6 +7,7 @@ import numpy as np
 from captension.diskfield import (BoundaryFunction, DiskGrid, DiskMap,
                                   ScalarField, VectorField, calculus,
                                   divergence, jacobian_det, restrict_boundary)
+from captension.diskfield.grid import _cheb_lobatto_diff
 from captension.dynamics import FreeBoundaryState, rhs_free_boundary
 from captension.dynamics.states import rk4
 from captension.errors import UnsupportedOrderError
@@ -42,6 +43,22 @@ def sobolev_norm_boundary(b, s):
 def l2_inner(grid, a, b):
     """L2 inner product over the disk of two sample arrays."""
     return grid.integrate(a * b)
+
+
+def reference_polar_derivatives(grid, values):
+    """(d_r, d_theta) of samples shaped (..., n_r, n_theta) by the modal
+    formula: one forward transform, the doubled grid's differentiation
+    matrix folded per mode m to D_pp + (-1)^m D_pn, ik for d_theta, and
+    one inverse transform of both."""
+    D = _cheb_lobatto_diff(grid.x_full, grid.bary_weights)
+    pp = np.ix_(grid.pos_full, grid.pos_full)
+    pn = np.ix_(grid.pos_full, grid.neg_full)
+    C = grid.to_modes(values)
+    out = np.empty((2,) + C.shape, dtype=complex)
+    out[0, ..., 0::2] = (D[pp] + D[pn]) @ C[..., 0::2]
+    out[0, ..., 1::2] = (D[pp] - D[pn]) @ C[..., 1::2]
+    out[1] = C * grid.ik
+    return grid.from_modes(out)
 
 
 def reference_plan(grid, points):

@@ -59,10 +59,10 @@ def test_pressure_is_the_sum_of_its_split_parts(grid, amplitude):
     dw = np.stack([dx, dy], axis=1)  # dw[i, j] = d_j w_i
     g = np.einsum("ik...,kj...->ij...", dw, inv)
     tr_g2 = np.einsum("ij...,ji...->...", g, g)
-    q0 = solve_pulled_back_laplacian(eta, ScalarField(grid, -tr_g2))
+    q0, _ = solve_pulled_back_laplacian(eta, ScalarField(grid, -tr_g2))
     shifted = np.array(curvature_exact(state.f).coeffs)
     shifted[0] -= 1.0
-    ah = solve_pulled_back_laplacian(eta, ScalarField.zeros(grid),
+    ah, _ = solve_pulled_back_laplacian(eta, ScalarField.zeros(grid),
                                      BoundaryFunction(grid, shifted))
     s = (gradient(q0) + state.k * gradient(ah)).values
     split = np.einsum("ji...,j...->i...", inv, s)
@@ -116,10 +116,11 @@ def test_rhs_takes_its_derivatives_from_one_chain(coarse_grid, monkeypatch):
     passes = count_calls(monkeypatch, calculus.grad_values)
     ffts = count_ffts(monkeypatch)
     rhs_free_boundary(state)
-    # three chain passes, then the pressure: Dw, one pulled-back
-    # Laplacian residual (two passes) and grad q
-    assert len(passes) <= 7
-    assert ffts["rfft"] + ffts["irfft"] <= 40
+    # three chain passes, then the pressure: Dw and one pulled-back
+    # Laplacian residual (two passes), whose first hands back grad q;
+    # the passes take no transform
+    assert len(passes) <= 6
+    assert ffts["rfft"] + ffts["irfft"] <= 24
 
 
 def test_an_integer_k_steps_to_the_bits_of_its_float(coarse_grid):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import l2_inner
+from helpers import l2_inner, reference_polar_derivatives
 
 import captension
 from captension.diskfield import BoundaryFunction, make_grid
@@ -116,6 +116,41 @@ def test_dr_on_radial_powers(grid):
     vals = grid.rr ** 3 * np.cos(grid.tt)
     expected = 3.0 * grid.rr ** 2 * np.cos(grid.tt)
     assert np.allclose(grid.polar_derivatives(vals)[0], expected, atol=1e-11)
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (32, 16), (64, 32)])
+def test_polar_derivatives_match_the_modal_formula(shape, rng):
+    grid = make_grid(*shape)
+    smooth = np.cos(3.0 * grid.xx) * np.exp(grid.yy) + grid.xx ** 5
+    for vals in (smooth, rng.standard_normal(grid.sample_shape)):
+        # roundoff of a Chebyshev derivative scales with max |f| N^2,
+        # N = 2 n_r - 1 the order of the doubled grid
+        scale = np.abs(vals).max() * (2 * grid.n_r - 1) ** 2
+        gap = grid.polar_derivatives(vals) - reference_polar_derivatives(
+            grid, vals)
+        assert np.abs(gap).max() <= 1e-13 * scale
+    # a stack of 2 fields of 3 members each keeps every lone field's bits
+    stacked = rng.standard_normal((2,) + grid.with_members(3).sample_shape)
+    both = grid.with_members(3).polar_derivatives(stacked)
+    for i in range(2):
+        for j in range(3):
+            alone = grid.polar_derivatives(stacked[i, j])
+            assert np.array_equal(both[:, i, j], alone)
+
+
+@pytest.mark.parametrize("members", [None, 3])
+def test_every_array_a_grid_holds_is_read_only(members):
+    # every field of a shape shares its grid's operators, so one
+    # in-place write would corrupt them all
+    grid = make_grid(16, 8, members)
+    arrays = {}
+    for name, value in vars(grid).items():
+        items = value.items() if isinstance(value, dict) else [(None, value)]
+        for key, a in items:
+            if isinstance(a, np.ndarray):
+                arrays[name, key] = a
+    assert ("cos_t", None) in arrays and ("lap_stack", None) in arrays
+    assert [k for k, a in arrays.items() if a.flags.writeable] == []
 
 
 def test_l2_inner_matches_integral(grid):

@@ -376,6 +376,14 @@ class TestRuns:
         assert record.times == pytest.approx(
             [0.01 * j for j in range(6)], rel=1e-12)
 
+    def test_oracle_derivative_passes(self, monkeypatch):
+        # 1,169 before the pressure solve handed back grad q and the
+        # Sobolev norms took every component in one pass
+        from captension.diskfield import calculus
+        passes = count_calls(monkeypatch, calculus.grad_values)
+        oracle_compare(ExperimentConfig())
+        assert len(passes) == 1031
+
     def test_oracle_names_a_free_flow_failure(self, monkeypatch):
         break_free_flow(monkeypatch, 0.015)
         record = oracle_compare(ExperimentConfig())

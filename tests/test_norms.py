@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import from_function, single_mode, sobolev_norm_boundary
+from helpers import (from_function, random_poly_field, single_mode,
+                     sobolev_norm_boundary, stack)
 
 from captension.diskfield import (ScalarField, VectorField, grad_values,
                                   l2_norm_disk, make_grid, sobolev_norm_disk)
@@ -45,6 +46,21 @@ def test_disk_norm_matches_per_entry_loop(grid, s):
             g = grad_values(grid, g)[0]
         layer = grad_values(grid, layer)[1]
     assert sobolev_norm_disk(f, s) == float(np.sqrt(total))
+
+
+@pytest.mark.parametrize("s", range(2))
+def test_disk_norm_of_members_keeps_each_members_bits(grid, rng, s):
+    vecs = [random_poly_field(grid, rng) for _ in range(3)]
+    scalars = [ScalarField(grid, v.values[0]) for v in vecs]
+    for fields in (scalars, vecs):
+        norms = sobolev_norm_disk(stack(fields), s)
+        assert norms.shape == (3,)
+        for norm, f in zip(norms, fields):
+            assert norm == sobolev_norm_disk(f, s)
+            if s == 0:
+                assert norm == l2_norm_disk(f)
+        if s == 0:
+            assert np.array_equal(norms, l2_norm_disk(stack(fields)))
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, -1, 0.5, True])

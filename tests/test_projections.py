@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import (count_calls, count_ffts, from_function, l2_inner,
-                     random_poly_field)
+                     random_boundary, random_poly_field, stack)
 
-from captension.diskfield import (BoundaryFunction, ScalarField, VectorField,
-                                  compose, divergence, gradient, hessian,
-                                  l2_norm_disk, laplacian, make_grid,
-                                  rotation_map)
+from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
+                                  VectorField, compose, divergence, elliptic,
+                                  gradient, hessian, l2_norm_disk, laplacian,
+                                  make_grid, rotation_map)
 from captension.errors import SolverError, VolumeDefectError
+from captension.shape import solve_volume_constraint
 from captension.projections import (apply_L, hodge_P, hodge_Q,
                                     hodge_potential, solve_L1_inverse,
                                     solve_pulled_back_laplacian)
@@ -136,7 +137,7 @@ def test_L1_inverse_rejects_large_hessian(grid, rng):
 def test_pulled_back_laplacian_identity_map(grid):
     from captension.diskfield import identity_map
     rhs = from_function(grid, lambda x, y: -8.0 * x)
-    g = solve_pulled_back_laplacian(identity_map(grid), rhs)
+    g, _ = solve_pulled_back_laplacian(identity_map(grid), rhs)
     exact = (1.0 - grid.rr ** 2) * grid.xx
     assert np.allclose(g.values, exact, atol=1e-10)
 
@@ -148,8 +149,30 @@ def test_pulled_back_laplacian_rotation_oracle(grid):
         grid, lambda x, y: (1.0 - x ** 2 - y ** 2) * (x + 0.5 * y ** 2))
     rhs = compose(laplacian(u), rot)
     bdata = BoundaryFunction.from_samples(grid, compose(u, rot).values[-1, :])
-    g = solve_pulled_back_laplacian(rot, rhs, bdata)
+    g, _ = solve_pulled_back_laplacian(rot, rhs, bdata)
     assert np.allclose(g.values, compose(u, rot).values, atol=1e-8)
+
+
+def test_pulled_back_laplacian_hands_back_the_gradient_of_its_solution(
+        grid, rng, monkeypatch):
+    # three members whose solves accept after different iteration counts
+    fs = [solve_volume_constraint(random_boundary(grid, rng, a))
+          for a in (1e-9, 0.05, 0.2)]
+    etas = [DiskMap(gradient(f), kind="embedding") for f in fs]
+    rhs = [ScalarField(grid, random_poly_field(grid, rng).values[0])
+           for _ in fs]
+    data = [random_boundary(grid, rng, 1.0) for _ in fs]
+    counts = []
+    for member in zip(etas, rhs, data):
+        calls = count_calls(monkeypatch, elliptic.solve_dirichlet)
+        q, grad_q = solve_pulled_back_laplacian(*member)
+        assert np.array_equal(grad_q.values, gradient(q).values)
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert len(set(counts)) == len(fs), counts
+    q, grad_q = solve_pulled_back_laplacian(*map(stack, (etas, rhs, data)))
+    assert grad_q.members == len(fs)
+    assert np.array_equal(grad_q.values, gradient(q).values)
 
 
 def test_pulled_back_laplacian_rejects_non_volume_map(grid):
