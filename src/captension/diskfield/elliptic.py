@@ -22,13 +22,13 @@ def solve_dirichlet(rhs, bdata=None):
     if bdata is None:
         C[..., -1] = 0.0
     else:
-        C[..., -1] = bdata.rfft_coeffs()
+        C[..., -1] = bdata.coeffs
     sol = np.einsum("mij,...mj->...mi", grid.dirichlet_inv, C)
     return ScalarField(grid, grid.from_modes(sol.swapaxes(-1, -2)))
 
 
 def harmonic_extension(bdata):
-    """Harmonic function with the given boundary trace: sum c_m r^|m| e^(i m theta)."""
+    """Harmonic function with boundary trace bdata: each mode times r^m."""
     grid = bdata.grid
-    prof = grid.harmonic_profiles * bdata.rfft_coeffs()[..., None]  # (..., n_modes, n_r)
+    prof = grid.harmonic_profiles * bdata.coeffs[..., None]  # (..., n_modes, n_r)
     return ScalarField(grid, grid.from_modes(prof.swapaxes(-1, -2)))

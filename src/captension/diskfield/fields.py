@@ -110,10 +110,10 @@ class VectorField(_Field):
 class BoundaryFunction:
     """Real function on the unit circle as a truncated Fourier series.
 
-    coeffs[m] for m = 0 .. n_theta/2 are the two-sided series coefficients
-    (c_{-m} = conj(c_m) implied): f(theta) = sum_{|m|<=n/2} c_m e^{i m theta}.
-    The Nyquist entry stores the already-halved two-sided value, so the
-    reconstruction rule has no special case.
+    coeffs holds the grid's own layout, grid.to_modes of the samples:
+    the numpy rfft coefficients C_m for m = 0 .. n_theta/2, so that
+    f(theta_j) = (1/n) sum_{|m|<=n/2} C_m e^{i m theta_j} with
+    C_{-m} = conj(C_m) and the Nyquist term counted once.
     """
 
     __slots__ = ("grid", "coeffs")
@@ -147,20 +147,10 @@ class BoundaryFunction:
         ring = np.asarray(ring, dtype=float)
         if ring.shape[-1] != grid.n_theta:
             raise ValueError("boundary sample count must equal n_theta")
-        C = _ring_product(grid.to_modes, ring) / grid.n_theta
-        C[..., -1] *= 0.5
-        return cls(grid, C)
+        return cls(grid, _ring_product(grid.to_modes, ring))
 
     def samples(self):
-        C = self.coeffs.copy()
-        C[..., -1] *= 2.0
-        return _ring_product(self.grid.from_modes, C * self.grid.n_theta)
-
-    def rfft_coeffs(self):
-        """Coefficients in numpy rfft convention (for the modal solvers)."""
-        C = self.coeffs * self.grid.n_theta
-        C[..., -1] *= 2.0
-        return C
+        return _ring_product(self.grid.from_modes, self.coeffs)
 
     def max_abs(self):
         """max |samples|, per member when there is a member axis."""

@@ -16,8 +16,8 @@ Laplacian
     Delta = d_rr + (1/r) d_r + (1/r^2) d_thth      (per mode m: d_thth -> -m^2)
 
 needs.  The per-mode operators (Laplacian, Dirichlet inverse, Hodge
-potential and gradient) are built eagerly here and cached, so a grid is
-never modified and one instance serves every field of its shape.
+potential) are built eagerly here and cached, so a grid is never
+modified and one instance serves every field of its shape.
 
 The angular transform to the rfft layout and back (to_modes and
 from_modes) is one product against a cached real DFT matrix each way:
@@ -164,8 +164,8 @@ class DiskGrid:
         ik = 1j * self.modes.astype(float)
         ik[-1] = 0.0  # Nyquist derivative vanishes at the sample points
         self.ik = ik
-        # d_theta on the samples, values @ _dtheta: ik on every unit vector
-        self._dtheta = (self._dft.view(complex) * ik).view(float) @ self._idft
+        # d_theta on the samples, values @ dtheta: ik on every unit vector
+        self.dtheta = (self._dft.view(complex) * ik).view(float) @ self._idft
 
         # per-mode polar Laplacian and cached solve operators
         r = self.r
@@ -173,7 +173,6 @@ class DiskGrid:
         lap = np.empty((self.n_modes, n_r, n_r))
         dir_inv = np.empty_like(lap)
         hodge = np.empty((self.n_modes, n_r, 2 * n_r))
-        self.hodge_grad = np.empty((self.n_modes, 2 * n_r, 2 * n_r))
         for m in range(self.n_modes):
             p = +1 if m % 2 == 0 else -1
             Lm = Drr[p] + inv_r[:, None] * Dr[p] - (m * m) * np.diag(inv_r ** 2)
@@ -199,9 +198,6 @@ class DiskGrid:
                 B[n_r, :n_r] = self.weights_r
                 div = np.pad(div, ((0, 1), (0, 0)))
             hodge[m] = np.linalg.solve(B, div)[:n_r]
-            # hodge_grad[m]: the same columns to (d_r g, -i (1/r) d_theta g)
-            self.hodge_grad[m] = np.vstack(
-                [Dr[p] @ hodge[m], self.ik[m].imag * inv_r[:, None] * hodge[m]])
         self.lap_stack = lap
         self.dirichlet_inv = dir_inv
         self.hodge_inv = hodge
@@ -247,7 +243,7 @@ class DiskGrid:
         out = np.empty((2,) + values.shape)
         np.add(S[..., 0, :, :, :], S[..., 1, :, ::-1, :],
                out=out[0].reshape(lead + halves))
-        np.matmul(values, self._dtheta, out=out[1])
+        np.matmul(values, self.dtheta, out=out[1])
         return out
 
     # ---- quadrature -------------------------------------------------

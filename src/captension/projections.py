@@ -8,9 +8,8 @@ Qw = grad g where g, the Hodge potential of w, solves the Neumann problem
 
 with zero mean, and P = I - Q.  It is one solve per angular mode of the
 polar components of w, so no Cartesian component passes through the
-Nyquist mode and Q keeps the gradient of every resolved mode.  Q takes
-the polar derivatives of g straight from the same modes, one transform
-each way, without forming g.  On the split sit the operators
+Nyquist mode.  Q is the gradient of g, one derivative pass on its
+samples like any other.  On the split sit the operators
 L = id + D^2 f and the perturbative inverse of L1 = P L on the image of
 P, both of which take a precomputed D^2 f, plus the pulled-back
 Laplacian lap_xi used by the pressure solve on a deformed domain.
@@ -24,6 +23,7 @@ from .diskfield import (
     ScalarField,
     VectorField,
     grad_values,
+    gradient,
     hessian,
     inverse_jacobian,
     l2_norm_disk,
@@ -45,10 +45,10 @@ TOL_L1 = 1e-9
 TOL_ELL = 1e-9
 
 
-def _hodge_modes(w, stack):
-    """Per-mode products of a Hodge matrix stack of the grid with the
-    (Re, Im) columns of the modes of (u_r, i u_theta), from one rfft;
-    (..., rows, n_modes), the member axis a batch axis of the products."""
+def hodge_potential(w):
+    """The zero-mean g with Qw = grad g: one transform of the polar
+    components (u_r, i u_theta), hodge_inv per angular mode (the member
+    axis a batch axis of its products), one transform back."""
     g = w.grid
     wx, wy = w.values
     C = g.to_modes(np.stack([g.cos_t * wx + g.sin_t * wy,
@@ -58,26 +58,13 @@ def _hodge_modes(w, stack):
     members = C.shape[1:-2]
     C = np.ascontiguousarray(C.transpose(
         tuple(range(1, C.ndim - 2)) + (C.ndim - 1, 0, C.ndim - 2))).view(float)
-    sol = stack @ C.reshape(members + (g.n_modes, 2 * g.n_r, 2))
-    return sol.view(complex)[..., 0].swapaxes(-1, -2)
-
-
-def hodge_potential(w):
-    """The zero-mean g with Qw = grad g: hodge_inv per mode, one irfft."""
-    g = w.grid
-    return ScalarField(g, g.from_modes(_hodge_modes(w, g.hodge_inv)))
+    sol = g.hodge_inv @ C.reshape(members + (g.n_modes, 2 * g.n_r, 2))
+    return ScalarField(g, g.from_modes(sol.view(complex)[..., 0].swapaxes(-1, -2)))
 
 
 def hodge_Q(w):
-    """Gradient part of w, grad g without forming g: hodge_grad gives the
-    modes of (d_r g, -i (1/r) d_theta g), one irfft takes both back."""
-    g = w.grid
-    sol = _hodge_modes(w, g.hodge_grad)
-    sol = sol.reshape(sol.shape[:-2] + (2, g.n_r, g.n_modes)).swapaxes(0, -3)
-    sol[1] *= 1j
-    gr, gt = g.from_modes(sol)
-    return VectorField(g, [g.cos_t * gr - g.sin_t * gt,
-                           g.sin_t * gr + g.cos_t * gt])
+    """Gradient part of w: the gradient of its Hodge potential."""
+    return gradient(hodge_potential(w))
 
 
 def hodge_P(w):
@@ -166,19 +153,21 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
         scale = np.maximum(scale, bdata.max_abs())
     g = solve_dirichlet(rhs, bdata)
     rhs = rhs.values
+    # the top angular mode (n_theta is even) has no sine partner, so the
+    # composed-derivative operator and the assembled preconditioner
+    # disagree on it; the iteration corrects the resolved modes and
+    # leaves that aliasing slack alone: each residual ring loses its
+    # projection on the Nyquist samples s = (-1)^j (s . s = n_theta)
+    s = np.resize([1.0, -1.0], grid.n_theta)
+    s_unit = s / grid.n_theta
     solve = MemberSolve((g, VectorField.zeros(g.grid)), TOL_ELL, 20, 0.9,
                         "pulled-back Laplacian stalled at residual {:.3e}")
     for _ in range(400):
         lap, grad = op(g.values)
         resid = rhs - lap
         resid[..., -1, :] = 0.0
-        # the top angular mode (n_theta is even) has no sine partner, so
-        # the composed-derivative operator and the assembled
-        # preconditioner disagree on it; the iteration corrects the
-        # resolved modes and leaves that aliasing slack alone
-        C = grid.to_modes(resid)
-        C[..., -1] = 0.0
-        resid = ScalarField(g.grid, grid.from_modes(C))
+        resid -= (resid @ s)[..., None] * s_unit
+        resid = ScalarField(g.grid, resid)
         if solve.check((g, VectorField(g.grid, grad)),
                        l2_norm_disk(resid) / scale):
             return solve.result

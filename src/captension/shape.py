@@ -88,11 +88,12 @@ def solve_volume_constraint(h):
     grid = h.grid
     base = harmonic_extension(h)
     # D^2 of the harmonic base is trace free with entries at most
-    # s = 2 sum m (m - 1) |h_m|, so its residual is at most 2 s^2: data
-    # that small would pass the first check, which is then skipped
-    # unless another member needs it
+    # s = 2 sum m (m - 1) |c_m| over the two-sided series c_m = C_m / n
+    # (half that at Nyquist, which the sum here counts whole), so its
+    # residual is at most 2 s^2: data that small would pass the first
+    # check, which is then skipped unless another member needs it
     m = grid.modes
-    s = 2.0 * np.sum(m * (m - 1) * np.abs(h.coeffs), axis=-1)
+    s = (2.0 / grid.n_theta) * np.sum(m * (m - 1) * np.abs(h.coeffs), axis=-1)
     if np.all(2.0 * s * s < 0.1 * TOL_VOL):
         return base
     solve = MemberSolve(base, TOL_VOL, 20, 0.5,
@@ -116,14 +117,14 @@ def _boundary_tangent_data(displacement):
     The curve is c(theta) = (cos, sin) + d with d the r = 1 ring of the
     displacement.  Returns (tx, ty, ax, ay, bx, by, speed): t = c' the
     curve tangent and speed = |t|, a and b the first and second
-    derivatives of d alone.  Only d is Fourier-differentiated, by one
-    rfft of its two rings and one irfft of the four derivative rows; the
-    circle part is differentiated exactly.
+    derivatives of d alone.  Only d is differentiated, by one and two
+    products of each ring with the grid's d_theta matrix, a ring a row
+    of its own so members keep their lone bits; the circle part is
+    differentiated exactly.
     """
     grid = displacement.grid
-    C = grid.to_modes(displacement.values[..., -1, :])
-    ax, ay, bx, by = grid.from_modes(
-        np.concatenate([C * grid.ik, C * grid.ik ** 2]))
+    a = displacement.values[..., -1, None, :] @ grid.dtheta
+    (ax, ay), (bx, by) = a[..., 0, :], (a @ grid.dtheta)[..., 0, :]
     tx = -np.sin(grid.theta) + ax
     ty = np.cos(grid.theta) + ay
     speed = np.hypot(tx, ty)

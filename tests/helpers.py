@@ -24,7 +24,7 @@ def from_function(grid, fn):
 def single_mode(grid, m, amplitude):
     """The BoundaryFunction amplitude*cos(m theta)."""
     c = np.zeros(grid.n_modes, dtype=complex)
-    c[m] = amplitude if m == 0 else 0.5 * amplitude
+    c[m] = grid.n_theta * amplitude * (1.0 if m in (0, grid.n_modes - 1) else 0.5)
     return BoundaryFunction(grid, c)
 
 
@@ -33,10 +33,13 @@ def sobolev_norm_boundary(b, s):
     if s < 0:
         raise UnsupportedOrderError("boundary Sobolev order must be >= 0")
     grid = b.grid
+    # |c_m|^2 of the two-sided series, once for m = 0 and twice for m > 0
+    # (c_m = C_m / n, halved at Nyquist)
     weights = np.full(grid.n_modes, 2.0)
-    weights[0] = 1.0
+    weights[[0, -1]] = 1.0, 0.5
     mult = (1.0 + grid.modes.astype(float) ** 2) ** s
     total = 2.0 * np.pi * np.sum(weights * mult * np.abs(b.coeffs) ** 2)
+    total /= grid.n_theta ** 2
     return float(np.sqrt(total))
 
 
@@ -59,6 +62,30 @@ def reference_polar_derivatives(grid, values):
     out[0, ..., 1::2] = (D[pp] - D[pn]) @ C[..., 1::2]
     out[1] = C * grid.ik
     return grid.from_modes(out)
+
+
+def reference_hodge_Q(w):
+    """Qw by the per-mode formula, without forming its potential g: the
+    modes of the polar components (u_r, i u_theta) through hodge_inv[m]
+    and on to d_r g, the doubled grid's matrix folded to
+    D_pp + (-1)^m D_pn, and (1/r) d_theta g = (ik/r) g; one inverse
+    transform of both, turned to Cartesian components."""
+    grid = w.grid
+    D = _cheb_lobatto_diff(grid.x_full, grid.bary_weights)
+    pp = np.ix_(grid.pos_full, grid.pos_full)
+    pn = np.ix_(grid.pos_full, grid.neg_full)
+    wx, wy = w.values
+    C = grid.to_modes(np.stack([grid.cos_t * wx + grid.sin_t * wy,
+                                grid.cos_t * wy - grid.sin_t * wx]))
+    C[1] *= 1j
+    out = np.empty_like(C)
+    for m in range(grid.n_modes):
+        g_m = grid.hodge_inv[m] @ np.concatenate([C[0, :, m], C[1, :, m]])
+        out[0, :, m] = (D[pp] + (-1) ** m * D[pn]) @ g_m
+        out[1, :, m] = grid.ik[m] * g_m / grid.r
+    gr, gt = grid.from_modes(out)
+    return VectorField(grid, [grid.cos_t * gr - grid.sin_t * gt,
+                              grid.sin_t * gr + grid.cos_t * gt])
 
 
 def reference_plan(grid, points):
@@ -137,8 +164,8 @@ def boundary_values(b, theta):
     theta = np.asarray(theta, dtype=float)
     phases = np.exp(1j * np.outer(theta, b.grid.modes))
     two_sided = np.full(b.grid.n_modes, 2.0)
-    two_sided[0] = 1.0
-    return (phases @ (two_sided * b.coeffs)).real
+    two_sided[[0, -1]] = 1.0
+    return (phases @ (two_sided * b.coeffs)).real / b.grid.n_theta
 
 
 def random_poly_field(grid, rng, degree=5, scale=1.0):

@@ -97,7 +97,7 @@ def test_criterion_03_curvature_exactness(grid, rng):
     unit = solve_volume_constraint(BoundaryFunction.zeros(grid))
     unit_gap = float(np.abs(curvature_exact(unit).samples() - 1.0).max())
     coeffs = np.zeros(grid.n_modes, dtype=complex)
-    coeffs[1] = 0.075 - 0.025j
+    coeffs[1] = grid.n_theta * (0.075 - 0.025j)
     shifted = solve_volume_constraint(BoundaryFunction(grid, coeffs))
     shift_gap = float(np.abs(curvature_exact(shifted).samples() - 1.0).max())
 

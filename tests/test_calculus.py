@@ -350,16 +350,15 @@ def test_a_field_without_members_keeps_the_one_field_formulas_bits(
     # l2_norm_disk and the boundary rings run the member path for every
     # field; without a member axis that path must give the bits of the
     # formulas of one field: grid.integrate per component, and the plain
-    # transform of one ring with the Nyquist mode halved
+    # transform of one ring
     g = request.getfixturevalue(grid_name)
     w = random_poly_field(g, rng)
     scalars = [ScalarField(g, c) for c in w.values]
     for f in scalars + [w]:
         assert l2_norm_disk(f) == sobolev_norm_disk(f, 0)
     for f in scalars:
-        expected = g.to_modes(f.values[-1]) / g.n_theta
-        expected[-1] *= 0.5
-        assert np.array_equal(restrict_boundary(f).coeffs, expected)
+        assert np.array_equal(restrict_boundary(f).coeffs,
+                              g.to_modes(f.values[-1]))
 
 
 def test_normal_derivative_boundary(grid):

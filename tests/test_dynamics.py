@@ -61,7 +61,7 @@ def test_pressure_is_the_sum_of_its_split_parts(grid, amplitude):
     tr_g2 = np.einsum("ij...,ji...->...", g, g)
     q0, _ = solve_pulled_back_laplacian(eta, ScalarField(grid, -tr_g2))
     shifted = np.array(curvature_exact(state.f).coeffs)
-    shifted[0] -= 1.0
+    shifted[0] -= grid.n_theta  # kappa - 1
     ah, _ = solve_pulled_back_laplacian(eta, ScalarField.zeros(grid),
                                      BoundaryFunction(grid, shifted))
     s = (gradient(q0) + state.k * gradient(ah)).values
@@ -98,13 +98,12 @@ def test_seven_hodge_potentials_per_rhs(coarse_grid, monkeypatch):
 
     state = FreeBoundaryState.from_velocity(
         coarse_grid, stream_initial_velocity(coarse_grid, 2, 0.05), k=100.0)
-    # hodge_Q makes its own modal solve, so both routes are counted
+    # hodge_Q is the gradient of hodge_potential, so this counts both
     potentials = count_calls(monkeypatch, projections.hodge_potential)
-    projections_q = count_calls(monkeypatch, projections.hodge_Q)
     rhs_free_boundary(state)
     # Q(conv), P(bracket), two L1 inverses of two projections each, and
     # the one Hodge potential that is fddot
-    assert len(potentials) + len(projections_q) == 7
+    assert len(potentials) == 7
 
 
 def test_rhs_takes_its_derivatives_from_one_chain(coarse_grid, monkeypatch):
@@ -118,9 +117,10 @@ def test_rhs_takes_its_derivatives_from_one_chain(coarse_grid, monkeypatch):
     rhs_free_boundary(state)
     # three chain passes, then the pressure: Dw and one pulled-back
     # Laplacian residual (two passes), whose first hands back grad q;
-    # the passes take no transform
-    assert len(passes) <= 6
-    assert ffts["rfft"] + ffts["irfft"] <= 24
+    # and one per hodge_Q, six of them.  The passes take no transform;
+    # seven Hodge potentials take two each
+    assert len(passes) == 12
+    assert ffts == {"rfft": 10, "irfft": 9}
 
 
 def test_an_integer_k_steps_to_the_bits_of_its_float(coarse_grid):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_calls
+from helpers import count_calls, count_ffts
 
 from captension.diskfield import VectorField
 from captension.errors import (ConfigError, InsufficientPointsError,
@@ -378,11 +378,16 @@ class TestRuns:
 
     def test_oracle_derivative_passes(self, monkeypatch):
         # 1,169 before the pressure solve handed back grad q and the
-        # Sobolev norms took every component in one pass
+        # Sobolev norms took every component in one pass, 1,031 (with
+        # 1,168 and 1,152 transforms) while hodge_Q took its gradient
+        # from the modes and the pressure solve filtered its residual by
+        # transforms
         from captension.diskfield import calculus
         passes = count_calls(monkeypatch, calculus.grad_values)
+        ffts = count_ffts(monkeypatch)
         oracle_compare(ExperimentConfig())
-        assert len(passes) == 1031
+        assert len(passes) == 1157
+        assert ffts == {"rfft": 682, "irfft": 666}
 
     def test_oracle_names_a_free_flow_failure(self, monkeypatch):
         break_free_flow(monkeypatch, 0.015)

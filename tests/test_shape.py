@@ -35,13 +35,14 @@ def test_zero_boundary_data_gives_zero_potential(grid):
 def test_data_under_the_mode_bound_skips_the_residual_check(grid, rng,
                                                            monkeypatch):
     # the bound 2 s^2 on the residual of the harmonic extension, with
-    # s = 2 sum m (m - 1) |h_m|, is under a tenth of TOL_VOL for these
+    # s = (2/n) sum m (m - 1) |C_m| over the grid's modes C_m, is under
+    # a tenth of TOL_VOL for these
     from captension.diskfield import calculus
 
     m = grid.modes
     for _ in range(5):
         h = random_boundary(grid, rng, 1.0, max_mode=grid.n_theta // 2)
-        s = 2.0 * np.sum(m * (m - 1) * np.abs(h.coeffs))
+        s = (2.0 / grid.n_theta) * np.sum(m * (m - 1) * np.abs(h.coeffs))
         h = BoundaryFunction(grid, h.coeffs * 0.99 * np.sqrt(5e-11) / s)
         assert volume_residual(harmonic_extension(h)) < 1e-10
         checks = count_calls(monkeypatch, calculus.hessian)
@@ -57,7 +58,7 @@ def test_data_under_the_mode_bound_skips_the_residual_check(grid, rng,
 def test_linear_boundary_data_gives_translation(grid):
     # h = a cos + b sin extends to f = ax + by: det D^2 f = 0 exactly
     coeffs = np.zeros(grid.n_theta // 2 + 1, dtype=complex)
-    coeffs[1] = 0.05 - 0.015j
+    coeffs[1] = grid.n_theta * (0.05 - 0.015j)
     h = BoundaryFunction(grid, coeffs)
     f = solve_volume_constraint(h)
     exact = 0.1 * grid.xx + 0.03 * grid.yy
@@ -91,7 +92,7 @@ def test_unit_circle_curvature(grid):
 
 def test_translated_circle_curvature(grid):
     coeffs = np.zeros(grid.n_theta // 2 + 1, dtype=complex)
-    coeffs[1] = 0.15 - 0.05j
+    coeffs[1] = grid.n_theta * (0.15 - 0.05j)
     f = solve_volume_constraint(BoundaryFunction(grid, coeffs))
     assert np.abs(curvature_exact(f).samples() - 1.0).max() < 1e-10
     exp = curvature_expansion(f)
