@@ -152,10 +152,6 @@ class BoundaryFunction:
     def samples(self):
         return _ring_product(self.grid.from_modes, self.coeffs)
 
-    def max_abs(self):
-        """max |samples|, per member when there is a member axis."""
-        return np.abs(self.samples()).max(axis=-1)
-
 
 class DiskMap:
     """Map of the disk written as identity plus a displacement field.

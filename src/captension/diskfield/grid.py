@@ -51,18 +51,25 @@ def _cheb_lobatto_diff(x, w):
     return D
 
 
+def gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], by
+    Golub-Welsch: the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence on [-1, 1] and the squared first components of its
+    eigenvectors."""
+    k = np.arange(1.0, n)
+    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1),
+                                 UPLO="U")
+    return 0.5 * (nodes + 1.0), vecs[0] ** 2
+
+
 def _lagrange_weighted_integrals(x, w_bary):
     """integral_0^1 l_k(r) r dr for every cardinal polynomial l_k on nodes x.
 
-    Computed by Gauss-Legendre quadrature of high enough order to be exact
-    for the cardinals (degree len(x)-1 times the weight r).
+    Computed by the Gauss-Legendre rule of gauss_legendre, of high enough
+    order to be exact for the cardinals (degree len(x)-1 times the
+    weight r).
     """
-    n = x.size
-    ng = n + 4
-    gx, gw = np.polynomial.legendre.leggauss(ng)
-    # map [-1,1] -> [0,1]
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
+    gx, gw = gauss_legendre(x.size + 4)
     # cardinal values at the Gauss nodes, stable barycentric form
     # Gauss nodes are interior irrationals, so none hits a Lobatto node
     c = w_bary[None, :] / (gx[:, None] - x[None, :])

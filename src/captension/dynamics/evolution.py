@@ -12,8 +12,6 @@ takes its derivatives of f, fdot and v from one chain of three stacked
 derivative passes and hands D^2 f to every operator that needs it.
 """
 
-import dataclasses
-
 import numpy as np
 
 from ..errors import ConfigError
@@ -193,9 +191,9 @@ def step_free_boundary(state, dt):
                    restrict_boundary(state.fdot).coeffs])
     w0 = (z0, state.fdot, state.v, state.beta, z0[1], 0.0)
     _, end = at(rk4(rates, w0, dt))
-    return dataclasses.replace(end, v=hodge_P(end.v),
-                               beta=end.beta.renormalize_boundary(),
-                               time=state.time + dt)
+    return end._replace(v=hodge_P(end.v),
+                        beta=end.beta.renormalize_boundary(),
+                        time=state.time + dt)
 
 
 def output_derivatives(state):

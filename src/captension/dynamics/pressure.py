@@ -20,7 +20,6 @@ differently around it.
 """
 
 from ..diskfield import (
-    BoundaryFunction,
     ScalarField,
     VectorField,
     grad_values,
@@ -60,8 +59,7 @@ def pressure_gradient(eta, w, k, det_tol=1e-6, jacobian=None):
     tr_g2 = g11 * g11 + 2.0 * g12 * g21 + g22 * g22
 
     kappa = boundary_curvature(eta.displacement)
-    bdata = BoundaryFunction.from_samples(
-        grid, k * (kappa - kappa.mean(axis=-1, keepdims=True)))
+    bdata = k * (kappa - kappa.mean(axis=-1, keepdims=True))
     qx, qy = solve_pulled_back_laplacian(
         eta, ScalarField(grid, -tr_g2), bdata, det_tol=det_tol)[1].values
     return VectorField(grid, [b11 * qx + b21 * qy, b12 * qx + b22 * qy])

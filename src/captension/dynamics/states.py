@@ -1,7 +1,11 @@
 """State containers for the two flows, their shared initial data, and
-the RK4 step of every integrator."""
+the RK4 step of every integrator.
 
-from dataclasses import dataclass
+The states and the energy report are NamedTuple records: immutable,
+new copies by `_replace`, and no methods generated at import.
+"""
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +20,7 @@ from ..diskfield import (
 from ..projections import hodge_P
 
 
-@dataclass(frozen=True)
-class FreeBoundaryState:
+class FreeBoundaryState(NamedTuple):
     """Decomposed free-surface flow: eta = (id + grad f) o beta.
 
     f and fdot are the boundary-oscillation potential and its rate, v is
@@ -64,8 +67,7 @@ class FreeBoundaryState:
             else tuple(self.k[i] for i in index))
 
 
-@dataclass(frozen=True)
-class FixedEulerState:
+class FixedEulerState(NamedTuple):
     """Fixed-disk incompressible flow by its Lagrangian map zeta."""
 
     zeta: DiskMap
@@ -77,8 +79,7 @@ class FixedEulerState:
         return cls(zeta=identity_map(grid), zetadot=hodge_P(u0), time=0.0)
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     kinetic: float
     potential: float
     E: float

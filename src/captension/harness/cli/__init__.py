@@ -1,7 +1,6 @@
 """Command line entry points: run, sweep, oracle-compare."""
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -65,8 +64,7 @@ def _load_config(args):
     k = getattr(args, "k", None)
     flags = {"n_theta": args.n_theta, "T": args.t_final,
              "out_dir": args.out_dir, "k_list": None if k is None else (k,)}
-    cfg = dataclasses.replace(
-        cfg, **{key: v for key, v in flags.items() if v is not None})
+    cfg = cfg._replace(**{key: v for key, v in flags.items() if v is not None})
     # before any work, so an unusable directory costs no run
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)

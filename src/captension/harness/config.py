@@ -1,8 +1,7 @@
 """Experiment configuration: flat key = value files, typed per field."""
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigError
 
@@ -12,14 +11,7 @@ __all__ = ["ExperimentConfig"]
 _ALIASES = {"t_final": "T"}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a run needs; defaults are the reference desk scale.
-
-    dt_fixed is the largest step of both flows in run and sweep (the
-    free flow's is also capped by dt_free_max).
-    """
-
+class _Fields(NamedTuple):
     n_theta: int = 32
     n_r: int = 16
     T: float = 0.1
@@ -30,7 +22,19 @@ class ExperimentConfig:
     dt_fixed: float = 1e-3
     out_dir: str = "out"
 
-    def __post_init__(self):
+
+class ExperimentConfig(_Fields):
+    """Everything a run needs; defaults are the reference desk scale.
+
+    dt_fixed is the largest step of both flows in run and sweep (the
+    free flow's is also capped by dt_free_max).  Every construction is
+    checked, the copies of `_replace` too (through `_make`).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_theta < 8 or self.n_theta % 2:
             raise ConfigError("n_theta must be an even integer >= 8")
         if self.n_r < 8:
@@ -52,6 +56,11 @@ class ExperimentConfig:
             raise ConfigError("n_outputs must be >= 2")
         if not _positive(self.dt_fixed):
             raise ConfigError("dt_fixed must be finite and positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def from_file(cls, path, unread=()):
@@ -88,7 +97,7 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+_DEFAULTS = ExperimentConfig._field_defaults
 
 
 def _positive(x):

@@ -1,7 +1,7 @@
 """Single runs, k-sweeps and the unsplit oracle, all one comparison loop."""
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import ConfigError, NonpositiveValueError, SolverError
 from ..diskfield import identity_map, make_grid, sobolev_norm_disk
@@ -27,9 +27,9 @@ SWEEP_QUANTITIES = ("sup_nabla_f_L2", "sup_nabla_f_H1",
                     "sup_eta_gap_H1", "sup_etadot_gap_H1")
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """Norms and energy of one k along the shared output time grid."""
+class RunRecord(NamedTuple):
+    """Norms and energy of one k along the shared output time grid, and
+    their series, one value per output time, keyed by quantity."""
 
     k: float
     times: tuple
@@ -39,13 +39,12 @@ class RunRecord:
     sup_etadot_gap_H1: float
     energy_drift: float
     converged: bool
+    series: dict
     fail_time: float = None
     failure: str = None
-    series: dict = field(default_factory=dict, repr=False)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: tuple
     fitted_exponents: dict
 

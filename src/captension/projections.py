@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import NoConvergenceError, VolumeDefectError
 from .diskfield import (
+    BoundaryFunction,
     MemberSolve,
     ScalarField,
     VectorField,
@@ -115,8 +116,10 @@ def solve_L1_inverse(f, target, hess=None):
 
 
 def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
-    """Solve lap_xi g = rhs, g = bdata on the boundary circle; returns
-    (g, grad g), grad g as its accepting check took it: gradient(g)'s bits.
+    """Solve lap_xi g = rhs, g = bdata on the boundary circle, bdata the
+    samples on the n_theta angles (one row per member), None for zero;
+    returns (g, grad g), grad g as its accepting check took it:
+    gradient(g)'s bits.
 
     lap_xi g = (lap(g o xi^-1)) o xi for a volume-preserving map xi.  In
     divergence form this is d_i(a_ij d_j g) with a = (Dxi)^-1 (Dxi)^-T,
@@ -150,7 +153,8 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
 
     scale = np.maximum(1.0, l2_norm_disk(rhs))
     if bdata is not None:
-        scale = np.maximum(scale, bdata.max_abs())
+        scale = np.maximum(scale, np.abs(bdata).max(axis=-1))
+        bdata = BoundaryFunction.from_samples(grid, bdata)
     g = solve_dirichlet(rhs, bdata)
     rhs = rhs.values
     # the top angular mode (n_theta is even) has no sine partner, so the

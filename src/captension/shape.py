@@ -13,7 +13,7 @@ through the algebraic expansion M0..M5 whose integral-remainder form is
 exact, not asymptotic; the two must agree to quadrature precision.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .diskfield import (
     map_jacobian,
     solve_dirichlet,
 )
+from .diskfield.grid import gauss_legendre
 
 __all__ = [
     "CurvatureExpansion",
@@ -56,8 +57,7 @@ TOL_VOL = 1e-9
 _STALE_JACOBIAN_RESIDUAL = 1e-7
 
 
-@dataclass(frozen=True)
-class CurvatureExpansion:
+class CurvatureExpansion(NamedTuple):
     M0: BoundaryFunction
     M1: BoundaryFunction
     M2: BoundaryFunction
@@ -149,9 +149,7 @@ def curvature_exact(f):
     return BoundaryFunction.from_samples(f.grid, boundary_curvature(gradient(f)))
 
 
-_GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(16)
-_GAUSS_T = 0.5 * (_GAUSS_T + 1.0)
-_GAUSS_W = 0.5 * _GAUSS_W
+_GAUSS_T, _GAUSS_W = gauss_legendre(16)
 
 
 def _remainder(m_vals, power):

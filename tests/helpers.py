@@ -88,6 +88,18 @@ def reference_hodge_Q(w):
                               grid.sin_t * gr + grid.cos_t * gt])
 
 
+def reference_weights_r(grid):
+    """The grid's radial weights for integral_0^1 g(r) r dr by numpy's
+    Gauss-Legendre rule (leggauss): the integrals of the doubled grid's
+    cardinals, folded onto the positive nodes."""
+    x, wb = grid.x_full, grid.bary_weights
+    gx, gw = np.polynomial.legendre.leggauss(x.size + 4)
+    gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
+    c = wb[None, :] / (gx[:, None] - x[None, :])
+    q = (c / c.sum(axis=1, keepdims=True)).T @ (gw * gx)
+    return q[grid.pos_full] + q[grid.neg_full]
+
+
 def reference_plan(grid, points):
     """(radial, angular, snap) of the plan of points by the first
     formula of evaluation plans: points on the first axis, one arctan2
@@ -233,8 +245,11 @@ def step_free_rk4(state, dt):
 
 def stack(items):
     """Fields, boundary functions, disk maps or one-member free-flow
-    states of one grid as the members of one, in order."""
+    states of one grid as the members of one, in order; sample arrays
+    (boundary rings) as rows of one array."""
     first = items[0]
+    if isinstance(first, np.ndarray):
+        return np.stack(items)
     if isinstance(first, FreeBoundaryState):
         return FreeBoundaryState(
             *(stack([getattr(s, n) for s in items])

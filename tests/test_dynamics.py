@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -45,10 +43,8 @@ def test_pressure_solve_rigid_rotation(grid):
 def test_pressure_is_the_sum_of_its_split_parts(grid, amplitude):
     # the analysis split p = p0 + k A_H, solved as two Dirichlet problems
     f = solve_volume_constraint(single_mode(grid, 2, amplitude))
-    state = dataclasses.replace(
-        FreeBoundaryState.from_velocity(
-            grid, stream_initial_velocity(grid, 2, 0.05), k=400.0),
-        f=f)
+    state = FreeBoundaryState.from_velocity(
+        grid, stream_initial_velocity(grid, 2, 0.05), k=400.0)._replace(f=f)
     eta = DiskMap(gradient(state.f), kind="embedding")
     w = output_derivatives(state)[2]
 
@@ -63,7 +59,7 @@ def test_pressure_is_the_sum_of_its_split_parts(grid, amplitude):
     shifted = np.array(curvature_exact(state.f).coeffs)
     shifted[0] -= grid.n_theta  # kappa - 1
     ah, _ = solve_pulled_back_laplacian(eta, ScalarField.zeros(grid),
-                                     BoundaryFunction(grid, shifted))
+                                     BoundaryFunction(grid, shifted).samples())
     s = (gradient(q0) + state.k * gradient(ah)).values
     split = np.einsum("ji...,j...->i...", inv, s)
 
@@ -120,7 +116,7 @@ def test_rhs_takes_its_derivatives_from_one_chain(coarse_grid, monkeypatch):
     # and one per hodge_Q, six of them.  The passes take no transform;
     # seven Hodge potentials take two each
     assert len(passes) == 12
-    assert ffts == {"rfft": 10, "irfft": 9}
+    assert ffts == {"rfft": 10, "irfft": 8}
 
 
 def test_an_integer_k_steps_to_the_bits_of_its_float(coarse_grid):
@@ -128,7 +124,7 @@ def test_an_integer_k_steps_to_the_bits_of_its_float(coarse_grid):
         coarse_grid, stream_initial_velocity(coarse_grid, 2, 0.05), k=100.0)
     dt = dt_max(100.0, coarse_grid.n_theta)
     by_float = step_free_boundary(state, dt)
-    by_int = step_free_boundary(dataclasses.replace(state, k=100), dt)
+    by_int = step_free_boundary(state._replace(k=100), dt)
     for a, b in ((by_int.f, by_float.f), (by_int.fdot, by_float.fdot),
                  (by_int.v, by_float.v),
                  (by_int.beta.displacement, by_float.beta.displacement)):
