@@ -9,7 +9,9 @@ which is safe because the grid has no node at r = 0 and smooth fields keep
 (1/r) d_theta bounded; DiskGrid.polar_derivatives takes the polar ones with
 no angular transform.  The Laplacian is NOT built from these (it uses the
 per-mode polar form cached on the grid), so divergence(gradient(f)) vs
-laplacian(f) is a genuine two-route consistency check.
+laplacian(f) is a genuine two-route consistency check.  Point evaluation
+takes a plan of one radial weight set and one set of angular factors, for
+modes of both parities, and one product per call (evaluate_vector_at).
 """
 
 from typing import NamedTuple
@@ -76,23 +78,19 @@ def advect(u, z):
 def _ring_weights(grid, points, r0):
     """The weights of an evaluation plan (see evaluation_plan).
 
-    Returns (radial, angular, nearest); radial and angular are each a
-    pair (even modes, odd modes).
-    radial[p] (n_r, P): barycentric weights of the doubled radial nodes,
-    folded onto the positive ones by the parity of F(-r, theta) =
-    (-1)^m F(r, theta) (positive plus negative node for even m, minus
-    for odd) and normalised by column; one-hot on a radial node.
-    angular[p] (P, 2 M_p): (cos, sin) pairs of s_m e^{i m theta0} for
-    the M_p modes of that parity, raised column by column from
-    e^{i theta0} = (x + i y)/r0, 1 at the origin, by multiplication.
-    nearest = (i, gap): index into grid.r of each point's nearest radial
-    node and the distance to it.
+    Returns (radial, angular, nearest).  The doubled radial nodes are
+    exact mirrors (x_{N-j} = -x_j, w_{N-j} = -w_j), so the weights of
+    the nodes +-r_i fold, by the parity of F(-r, theta) = (-1)^m
+    F(r, theta), to w_i 2 r_i / (r0^2 - r_i^2) for even m and to that
+    times r0 / r_i for odd m.
+    radial (n_r, P): the even fold, normalised by column; one-hot on a
+    radial node.  grid.ring_scale holds the odd fold's 1/r_i.
+    angular (2 M, P): the (cos, sin) rows of s_m e^{i m theta0}, times
+    rho = r0 (the node radius on a one-hot row) for odd m, raised mode
+    by mode from e^{i theta0} = (x + i y)/r0, 1 at the origin.
+    nearest = (i, gap): each point's nearest node grid.r[i] and gap to it.
     """
-    # w_k / (r0 - x_k) in place, so the plan allocates little beyond itself
-    pos = r0 - grid.x_full[grid.pos_full, None]
-    neg = r0 - grid.x_full[grid.neg_full, None]
-    # row i of pos is grid.r[i], which increases: the nearest node is
-    # one of the two around r0, the inner one on a tie
+    # the nearest node is one of the two around r0, the inner on a tie
     hi = np.minimum(np.searchsorted(grid.r, r0), grid.n_r - 1)
     lo = np.maximum(hi - 1, 0)
     d_lo, d_hi = np.abs(r0 - grid.r[lo]), np.abs(r0 - grid.r[hi])
@@ -100,37 +98,38 @@ def _ring_weights(grid, points, r0):
     nearest = near, np.minimum(d_lo, d_hi)
     hit = np.flatnonzero(nearest[1] < 1e-14)  # r0 >= 0 meets no negative node
     on_node = near[hit], hit
-    pos[on_node] = 1.0
-    np.divide(grid.bary_weights[grid.pos_full, None], pos, out=pos)
-    np.divide(grid.bary_weights[grid.neg_full, None], neg, out=neg)
-    even = pos + neg
-    radial = (even, np.subtract(pos, neg, out=neg))
-    del pos  # before the angular factors are allocated
-    total = even.sum(axis=0)
-    for rows in radial:
-        rows /= total
-        if hit.size:
-            rows[:, hit] = 0.0
-            rows[on_node] = 1.0
     P, M, n = r0.size, grid.n_modes, grid.n_theta
     z = np.divide(points, np.where(r0 > 0.0, r0, np.inf)[:, None],
                   out=np.empty((P, 2))).view(complex)[:, 0]
     z[r0 == 0.0] = 1.0
-    angular = [np.empty((P, (M + 1 - p) // 2), dtype=complex) for p in (0, 1)]
+    # raised in the factors' own memory, then split into (cos, sin) rows;
     # s_m = 2/n but 1/n at m = 0 and at the Nyquist mode m = n/2
-    angular[0][:, 0] = 2.0 / n
+    angular = np.empty((M, 2, P))
+    powers = angular.reshape(M, 2 * P).view(complex)
+    powers[0] = 2.0 / n
     for m in range(1, M):
-        np.multiply(angular[(m - 1) % 2][:, (m - 1) // 2], z,
-                    out=angular[m % 2][:, m // 2])
-    angular[0][:, 0] = 1.0 / n
-    angular[(M - 1) % 2][:, -1] *= 0.5
-    return radial, tuple(a.view(float) for a in angular), nearest
+        np.multiply(powers[m - 1], z, out=powers[m])
+    powers[0] = 1.0 / n
+    powers[-1] *= 0.5
+    for pairs in angular:
+        pairs[...] = pairs.reshape(P, 2).T
+    angular[1::2] *= np.where(nearest[1] < 1e-14, grid.r[near], r0)
+    radial = r0 - grid.r[:, None]
+    radial *= r0 + grid.r[:, None]
+    radial[on_node] = 1.0
+    np.divide((grid.bary_weights[grid.pos_full] * grid.r)[:, None], radial,
+              out=radial)
+    radial /= radial.sum(axis=0)
+    if hit.size:
+        radial[:, hit] = 0.0
+        radial[on_node] = 1.0
+    return radial, angular.reshape(2 * M, P), nearest
 
 
 def _clamp_points(grid, points, tol):
     points = np.asarray(points, dtype=float)
     r0 = np.hypot(points[:, 0], points[:, 1])
-    if np.any(r0 > 1.0 + tol):
+    if not np.all(r0 <= 1.0 + tol):  # NaN fails it too
         raise PointOutsideDomainError("evaluation point outside the closed "
                                       f"disk (|p| = {r0.max():.6g})")
     return points, r0
@@ -155,12 +154,13 @@ def _node_snap(grid, points, gap):
 
 
 class EvaluationPlan(NamedTuple):
-    """What every field evaluated at one point set shares.  compose builds
+    """What every field evaluated at one point set shares: one weight
+    set for every mode, points last (see _ring_weights).  compose builds
     one per call; invert_disk_map keeps one beside a map's preimages."""
 
     clamp_tol: float
-    radial: tuple
-    angular: tuple
+    radial: np.ndarray
+    angular: np.ndarray
     snap: tuple
 
 
@@ -168,17 +168,16 @@ def evaluation_plan(grid, points, *, clamp_tol):
     """The plan of evaluating fields at plane points (array-like (P, 2)).
 
     It runs the clamp check under clamp_tol (see evaluate_vector_at)
-    and holds the folded radial weights (points last) and angular
-    factors (points first) of _ring_weights and the node snap, as snap
-    = (rows, i, j): the rows that coincide with the node (grid.r[i],
-    theta_j).  A plan is a value: its arrays are read-only, so it may
-    serve every evaluation at its points.
+    and holds the radial weights and angular factors of _ring_weights
+    and the node snap, as snap = (rows, i, j): the rows that coincide
+    with the node (grid.r[i], theta_j).  A plan is a value: its arrays
+    are read-only, so it may serve every evaluation at its points.
     """
     points, r0 = _clamp_points(grid, points, clamp_tol)
     radial, angular, (i, gap) = _ring_weights(grid, points, r0)
     rows, j = _node_snap(grid, points, gap)
     snap = rows, i[rows], j
-    for a in (*radial, *angular, *snap):
+    for a in (radial, angular, *snap):
         a.setflags(write=False)
     return EvaluationPlan(clamp_tol, radial, angular, snap)
 
@@ -190,19 +189,18 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     is (P, F), one column per component, in the order of the fields and,
     within a VectorField, x then y.  Fields with M members take M point
     sets of equal size stacked member by member, member i evaluated at
-    set i only.  Exact trigonometric
-    evaluation in theta, barycentric polynomial evaluation in r over the
-    doubled node set.  Points whose radius overshoots 1 by at most
-    clamp_tol are evaluated by the radial polynomial's natural extension
-    (time-stepper stages land there); anything further outside raises.
-    Grid-node queries reproduce the stored samples bit-exactly.  plan is
+    set i only.  Exact trigonometric evaluation in theta, barycentric
+    polynomial evaluation in r over the doubled node set.  Points whose
+    radius overshoots 1 by at most clamp_tol are evaluated by the radial
+    polynomial's natural extension (time-stepper stages land there);
+    anything further outside, or NaN, raises.  Grid-node queries
+    reproduce the stored samples bit-exactly.  plan is
     evaluation_plan(grid, points, clamp_tol=clamp_tol) when the caller
-    keeps it; without one, one is built for this call.  Every field
-    shares the plan; the components take one batched product per
-    parity, which numpy runs as one (P, n_r) @ (n_r, 2 M_p) product per
-    component, shapes free of F, so a column has the bits of its field
-    evaluated alone ((P, n_r) is the transposed view of the plan's
-    radial weights); members are one more batch axis of the products.
+    keeps it, else one is built for this call.  The rings' mode pairs,
+    scaled by grid.ring_scale, meet the angular factors first, in one
+    product (F, n_r, 2 M) @ (2 M, P) that numpy runs per component (or
+    member), so a column has the bits of its field evaluated alone; the
+    radial weights then scale that result, summed over the rings.
     """
     if isinstance(fields, (ScalarField, VectorField)):
         fields = (fields,)
@@ -216,14 +214,13 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     elif plan.clamp_tol != clamp_tol:
         raise ValueError(f"a plan checked under clamp_tol {plan.clamp_tol:g}"
                          f" cannot serve clamp_tol {clamp_tol:g}")
-    C = grid.to_modes(values)
-    # per parity, (F, n_r, 2 M_p): each ring's (Re, -Im) pairs
-    rings = [np.conj(C[..., p::2]).view(float) for p in (0, 1)]
-    even, odd = (np.einsum("f...pk,...pk->...pf",
-                           W.T.reshape(members + (-1, grid.n_r)) @ R,
-                           T.reshape(members + (-1, T.shape[-1])))
-                 for W, R, T in zip(plan.radial, rings, plan.angular))
-    out = (even + odd).reshape(-1, len(values))
+    angular, radial = (np.moveaxis(a.reshape(a.shape[:1] + members + (-1,)),
+                                   0, -2) for a in (plan.angular, plan.radial))
+    rings = grid.to_modes(values).view(float)
+    rings *= grid.ring_scale
+    rings = rings @ angular  # (F, members..., n_r, P)
+    rings *= radial
+    out = rings.sum(axis=-2).reshape(len(values), -1).T
     # a snapped row takes the stored sample of its own member
     rows, i, j = plan.snap
     if rows.size:

@@ -3,8 +3,10 @@
 Fourier collocation in the angle theta crossed with Chebyshev-Lobatto
 collocation in radius.  The radial nodes are the positive half of a
 symmetric Lobatto grid of odd polynomial order on [-1, 1], so there is no
-node at r = 0 and no coordinate-singularity special case.  A smooth
-function F on the disk satisfies the reflection rule
+node at r = 0 and no coordinate-singularity special case; the negative
+half is their exact mirror, so point evaluation folds both parities onto
+one radial weight set (ring_scale).  A smooth function F on the disk
+satisfies the reflection rule
 
     F(-r, theta) = F(r, theta + pi),
 
@@ -96,8 +98,7 @@ class DiskGrid:
             raise ConfigError(f"n_theta must be even and >= 8, got {n_theta}")
         if n_r < 8:
             raise ConfigError(f"n_r must be >= 8, got {n_r}")
-        self.n_theta = int(n_theta)
-        self.n_r = int(n_r)
+        self.n_theta, self.n_r = int(n_theta), int(n_r)
         self.n_modes = n_theta // 2 + 1
         self.sample_shape = (self.n_r, self.n_theta)
 
@@ -105,21 +106,17 @@ class DiskGrid:
         N = 2 * n_r - 1
         j = np.arange(N + 1)
         x_full = np.cos(j * np.pi / N)  # decreasing, 1 ... -1
-        x_full[0] = 1.0
-        x_full[-1] = -1.0
+        x_full[n_r:] = -x_full[n_r - 1::-1]  # exact mirrors, x_{N-j} = -x_j
         self.x_full = x_full
         # barycentric weights for Lobatto nodes: alternating signs, halved ends
-        wb = np.ones(N + 1)
-        wb[1::2] = -1.0
-        wb[0] *= 0.5
-        wb[-1] *= 0.5
+        wb = np.where(j % 2, -1.0, 1.0)
+        wb[[0, -1]] *= 0.5
         self.bary_weights = wb
 
         # positive nodes in increasing order; pos_full[i] indexes x_full
         self.pos_full = np.arange(n_r - 1, -1, -1)
         self.neg_full = N - self.pos_full
-        self.r = x_full[self.pos_full].copy()
-        self.r[-1] = 1.0
+        self.r = x_full[self.pos_full]
         self.theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
 
         # meshes (radius-major layout: values[i_r, j_theta])
@@ -208,6 +205,11 @@ class DiskGrid:
         self.lap_stack = lap
         self.dirichlet_inv = dir_inv
         self.hodge_inv = hodge
+
+        # point evaluation scales the rings' (Re, Im) pairs per mode by 1
+        # for even m and 1/r for odd m, the Im sign flipped
+        scale = np.where(self.modes % 2, inv_r[:, None], 1.0)
+        self.ring_scale = (scale[..., None] * [1.0, -1.0]).reshape(n_r, -1)
 
         # harmonic radial profiles r^m per mode
         self.harmonic_profiles = r[None, :] ** self.modes[:, None]

@@ -101,11 +101,12 @@ def reference_weights_r(grid):
 
 
 def reference_plan(grid, points):
-    """(radial, angular, snap) of the plan of points by the first
+    """(radial, angular, snap, rho) of the plan of points by the first
     formula of evaluation plans: points on the first axis, one arctan2
     and one exp per point, the angular factors raised column by column.
     Per parity, radial[p] is (P, n_r) and angular[p] (P, M_p) complex;
-    snap = (rows, i, j)."""
+    snap = (rows, i, j); rho is r0, or the node radius on a one-hot
+    row."""
     points = np.asarray(points, dtype=float)
     x, y = points[:, 0], points[:, 1]
     r0, theta0 = np.hypot(x, y), np.arctan2(y, x)
@@ -127,6 +128,8 @@ def reference_plan(grid, points):
     for rows in radial:
         rows[hit] = 0.0
         rows[on_node] = 1.0
+    rho = r0.copy()
+    rho[hit] = grid.r[near[hit]]
     P, M, n = r0.size, grid.n_modes, grid.n_theta
     z = np.exp(1j * theta0)
     angular = [np.empty((P, (M + 1 - p) // 2), dtype=complex) for p in (0, 1)]
@@ -139,7 +142,7 @@ def reference_plan(grid, points):
     k = np.round(theta0 / (2.0 * np.pi / n))
     mask = (gap < 1e-13) & (np.abs(theta0 - 2.0 * np.pi * k / n) < 1e-13)
     snap = np.flatnonzero(mask), near[mask], k[mask].astype(int) % n
-    return radial, angular, snap
+    return radial, angular, snap, rho
 
 
 def constraint_defects(state):

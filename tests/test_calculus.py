@@ -79,10 +79,12 @@ def _disk_points(rng, radii):
     return radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def _planned(plan):
-    """A plan's (radial, angular, snap) in the layout of reference_plan."""
-    return (tuple(W.T for W in plan.radial),
-            tuple(T.view(complex) for T in plan.angular), plan.snap)
+def _planned(plan, rho, grid):
+    """A plan's weights in the layout of reference_plan: per parity, the
+    radial weights (P, n_r), the odd ones W rho / r, and the angular
+    factors (P, M_p) complex, the odd ones carrying rho."""
+    W, T = plan.radial.T, np.ascontiguousarray(plan.angular.T).view(complex)
+    return (W, W * (rho[:, None] / grid.r)), (T[:, 0::2], T[:, 1::2])
 
 
 @pytest.mark.parametrize("shape", [(16, 8), (32, 16), (64, 32)])
@@ -99,13 +101,15 @@ def test_plans_match_the_first_formula(shape, rng):
         "nodes": nodes,
     }
     for name, points in point_sets.items():
-        got = _planned(evaluation_plan(grid, points, clamp_tol=STAGE_CLAMP))
-        want = reference_plan(grid, points)
-        for a, b in zip((*got[0], *got[1]), (*want[0], *want[1])):
+        plan = evaluation_plan(grid, points, clamp_tol=STAGE_CLAMP)
+        radial, angular, snap, rho = reference_plan(grid, points)
+        got_radial, got_angular = _planned(plan, rho, grid)
+        want_angular = angular[0], angular[1] * rho[:, None]
+        for a, b in zip((*got_radial, *got_angular), (*radial, *want_angular)):
             assert np.abs(a - b).max() <= 1e-15, name
-        for a, b in zip(got[2], want[2]):
+        for a, b in zip(plan.snap, snap):
             assert np.array_equal(a, b), name
-    assert got[2][0].size == len(nodes)
+    assert plan.snap[0].size == len(nodes)
     # member i of a stack of four 512-point sets keeps its own plan's bits
     sets = [_disk_points(rng, np.sqrt(rng.uniform(0.0, 1.0, 512)))
             for _ in range(4)]
@@ -115,10 +119,8 @@ def test_plans_match_the_first_formula(shape, rng):
     for i, points in enumerate(sets):
         alone = evaluation_plan(grid, points, clamp_tol=STAGE_CLAMP)
         part = slice(512 * i, 512 * (i + 1))
-        for a, b in zip(stacked.radial, alone.radial):
-            assert np.array_equal(a[:, part], b)
-        for a, b in zip(stacked.angular, alone.angular):
-            assert np.array_equal(a[part], b)
+        assert np.array_equal(stacked.radial[:, part], alone.radial)
+        assert np.array_equal(stacked.angular[:, part], alone.angular)
         rows, r_i, r_j = stacked.snap
         mine = (rows >= part.start) & (rows < part.stop)
         for a, b in zip((rows[mine] - part.start, r_i[mine], r_j[mine]),
@@ -133,6 +135,18 @@ def test_evaluate_outside_raises(grid):
     # tiny overshoot is tolerated through the polynomial extension
     val = evaluate_at(f, np.array([[1.0 + 5e-13, 0.0]]), clamp_tol=1e-12)
     assert val[0] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1])
+def test_a_nan_or_infinite_point_raises(grid, bad, column):
+    # with a plan built for the points or one built inside the call
+    points = np.array([[0.1, 0.2], [0.3, -0.4]])
+    points[1, column] = bad
+    with pytest.raises(PointOutsideDomainError):
+        evaluation_plan(grid, points, clamp_tol=1e-12)
+    with pytest.raises(PointOutsideDomainError):
+        evaluate_vector_at(poly(grid), points)
 
 
 def test_evaluate_vector_matches_componentwise(grid, rng):
@@ -310,7 +324,7 @@ def test_compose_builds_a_read_only_plan_per_call_and_keeps_none(
     assert g._cache == {}
     plan = evaluation_plan(grid, points, clamp_tol=1e-5)
     assert not any(a.flags.writeable
-                   for a in (*plan.radial, *plan.angular, *plan.snap))
+                   for a in (plan.radial, plan.angular, *plan.snap))
     with pytest.raises(ValueError):
         evaluate_vector_at(f, points, clamp_tol=1e-8, plan=plan)
 

@@ -22,6 +22,16 @@ def test_grid_geometry(grid):
     assert grid.r[0] > 0.0  # no axis node
 
 
+@pytest.mark.parametrize("shape", [(16, 8), (32, 16), (64, 32), (10, 8)])
+def test_the_doubled_radial_nodes_are_exact_mirrors(shape):
+    # point evaluation folds both parities onto one weight set, which
+    # needs w(-x) = -w(x) bit for bit; cos(j pi / N) alone misses by ulps
+    grid = make_grid(*shape)
+    assert np.array_equal(grid.x_full[::-1], -grid.x_full)
+    assert np.array_equal(grid.bary_weights[grid.neg_full],
+                          -grid.bary_weights[grid.pos_full])
+
+
 def test_make_grid_is_cached():
     assert make_grid(16, 8) is make_grid(16, 8)
 
