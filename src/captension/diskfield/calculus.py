@@ -258,9 +258,7 @@ def compose(f, g, *, clamp_tol=_COMPOSE_CLAMP):
     fields = f if isinstance(f, tuple) else (f,)
     if not all(isinstance(h, (ScalarField, VectorField)) for h in fields):
         raise TypeError("compose expects a field or a tuple of fields on the left")
-    points = g.image_points()
-    plan = evaluation_plan(g.grid, points, clamp_tol=clamp_tol)
-    vals = evaluate_vector_at(fields, points, clamp_tol=clamp_tol, plan=plan)
+    vals = evaluate_vector_at(fields, g.image_points(), clamp_tol=clamp_tol)
     out, a = [], 0
     for h in fields:
         b = a + h.values.size // len(vals)

@@ -222,57 +222,47 @@ def rotation_map(grid, alpha):
 
 
 class MemberSolve:
-    """Per-member convergence of a fixed-point iteration on a field that
-    may carry a member axis.
+    """Convergence of a fixed-point iteration whose members iterate in
+    lockstep.
 
-    check(x, res) takes the iterate x of the members still iterating
-    and their residuals res, once per iteration, and returns True once
-    every member is done; result is then the field of every member's
-    result.  x may be a tuple of fields, like `like`; result is then
-    the tuple.  A member below tol keeps that x as its result and stops;
-    keep is then the positions, among the members check was given, of
-    those that go on (None while none stops).  A member whose residual is not
-    below factor times its residual `window` iterations earlier raises
+    check(x, res) takes the iterate x, a field or a tuple of fields with
+    or without a member axis, and its residual res, a float or one per
+    member, once per iteration, and returns True once every member has
+    passed: its residual below tol.  Every member iterates until then;
+    result is x as each member first passed, its part of that iterate
+    kept bit for bit.  A member yet to pass whose residual is not below
+    factor times its residual `window` checks earlier raises
     NoConvergenceError, `stalled` formatted with that residual.
     """
 
-    def __init__(self, like, tol, window, factor, stalled):
+    def __init__(self, tol, window, factor, stalled):
         self.tol, self.window, self.factor = tol, window, factor
         self.stalled = stalled
-        self.result = self.keep = None
-        self._history = []  # per iteration a float, or one per member
-        self._like = like if isinstance(like, tuple) else (like,)
-        self._members = self._like[0].members
-        if self._members is not None:
-            self._done = [np.empty_like(f.values) for f in self._like]
-            self._active = np.arange(self._members)
+        self.result = None
+        self._open = np.True_  # the members yet to pass
+        self._history = []
 
     def check(self, x, res):
+        new = np.less(res, self.tol) & self._open
+        if new.any():
+            self.result = x if self.result is None else _select(new, x, self.result)
+            self._open = self._open ^ new
+            if not self._open.any():
+                return True
         h, window = self._history, self.window
-        if self._members is None:
-            if res < self.tol:
-                self.result = x
-                return True
-            if len(h) >= window and not res < self.factor * h[-window]:
-                raise NoConvergenceError(self.stalled.format(res))
-            h.append(res)
-            return False
-        done = res < self.tol
-        self.keep = None
-        if done.any():
-            for kept, xi in zip(self._done, x if isinstance(x, tuple) else (x,)):
-                kept[..., self._active[done], :, :] = xi.values[..., done, :, :]
-            if done.all():
-                result = [type(f)(f.grid, a) for f, a in zip(self._like, self._done)]
-                self.result = tuple(result) if isinstance(x, tuple) else result[0]
-                return True
-            self.keep = np.flatnonzero(~done)
-            self._active, res = self._active[self.keep], res[self.keep]
         if len(h) >= window:
-            stuck = ~(res < self.factor * h[-window][self._active])
+            # a member that passed sits at roundoff and is not checked;
+            # np.less keeps ~ boolean (on a Python bool it gives -1 or -2)
+            stuck = self._open & ~np.less(res, self.factor * h[-window])
             if stuck.any():
-                raise NoConvergenceError(self.stalled.format(res[stuck][0]))
-        # the entries of members that stopped are never read
-        h.append(np.empty(self._members))
-        h[-1][self._active] = res
+                raise NoConvergenceError(
+                    self.stalled.format(np.extract(stuck, res)[0]))
+        h.append(res)
         return False
+
+
+def _select(mask, x, y):
+    """The fields of x on the members of mask and of y elsewhere."""
+    if isinstance(x, tuple):
+        return tuple(_select(mask, a, b) for a, b in zip(x, y))
+    return type(x)(x.grid, np.where(mask[:, None, None], x.values, y.values))

@@ -96,20 +96,18 @@ def solve_L1_inverse(f, target, hess=None):
 
     Raises NoConvergenceError when the residual fails to halve over a
     50-iteration window, the practical signal that f is too large.
-    Members iterate together, each until its own residual passes.
+    Members iterate in lockstep until every residual has passed, and
+    each member returns its first passing iterate.
     """
     hess = hess or hessian(f)
     tgt = hodge_P(target)
     w = tgt
-    solve = MemberSolve(tgt, TOL_L1, 50, 0.5,
+    solve = MemberSolve(TOL_L1, 50, 0.5,
                         "L1 inverse stalled at residual {:.3e} (Hessian too large)")
     for _ in range(5000):
         phw = hodge_P(_hessian_apply(hess, w))
         if solve.check(w, l2_norm_disk(w + phw - tgt)):
             return solve.result
-        if solve.keep is not None:
-            tgt, phw = tgt.take(solve.keep), phw.take(solve.keep)
-            hess = tuple(h[solve.keep] for h in hess)
         w = tgt - phw
     raise NoConvergenceError(
         "L1 inverse: no convergence in 5000 iterations")
@@ -130,7 +128,8 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
     r = 1 ring the Dirichlet condition, not the PDE, is enforced.  The
     tolerance is relative to the data scale, so large sources or large
     boundary values do not demand residuals below the roundoff floor.
-    Members iterate together, each until its own residual passes.
+    Members iterate in lockstep until every residual has passed, and
+    each member returns its first passing iterate.
     """
     grid = rhs.grid
     if xi.grid is not grid:
@@ -164,7 +163,7 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
     # projection on the Nyquist samples s = (-1)^j (s . s = n_theta)
     s = np.resize([1.0, -1.0], grid.n_theta)
     s_unit = s / grid.n_theta
-    solve = MemberSolve((g, VectorField.zeros(g.grid)), TOL_ELL, 20, 0.9,
+    solve = MemberSolve(TOL_ELL, 20, 0.9,
                         "pulled-back Laplacian stalled at residual {:.3e}")
     for _ in range(400):
         lap, grad = op(g.values)
@@ -175,11 +174,6 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
         if solve.check((g, VectorField(g.grid, grad)),
                        l2_norm_disk(resid) / scale):
             return solve.result
-        keep = solve.keep
-        if keep is not None:
-            g, resid = g.take(keep), resid.take(keep)
-            rhs, a11, a12, a22, scale = (
-                x[keep] for x in (rhs, a11, a12, a22, scale))
         g = g + solve_dirichlet(resid)
     raise NoConvergenceError(
         "pulled-back Laplacian: no convergence in 400 iterations")

@@ -83,7 +83,8 @@ def solve_volume_constraint(h):
     (zero-trace inverse), which contracts at a rate proportional to the
     amplitude of h; data too large for it is rejected by its stalling.
     Returns f once its volume_residual is below TOL_VOL; members
-    iterate together, each until its own residual passes.
+    iterate in lockstep until every residual has passed, and each
+    member returns its first passing iterate.
     """
     grid = h.grid
     base = harmonic_extension(h)
@@ -96,7 +97,7 @@ def solve_volume_constraint(h):
     s = (2.0 / grid.n_theta) * np.sum(m * (m - 1) * np.abs(h.coeffs), axis=-1)
     if np.all(2.0 * s * s < 0.1 * TOL_VOL):
         return base
-    solve = MemberSolve(base, TOL_VOL, 20, 0.5,
+    solve = MemberSolve(TOL_VOL, 20, 0.5,
                         "volume-constraint iteration stalled at residual "
                         "{:.3e} (boundary data too large)")
     f = base
@@ -104,8 +105,6 @@ def solve_volume_constraint(h):
         res, det = volume_residual(f)
         if solve.check(f, res):
             return solve.result
-        if solve.keep is not None:
-            base, det = base.take(solve.keep), det[solve.keep]
         f = base - solve_dirichlet(ScalarField(base.grid, det))
     raise NoConvergenceError(
         "volume constraint: no convergence in 400 iterations")
