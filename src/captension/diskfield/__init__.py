@@ -5,7 +5,7 @@ from .fields import (ScalarField, VectorField, BoundaryFunction, DiskMap,
                      MemberSolve, identity_map, rotation_map)
 from .calculus import (grad_values, gradient, divergence, laplacian,
                        hessian, advect, evaluation_plan,
-                       evaluate_vector_at, compose, jacobian_det,
+                       evaluate_vector_at, sample_at, compose, jacobian_det,
                        map_jacobian, inverse_jacobian, restrict_boundary,
                        STAGE_CLAMP)
 from .elliptic import solve_dirichlet, harmonic_extension
@@ -16,7 +16,7 @@ __all__ = [
     "ScalarField", "VectorField", "BoundaryFunction", "DiskMap",
     "MemberSolve", "identity_map", "rotation_map",
     "grad_values", "gradient", "divergence", "laplacian", "hessian",
-    "advect", "evaluation_plan", "evaluate_vector_at", "compose",
+    "advect", "evaluation_plan", "evaluate_vector_at", "sample_at", "compose",
     "jacobian_det", "map_jacobian", "inverse_jacobian", "restrict_boundary",
     "STAGE_CLAMP",
     "solve_dirichlet", "harmonic_extension",

@@ -11,7 +11,8 @@ no angular transform.  The Laplacian is NOT built from these (it uses the
 per-mode polar form cached on the grid), so divergence(gradient(f)) vs
 laplacian(f) is a genuine two-route consistency check.  Point evaluation
 takes a plan of one radial weight set and one set of angular factors, for
-modes of both parities, and one product per call (evaluate_vector_at).
+modes of both parities, and one product per call (evaluate_vector_at);
+no free step evaluates at a point, so it takes no member axis.
 """
 
 from typing import NamedTuple
@@ -22,8 +23,8 @@ from ..errors import PointOutsideDomainError
 from .fields import BoundaryFunction, DiskMap, ScalarField, VectorField
 
 __all__ = ["grad_values", "gradient", "divergence", "laplacian", "hessian",
-           "advect", "evaluation_plan", "evaluate_vector_at", "compose",
-           "jacobian_det", "map_jacobian", "inverse_jacobian",
+           "advect", "evaluation_plan", "evaluate_vector_at", "sample_at",
+           "compose", "jacobian_det", "map_jacobian", "inverse_jacobian",
            "restrict_boundary", "STAGE_CLAMP"]
 
 
@@ -158,7 +159,6 @@ class EvaluationPlan(NamedTuple):
     set for every mode, points last (see _ring_weights).  compose builds
     one per call; invert_disk_map keeps one beside a map's preimages."""
 
-    clamp_tol: float
     radial: np.ndarray
     angular: np.ndarray
     snap: tuple
@@ -179,78 +179,72 @@ def evaluation_plan(grid, points, *, clamp_tol):
     snap = rows, i[rows], j
     for a in (radial, angular, *snap):
         a.setflags(write=False)
-    return EvaluationPlan(clamp_tol, radial, angular, snap)
+    return EvaluationPlan(radial, angular, snap)
 
 
 def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     """Interpolate fields at plane points (array-like (P, 2)).
 
-    fields is one field or a sequence of fields on one grid; the result
-    is (P, F), one column per component, in the order of the fields and,
-    within a VectorField, x then y.  Fields with M members take M point
-    sets of equal size stacked member by member, member i evaluated at
-    set i only.  Exact trigonometric evaluation in theta, barycentric
-    polynomial evaluation in r over the doubled node set.  Points whose
-    radius overshoots 1 by at most clamp_tol are evaluated by the radial
+    fields is one field or a sequence of fields on one grid, none with
+    a member axis; the result is (P, F), one column per component, in
+    the order of the fields and, within a VectorField, x then y.  Exact
+    trigonometric evaluation in theta, barycentric polynomial
+    evaluation in r over the doubled node set.  Points whose radius
+    overshoots 1 by at most clamp_tol are evaluated by the radial
     polynomial's natural extension (time-stepper stages land there);
     anything further outside, or NaN, raises.  Grid-node queries
     reproduce the stored samples bit-exactly.  plan is
-    evaluation_plan(grid, points, clamp_tol=clamp_tol) when the caller
-    keeps it, else one is built for this call.  The rings' mode pairs,
-    scaled by grid.ring_scale, meet the angular factors first, in one
-    product (F, n_r, 2 M) @ (2 M, P) that numpy runs per component (or
-    member), so a column has the bits of its field evaluated alone; the
-    radial weights then scale that result, summed over the rings.
+    evaluation_plan(grid, points, clamp_tol=...) when the caller keeps
+    it, checked under its own clamp_tol, else one is built for this
+    call.  The rings' mode pairs, scaled by grid.ring_scale, meet the
+    angular factors first, in one product (F, n_r, 2 M) @ (2 M, P) that
+    numpy runs per component, so a column has the bits of its field
+    evaluated alone; the radial weights then scale that result, summed
+    over the rings.
     """
     if isinstance(fields, (ScalarField, VectorField)):
         fields = (fields,)
     grid = fields[0].grid
-    members = grid.member_shape
     values = np.concatenate(
-        [f.values.reshape((-1,) + members + (grid.n_r, grid.n_theta))
-         for f in fields])
+        [f.values.reshape(-1, grid.n_r, grid.n_theta) for f in fields])
     if plan is None:
         plan = evaluation_plan(grid, points, clamp_tol=clamp_tol)
-    elif plan.clamp_tol != clamp_tol:
-        raise ValueError(f"a plan checked under clamp_tol {plan.clamp_tol:g}"
-                         f" cannot serve clamp_tol {clamp_tol:g}")
-    angular, radial = (np.moveaxis(a.reshape(a.shape[:1] + members + (-1,)),
-                                   0, -2) for a in (plan.angular, plan.radial))
     rings = grid.to_modes(values).view(float)
     rings *= grid.ring_scale
-    rings = rings @ angular  # (F, members..., n_r, P)
-    rings *= radial
-    out = rings.sum(axis=-2).reshape(len(values), -1).T
-    # a snapped row takes the stored sample of its own member
+    rings = rings @ plan.angular  # (F, n_r, P)
+    rings *= plan.radial
+    out = rings.sum(axis=-2).T
     rows, i, j = plan.snap
     if rows.size:
-        per_member = len(out) // (grid.members or 1)
-        out[rows] = values.reshape(len(values), -1, grid.n_r, grid.n_theta)[
-            :, rows // per_member, i, j].T
+        out[rows] = values[:, i, j].T
     return out
 
-
-# Boundary-overshoot allowance of compose by default: wider than the raw
-# interpolation default, so image points of a diffeomorphism that sit a
-# hair past the circle are still evaluated, not rejected.
-_COMPOSE_CLAMP = 1e-8
 
 # stage maps of an explicit step overshoot the circle by O(dt^2)
 STAGE_CLAMP = 1e-5
 
 
-def compose(f, g, *, clamp_tol=_COMPOSE_CLAMP):
-    """f after g: sample f at the image points of the disk map g.
+def sample_at(f, points, plan=None):
+    """f, a field or a tuple of fields (the result takes the same form),
+    at points (n_r*n_theta, 2), one per node in node order, through one
+    plan (plan, if given) under STAGE_CLAMP; each field has the bits of
+    its own evaluation."""
+    fields = f if isinstance(f, tuple) else (f,)
+    vals = evaluate_vector_at(fields, points, clamp_tol=STAGE_CLAMP,
+                              plan=plan)
+    out, a = [], 0
+    for h in fields:
+        b = a + h.values.size // len(vals)
+        out.append(type(h)(h.grid, vals[:, a:b].T.reshape(h.values.shape)))
+        a = b
+    return tuple(out) if isinstance(f, tuple) else out[0]
 
-    f is a field or a tuple of fields, and the result takes the same
-    form; every field is sampled through one plan of g's image points,
-    built for this call, and each has the bits of its own composition.
-    With a member axis, f and g have the same members, and member i of
-    f is sampled at the image points of member i of g.
-    clamp_tol widens the boundary-overshoot allowance; time-step stage
-    maps drift outside the circle by O(dt^2) and need more slack than
-    a converged diffeomorphism.
-    """
+
+def compose(f, g):
+    """f after g: sample f (a field or a tuple of fields, see sample_at)
+    at the image points of the disk map g, through one plan built for
+    this call.  The images may overshoot the circle by STAGE_CLAMP, as
+    those of a time-step stage map do."""
     if not isinstance(g, DiskMap):
         raise TypeError("compose expects a DiskMap on the right")
     if g.kind != "diffeo":
@@ -258,13 +252,7 @@ def compose(f, g, *, clamp_tol=_COMPOSE_CLAMP):
     fields = f if isinstance(f, tuple) else (f,)
     if not all(isinstance(h, (ScalarField, VectorField)) for h in fields):
         raise TypeError("compose expects a field or a tuple of fields on the left")
-    vals = evaluate_vector_at(fields, g.image_points(), clamp_tol=clamp_tol)
-    out, a = [], 0
-    for h in fields:
-        b = a + h.values.size // len(vals)
-        out.append(type(h)(g.grid, vals[:, a:b].T.reshape(h.values.shape)))
-        a = b
-    return tuple(out) if isinstance(f, tuple) else out[0]
+    return sample_at(f, g.image_points())
 
 
 def jacobian_det(g):

@@ -157,16 +157,16 @@ class DiskMap:
     """Map of the disk written as identity plus a displacement field.
 
     kind is "diffeo" for volume-preserving maps of the disk to itself
-    (beta, zeta) and "embedding" for maps whose image may leave the disk
-    (eta, id + grad f).  The _cache slot memoizes expensive derived data
-    on the immutable instance, all of it read-only, each entry written
-    and read by one function: "inverse" holds the preimages of the nodes
-    and their evaluation plan (invert_disk_map), and "inverse_jacobian"
-    det D(map) and the entries of D(map)^-1 (inverse_jacobian).  No plan
-    of the node images is kept: compose builds one per call.  A map
-    derived from this one (w added, boundary renormalised) starts with
-    an empty cache and holds no reference to this one, so no chain of
-    maps is kept alive.
+    (gamma, zeta) and "embedding" for maps whose image may leave the
+    disk (eta, id + grad f).  The _cache slot memoizes expensive derived
+    data on the immutable instance, all of it read-only, each entry
+    written and read by one function: "inverse" holds the preimages of
+    the nodes and their evaluation plan (invert_disk_map), and
+    "inverse_jacobian" det D(map) and the entries of D(map)^-1
+    (inverse_jacobian).  No plan of the node images is kept: compose
+    builds one per call.  A map derived from this one (w added, boundary
+    renormalised) starts with an empty cache and holds no reference to
+    this one, so no chain of maps is kept alive.
     """
 
     __slots__ = ("grid", "displacement", "kind", "_cache")
@@ -200,7 +200,7 @@ class DiskMap:
         return self._nodes() + self.displacement.values
 
     def image_points(self):
-        """([M *] n_r*n_theta, 2) array of node images, member by member."""
+        """(n_r*n_theta, 2) array of node images."""
         return self.image().reshape(2, -1).T
 
     def renormalize_boundary(self):

@@ -1,30 +1,30 @@
 """Time evolution of the decomposed free-surface flow.
 
 The second-order system for (f, v) is advanced as a first-order system
-in (f, fdot, v, beta) by integrating-factor (Lawson) RK4: the linear
+in (f, fdot, v, gamma) by integrating-factor (Lawson) RK4: the linear
 capillary oscillation of the boundary modes of (f, fdot) is applied
 exactly and explicit RK4 takes the rest, so the step is bounded by the
 turn of the fastest mode (pi) and not by the capillary CFL bound.  Each
 step re-projects onto the constraint set: f back onto the volume
 constraint, v back onto divergence-free tangent fields, and the
-boundary ring of beta back onto the circle.  Each right-hand side
-takes its derivatives of f, fdot and v from one chain of three stacked
-derivative passes and hands D^2 f to every operator that needs it.
+boundary ring of gamma = beta^-1 back onto the circle.  Each
+right-hand side takes its derivatives of f, fdot, v and gamma from one
+chain of three stacked derivative passes, evaluates at no point and
+hands D^2 f to every operator that needs it.
 """
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..diskfield import (
-    STAGE_CLAMP,
     BoundaryFunction,
     DiskMap,
     VectorField,
-    compose,
     grad_values,
     harmonic_extension,
     l2_norm_disk,
     restrict_boundary,
+    sample_at,
 )
 from ..projections import (
     _hessian_apply,
@@ -35,6 +35,7 @@ from ..projections import (
     solve_L1_inverse,
 )
 from ..shape import boundary_length, solve_volume_constraint
+from .fixed import invert_disk_map
 from .pressure import pressure_gradient, pullback_velocity
 from .states import EnergyReport, FreeBoundaryState, rk4
 
@@ -51,7 +52,7 @@ __all__ = [
 
 
 def rhs_free_boundary(state):
-    """Rates (fdot, fddot, vdot, beta_velocity) of the decomposed system.
+    """Rates (fdot, fddot, vdot, gamma_rate) of the decomposed system.
 
     The fddot equation transports the Lagrangian acceleration balance
     into reference coordinates and extracts its gradient part with
@@ -67,14 +68,18 @@ def rhs_free_boundary(state):
     keeps only the P-visible terms; the unsplit integrator serves as the
     arbitration oracle for that choice.
 
-    Derivatives: (grad f, grad fdot), then (D^2 f, D^2 fdot, Dv), then
-    D^3 f; D^2 f serves L, L1^-1, w and D eta = I + D^2 f.  A state
+    v transports gamma with no boundary condition, as v . nu = 0: its
+    displacement d has the rate -(v + (v . grad) d) (reference map).
+    Derivatives: (grad f, grad fdot, Dd), then (D^2 f, D^2 fdot, Dv),
+    then D^3 f; D^2 f serves L, L1^-1, w and D eta = I + D^2 f.  A state
     with a member axis gets the rates of every member from one call.
     """
     grid = state.f.grid
     vx, vy = state.v.values
-    gx, gy = grad_values(grid, np.stack([state.f.values, state.fdot.values]))
-    grads = np.stack([gx, gy], axis=1)
+    gx, gy = grad_values(grid, np.concatenate([
+        state.f.values[None], state.fdot.values[None],
+        state.gamma.displacement.values]))
+    grads = np.stack([gx[:2], gy[:2]], axis=1)
     sx, sy = grad_values(grid, np.concatenate([grads, state.v.values[None]]))
     hess_f, hess_fdot = ((sx[i, 0], sy[i, 0], sx[i, 1], sy[i, 1])
                          for i in (0, 1))
@@ -100,8 +105,8 @@ def rhs_free_boundary(state):
     vdot = -(conv - q_conv) - solve_L1_inverse(
         state.f, 2.0 * dv_grad_fdot + dvv_grad_f, hess_f)
 
-    beta_velocity = compose(state.v, state.beta, clamp_tol=STAGE_CLAMP)
-    return state.fdot, fddot, vdot, beta_velocity
+    gamma_rate = -(state.v + VectorField(grid, vx * gx[2:] + vy * gy[2:]))
+    return state.fdot, fddot, vdot, gamma_rate
 
 
 def dt_max(k, n_theta):
@@ -139,8 +144,8 @@ def step_free_boundary(state, dt):
     rides along with rate 1.
 
     E and Lambda change f and fdot only by harmonic extensions, and v
-    and beta not at all.  So w holds the modes turned back to time 0
-    beside plain fdot, v, beta and the modes g of that fdot; the state
+    and gamma not at all.  So w holds the modes turned back to time 0
+    beside plain fdot, v, gamma and the modes g of that fdot; the state
     of w turns its modes to t, takes f as the volume-constrained
     potential of h (so stage maps stay volume preserving) and gives
     fdot the harmonic extension of its mode defect.  Stage one is the
@@ -165,22 +170,22 @@ def step_free_boundary(state, dt):
         return np.einsum("ij...,j...->i...", op, z)
 
     def nonlinear(stage, z):
-        """The rates of (fdot, v, beta, modes of fdot) at a stage with
+        """The rates of (fdot, v, gamma, modes of fdot) at a stage with
         modes z, and the modes of N."""
-        _, fddot, vdot, beta_velocity = rhs_free_boundary(stage)
+        _, fddot, vdot, gamma_rate = rhs_free_boundary(stage)
         g_rate = restrict_boundary(fddot).coeffs
-        return ((fddot, vdot, beta_velocity, g_rate),
+        return ((fddot, vdot, gamma_rate, g_rate),
                 np.stack([inert * z[1], g_rate + omega ** 2 * z[0]]))
 
     def at(w):
         """The modes and the state of w; the system is autonomous, so
         stage states keep the step's time."""
-        zw, fdot, v, beta, g, t = w
+        zw, fdot, v, gamma, g, t = w
         z = apply(turn(t), zw)
         return z, FreeBoundaryState(
             f=solve_volume_constraint(BoundaryFunction(grid, z[0])),
             fdot=fdot + harmonic_extension(BoundaryFunction(grid, z[1] - g)),
-            v=v, beta=beta, time=state.time, k=k)
+            v=v, gamma=gamma, time=state.time, k=k)
 
     def rates(w):
         z, stage = (z0, state) if w is w0 else at(w)
@@ -189,10 +194,10 @@ def step_free_boundary(state, dt):
 
     z0 = np.stack([restrict_boundary(state.f).coeffs,
                    restrict_boundary(state.fdot).coeffs])
-    w0 = (z0, state.fdot, state.v, state.beta, z0[1], 0.0)
+    w0 = (z0, state.fdot, state.v, state.gamma, z0[1], 0.0)
     _, end = at(rk4(rates, w0, dt))
     return end._replace(v=hodge_P(end.v),
-                        beta=end.beta.renormalize_boundary(),
+                        gamma=end.gamma.renormalize_boundary(),
                         time=state.time + dt)
 
 
@@ -226,8 +231,12 @@ def energy_report(state, derivatives):
 
 def reconstruct_eta(state, derivatives):
     """(eta, eta_dot) at reference labels, for norm comparisons:
-    eta = (id + grad f) o beta and eta_dot = w o beta, composed through
-    one plan of beta's images; derivatives is output_derivatives(state)."""
+    eta = (id + grad f) o beta and eta_dot = w o beta, sampled at the
+    node images Y of beta, the preimages under gamma, through Newton's
+    plan (invert_disk_map); derivatives is output_derivatives(state)."""
     grad_f, _, w = derivatives
-    shift, eta_dot = compose((grad_f, w), state.beta)
-    return DiskMap(state.beta.displacement + shift, kind="embedding"), eta_dot
+    grid = grad_f.grid
+    Y, plan = invert_disk_map(state.gamma)
+    shift, eta_dot = sample_at((grad_f, w), Y, plan)
+    beta = VectorField(grid, Y.T.reshape(grid.xy.shape) - grid.xy)
+    return DiskMap(beta + shift, kind="embedding"), eta_dot

@@ -9,14 +9,7 @@ after a step: Z acts on the Leray part of every stage velocity, and a
 stream function's velocity is divergence-free.
 """
 
-from ..diskfield import (
-    STAGE_CLAMP,
-    VectorField,
-    advect,
-    compose,
-    evaluate_vector_at,
-    solve_dirichlet,
-)
+from ..diskfield import advect, compose, sample_at, solve_dirichlet
 from ..projections import hodge_P, hodge_Q
 from ..shape import invert_points
 from .states import FixedEulerState, rk4, rotated_gradient
@@ -60,11 +53,8 @@ def euler_Z(alpha, vel, near=None):
     """Lagrangian acceleration Z(alpha, v) = (Q((u.grad) P u)) o alpha
     with u = v o alpha^-1.  near, a map close to alpha whose inverse is
     cached, warm-starts the inversion of alpha (see invert_disk_map)."""
-    Y, plan = invert_disk_map(alpha, near)
-    vals = evaluate_vector_at(vel, Y, clamp_tol=STAGE_CLAMP, plan=plan)
-    u = VectorField(alpha.grid, vals.T.reshape(vel.values.shape))
-    return compose(hodge_Q(advect(u, hodge_P(u))), alpha,
-                   clamp_tol=STAGE_CLAMP)
+    u = sample_at(vel, *invert_disk_map(alpha, near))
+    return compose(hodge_Q(advect(u, hodge_P(u))), alpha)
 
 
 def step_fixed_euler(state, dt):
@@ -101,7 +91,7 @@ def vorticity_particle_step(omega, phi, dt):
     def rates(y):
         o, p = y
         u = vorticity_velocity(o)
-        return -advect(u, o), compose(u, p, clamp_tol=STAGE_CLAMP)
+        return -advect(u, o), compose(u, p)
 
     omega_new, phi_new = rk4(rates, (omega, phi), dt)
     return omega_new, phi_new.renormalize_boundary()

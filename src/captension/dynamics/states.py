@@ -24,31 +24,32 @@ class FreeBoundaryState(NamedTuple):
     """Decomposed free-surface flow: eta = (id + grad f) o beta.
 
     f and fdot are the boundary-oscillation potential and its rate, v is
-    the interior velocity (divergence free, boundary tangent) driving
-    beta, and k the surface tension coefficient.  With a member axis on
-    every field, k is a tuple of one k per member; time is shared.
+    the interior velocity (divergence free, boundary tangent) that
+    transports gamma = beta^-1 on the fixed disk, and k the surface
+    tension coefficient.  With a member axis on every field, k is a
+    tuple of one k per member; time is shared.
     """
 
     f: ScalarField
     fdot: ScalarField
     v: VectorField
-    beta: DiskMap
+    gamma: DiskMap
     time: float
     k: float
 
     @classmethod
     def from_velocity(cls, grid, u0, k):
-        """Undeformed start at t = 0: f = fdot = 0, beta = id, v = P u0;
+        """Undeformed start at t = 0: f = fdot = 0, gamma = id, v = P u0;
         one member per k when k is a sequence."""
         v = hodge_P(u0)
         if np.ndim(k) == 0:
             return cls(f=ScalarField.zeros(grid), fdot=ScalarField.zeros(grid),
-                       v=v, beta=identity_map(grid), time=0.0, k=float(k))
+                       v=v, gamma=identity_map(grid), time=0.0, k=float(k))
         ks = tuple(float(x) for x in k)
         grid = grid.with_members(len(ks))
         f = ScalarField.zeros(grid)
         return cls(f=f, fdot=f, v=VectorField(grid, np.repeat(
-            v.values[:, None], len(ks), axis=1)), beta=identity_map(grid),
+            v.values[:, None], len(ks), axis=1)), gamma=identity_map(grid),
                    time=0.0, k=ks)
 
     @property
@@ -62,7 +63,7 @@ class FreeBoundaryState(NamedTuple):
         listed (an array)."""
         return FreeBoundaryState(
             f=self.f.take(index), fdot=self.fdot.take(index),
-            v=self.v.take(index), beta=self.beta.take(index), time=self.time,
+            v=self.v.take(index), gamma=self.gamma.take(index), time=self.time,
             k=self.k[index] if np.ndim(index) == 0
             else tuple(self.k[i] for i in index))
 

@@ -225,7 +225,7 @@ def invert_points(alpha, targets, start, plan=None):
             plan = evaluation_plan(alpha.grid, Y, clamp_tol=STAGE_CLAMP)
         dx, dy, *jacobian = evaluate_vector_at(
             fields if residual > _STALE_JACOBIAN_RESIDUAL else fields[0],
-            Y, clamp_tol=STAGE_CLAMP, plan=plan).T
+            Y, plan=plan).T
         j11, j12, j21, j22 = jacobian or (j11, j12, j21, j22)
         rx = Y[:, 0] + dx - targets[:, 0]
         ry = Y[:, 1] + dy - targets[:, 1]

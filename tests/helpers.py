@@ -147,14 +147,16 @@ def reference_plan(grid, points):
 
 def constraint_defects(state):
     """Measured invariant violations of a free-flow state: div v, v
-    tangency, volume residual, beta Jacobian."""
+    tangency, volume residual, and det D gamma - 1 of the label map
+    gamma = beta^-1."""
     div_v = float(np.abs(divergence(state.v).values).max())
     v, nu = state.v.values[:, -1], state.v.grid.xy[:, -1]
     return {
         "div_v": div_v,
         "v_normal": float(np.abs((v * nu).sum(axis=0)).max()),
         "volume_residual": volume_residual(state.f)[0],
-        "beta_jacobian": float(np.abs(jacobian_det(state.beta).values - 1.0).max()),
+        "gamma_jacobian": float(np.abs(jacobian_det(state.gamma).values
+                                       - 1.0).max()),
     }
 
 
@@ -233,30 +235,31 @@ def count_ffts(monkeypatch):
 
 
 def step_free_rk4(state, dt):
-    """The free step as plain RK4 with the same re-projections: the
-    reference the integrating-factor step is checked against.  It is
-    stable only under dt_max."""
-    f, fdot, v, beta = rk4(
+    """The free step as plain RK4 on (f, fdot, v, gamma) with the same
+    re-projections: the reference the integrating-factor step is checked
+    against.  It is stable only under dt_max."""
+    f, fdot, v, gamma = rk4(
         lambda y: rhs_free_boundary(
             FreeBoundaryState(*y, time=state.time, k=state.k)),
-        (state.f, state.fdot, state.v, state.beta), dt)
+        (state.f, state.fdot, state.v, state.gamma), dt)
     return FreeBoundaryState(
         f=solve_volume_constraint(restrict_boundary(f)), fdot=fdot,
-        v=hodge_P(v), beta=beta.renormalize_boundary(),
+        v=hodge_P(v), gamma=gamma.renormalize_boundary(),
         time=state.time + dt, k=state.k)
 
 
 def stack(items):
-    """Fields, boundary functions, disk maps or one-member free-flow
-    states of one grid as the members of one, in order; sample arrays
-    (boundary rings) as rows of one array."""
+    """Fields, boundary functions, disk maps (such as the gamma of a
+    free-flow state) or one-member free-flow states of one grid as the
+    members of one, in order; sample arrays (boundary rings) as rows of
+    one array."""
     first = items[0]
     if isinstance(first, np.ndarray):
         return np.stack(items)
     if isinstance(first, FreeBoundaryState):
         return FreeBoundaryState(
             *(stack([getattr(s, n) for s in items])
-              for n in ("f", "fdot", "v", "beta")),
+              for n in ("f", "fdot", "v", "gamma")),
             time=first.time, k=tuple(s.k for s in items))
     if isinstance(first, DiskMap):
         return DiskMap(stack([m.displacement for m in items]), kind=first.kind)

@@ -115,7 +115,7 @@ def test_criterion_04_equilibrium_and_rotation(grid):
         state = step_free_boundary(state, 0.9 * dt_max(100.0, grid.n_theta))
         moved = max(l2_norm_disk(state.f), l2_norm_disk(state.fdot),
                     l2_norm_disk(state.v),
-                    l2_norm_disk(state.beta.displacement))
+                    l2_norm_disk(state.gamma.displacement))
         rest_worst = max(rest_worst, moved)
 
     track = {}
@@ -194,7 +194,7 @@ def _surface_frequency(grid, m, k):
     f = solve_volume_constraint(single_mode(grid, m, 1e-4))
     state = FreeBoundaryState(f=f, fdot=ScalarField.zeros(grid),
                               v=VectorField.zeros(grid),
-                              beta=identity_map(grid), time=0.0, k=k)
+                              gamma=identity_map(grid), time=0.0, k=k)
     omega_lin = math.sqrt(k * m * (m * m - 1))
     t_final = 3.6 * math.pi / omega_lin  # 1.8 periods, four crossings
     n = math.ceil(t_final / (0.8 * dt_max(k, grid.n_theta)))

@@ -12,7 +12,8 @@ from helpers import count_calls, count_ffts
 
 from captension.diskfield import VectorField
 from captension.errors import (ConfigError, InsufficientPointsError,
-                               NonpositiveValueError, SolverError)
+                               InversionFailureError, NonpositiveValueError,
+                               SolverError)
 from captension.harness import (CSV_HEADER, ExperimentConfig, emit_csv,
                                 emit_plot, fit_rate, main, measure_frequency,
                                 oracle_compare, run_single, run_sweep)
@@ -336,6 +337,33 @@ class TestRuns:
         assert rows[1].fail_time == pytest.approx(1.5e-3, rel=1e-12)
         assert rows[1].times == pytest.approx((0.0, 1e-3), rel=1e-12)
 
+    def test_a_failing_record_closes_only_its_own_row(self, tmp_path,
+                                                      monkeypatch):
+        # from t = 1.5e-3 on, the record of k = 200 raises, as a failed
+        # inversion of gamma would: at output time 2e-3 its row closes,
+        # and the other two k go on as a two-member state
+        original = run_module.reconstruct_eta
+
+        def failing(state, derivatives):
+            if state.time >= 1.5e-3 and state.k == 200.0:
+                raise InversionFailureError("gamma is not invertible")
+            return original(state, derivatives)
+
+        monkeypatch.setattr(run_module, "reconstruct_eta", failing)
+        steps = count_calls(monkeypatch, run_module.step_free_boundary)
+        cfg = small_config(tmp_path, k_list=(100.0, 200.0, 400.0),
+                           T=3e-3, n_outputs=4, dt_fixed=5e-4)
+        rows = run_sweep(cfg).rows
+        assert [state.k for state, _ in steps] == (
+            [cfg.k_list] * 4 + [(100.0, 400.0)] * 2)
+        assert [r.converged for r in rows] == [True, False, True]
+        assert rows[1].failure == ("free flow, InversionFailureError: "
+                                   "gamma is not invertible")
+        assert rows[1].fail_time == pytest.approx(2e-3, rel=1e-12)
+        assert rows[1].times == pytest.approx((0.0, 1e-3), rel=1e-12)
+        assert all(len(v) == 2 for v in rows[1].series.values())
+        assert rows == tuple(run_single(cfg, k) for k in cfg.k_list)
+
     def test_fixed_flow_failure_closes_every_row(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path, k_list=(100.0, 200.0, 400.0),
                            T=3e-3, n_outputs=4)
@@ -376,8 +404,11 @@ class TestRuns:
             [0.01 * j for j in range(6)], rel=1e-12)
 
     def test_oracle_derivative_passes(self, monkeypatch):
-        # 1,169 before the pressure solve handed back grad q and the
-        # Sobolev norms took every component in one pass, 1,031 (with
+        # 1,157 (with 682 forward transforms) before the record inverted
+        # gamma = beta^-1 (one map_jacobian pass per output time) in
+        # place of composing with beta in every RHS; 1,169 before the
+        # pressure solve handed back grad q and the Sobolev norms took
+        # every component in one pass, 1,031 (with
         # 1,168 and 1,152 transforms) while hodge_Q took its gradient
         # from the modes and the pressure solve filtered its residual by
         # transforms; 666 inverse transforms while the pressure solve took
@@ -386,8 +417,8 @@ class TestRuns:
         passes = count_calls(monkeypatch, calculus.grad_values)
         ffts = count_ffts(monkeypatch)
         oracle_compare(ExperimentConfig())
-        assert len(passes) == 1157
-        assert ffts == {"rfft": 682, "irfft": 546}
+        assert len(passes) == 1163
+        assert ffts == {"rfft": 673, "irfft": 546}
 
     def test_oracle_names_a_free_flow_failure(self, monkeypatch):
         break_free_flow(monkeypatch, 0.015)

@@ -154,12 +154,12 @@ def test_boundary_length_against_dense_quadrature(grid):
     assert boundary_length(g) == pytest.approx(dense, abs=1e-6)
 
 
-def _reconstructed(beta, f):
-    """(eta, eta_dot, grad f) of reconstruct_eta at beta, with grad f
-    standing in for w too."""
+def _reconstructed(gamma, f):
+    """(eta, eta_dot, grad f) of reconstruct_eta at the label map gamma
+    = beta^-1, with grad f standing in for w too."""
     g = gradient(f)
-    state = FreeBoundaryState(f=f, fdot=f, v=VectorField.zeros(beta.grid),
-                              beta=beta, time=0.0, k=100.0)
+    state = FreeBoundaryState(f=f, fdot=f, v=VectorField.zeros(gamma.grid),
+                              gamma=gamma, time=0.0, k=100.0)
     return (*reconstruct_eta(state, (g, g, g)), g)
 
 
@@ -174,10 +174,12 @@ def test_reconstruct_eta_at_identity_is_graph_map(grid, rng):
 
 def test_reconstruct_eta_with_node_rotation(grid, rng):
     # a rotation by three angular steps maps nodes onto nodes, so the
-    # composition samples grad f at stored nodes, three steps on in theta
+    # composition samples grad f at nodes, three steps on in theta; beta
+    # is reached by inverting gamma, the rotation three steps back
     f = solve_volume_constraint(random_boundary(grid, rng, 0.03))
     beta = rotation_map(grid, 2.0 * np.pi * 3 / grid.n_theta)
-    eta, eta_dot, g = _reconstructed(beta, f)
+    eta, eta_dot, g = _reconstructed(
+        rotation_map(grid, -2.0 * np.pi * 3 / grid.n_theta), f)
     rolled = np.roll(g.values, -3, axis=2)
     expected = beta.displacement.values + rolled
     assert np.abs(eta.displacement.values - expected).max() < 1e-13
