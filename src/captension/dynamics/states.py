@@ -69,15 +69,20 @@ class FreeBoundaryState(NamedTuple):
 
 
 class FixedEulerState(NamedTuple):
-    """Fixed-disk incompressible flow by its Lagrangian map zeta."""
+    """Fixed-disk incompressible flow: the Lagrangian map zeta, its rate
+    zetadot, and the Eulerian velocity u with zetadot = u o zeta, which
+    the step keeps to time-stepping accuracy and does not impose."""
 
     zeta: DiskMap
     zetadot: VectorField
+    u: VectorField
     time: float
 
     @classmethod
     def from_velocity(cls, grid, u0):
-        return cls(zeta=identity_map(grid), zetadot=hodge_P(u0), time=0.0)
+        """Undeformed start at t = 0: zeta = id, zetadot = u = P u0."""
+        u = hodge_P(u0)
+        return cls(zeta=identity_map(grid), zetadot=u, u=u, time=0.0)
 
 
 class EnergyReport(NamedTuple):

@@ -61,8 +61,8 @@ class _Reference:
     dt) per output segment.  Output time j is stepped to on its first
     request; what a record reads of it, `read(state)` = (displacement,
     velocity), is kept, and of the states only the last, to step from:
-    a state's maps carry cached inverses and evaluation plans that no
-    record needs.  Its time is the sum of its dt.  A solver failure is
+    no record needs a state's maps or the fixed flow's Eulerian
+    velocity.  Its time is the sum of its dt.  A solver failure is
     kept as well, in `failure` with the time of the state the failing
     step started from, and raised again for every later request past it.
     """

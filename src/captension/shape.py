@@ -199,11 +199,10 @@ def boundary_length(grad_f):
     return (2.0 * np.pi / grad_f.grid.n_theta) * float(speed.sum())
 
 
-def invert_points(alpha, targets, start, plan=None):
+def invert_points(alpha, targets, start):
     """Solve alpha(y) = target for every row of targets by pointwise Newton.
 
-    targets and start (the first guesses) are (P, 2) arrays, and plan,
-    if given, is the plan of start (a converged inversion's).  Returns
+    targets and start (the first guesses) are (P, 2) arrays.  Returns
     (Y, plan): a new (P, 2) array of preimages and the plan the
     converged pass built at them.  The Jacobian of alpha (map_jacobian)
     is interpolated with the displacement while the last residual tops
@@ -215,14 +214,10 @@ def invert_points(alpha, targets, start, plan=None):
     fields = [alpha.displacement] + [ScalarField(alpha.grid, j)
                                      for j in map_jacobian(alpha)]
     Y = np.array(start, dtype=float)
-    # a planned start lies inside already, and projecting it again could
-    # move a point by an ulp off its plan
-    if plan is None:
-        _project_into_disk(Y)
+    _project_into_disk(Y)
     residual = np.inf
     for _ in range(40):
-        if plan is None:
-            plan = evaluation_plan(alpha.grid, Y, clamp_tol=STAGE_CLAMP)
+        plan = evaluation_plan(alpha.grid, Y, clamp_tol=STAGE_CLAMP)
         dx, dy, *jacobian = evaluate_vector_at(
             fields if residual > _STALE_JACOBIAN_RESIDUAL else fields[0],
             Y, plan=plan).T
@@ -239,7 +234,6 @@ def invert_points(alpha, targets, start, plan=None):
         Y[:, 0] -= (j22 * rx - j12 * ry) / det
         Y[:, 1] -= (-j21 * rx + j11 * ry) / det
         _project_into_disk(Y)
-        plan = None
     raise InversionFailureError("Newton inversion of the map stalled")
 
 

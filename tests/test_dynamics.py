@@ -4,9 +4,9 @@ import pytest
 from helpers import (constraint_defects, count_calls, count_ffts, count_plans,
                      single_mode, step_free_rk4)
 
-from captension.diskfield import (STAGE_CLAMP, BoundaryFunction, DiskMap,
-                                  ScalarField, VectorField, advect, calculus,
-                                  evaluate_vector_at, grad_values, gradient,
+from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
+                                  VectorField, advect, calculus, compose,
+                                  divergence, grad_values, gradient,
                                   identity_map, l2_norm_disk, map_jacobian,
                                   restrict_boundary, rotation_map,
                                   sobolev_norm_disk)
@@ -20,8 +20,6 @@ from captension.dynamics import (FixedEulerState, FreeBoundaryState,
                                  stream_initial_velocity,
                                  stream_initial_vorticity, unsplit_acceleration,
                                  vorticity_particle_step, vorticity_velocity)
-from captension import shape
-from captension.dynamics import fixed
 from captension.dynamics.states import rk4
 from captension.errors import ConfigError
 from captension.harness import measure_frequency
@@ -387,9 +385,11 @@ def test_reconstruct_eta_at_start(grid):
 
 
 def test_euler_Z_rotation_is_centripetal(grid):
-    acc = euler_Z(identity_map(grid), solid_rotation_velocity(grid))
+    # (u.grad) u = -x is a gradient, so the rotation is steady
+    acc, rate = euler_Z(identity_map(grid), solid_rotation_velocity(grid))
     assert np.abs(acc.values[0] + grid.xx).max() < 1e-8
     assert np.abs(acc.values[1] + grid.yy).max() < 1e-8
+    assert np.abs(rate.values).max() < 1e-8
 
 
 def test_invert_rotation_map(grid):
@@ -409,67 +409,35 @@ def _lagrangian_workload_step(grid):
     return step_fixed_euler(state, 0.005)
 
 
-def test_warm_started_inversion_matches_a_cold_one(grid, monkeypatch):
-    # the warm start saves one plan: its first Newton pass reuses near's
-    state = _lagrangian_workload_step(grid)
-    stage = state.zeta + 0.0025 * state.zetadot
-    X = grid.xy.reshape(2, -1).T
-    for alpha, near in ((rotation_map(grid, 0.3), rotation_map(grid, 0.28)),
-                        (stage, state.zeta)):
-        cold, _ = invert_disk_map(DiskMap(alpha.displacement))
-        invert_disk_map(near)
-        plans = count_plans(monkeypatch)
-        passes = count_calls(monkeypatch, calculus.evaluate_vector_at)
-        warm, _ = invert_disk_map(alpha, near)
-        assert len(plans) == len(passes) - 1
-        monkeypatch.undo()
-        for Y in (cold, warm):
-            moved = evaluate_vector_at(alpha.displacement, Y,
-                                       clamp_tol=STAGE_CLAMP)
-            assert np.abs(Y + moved - X).max() < 1e-12
-        assert np.abs(warm - cold).max() < 1e-13
-
-
-def test_a_fixed_step_builds_ten_plans(grid, monkeypatch):
-    # three stage maps and the end map: stages 2 and 4 invert in three
-    # Newton passes, stage 3 and the end map, warm-started from the map
-    # inverted just before, in two; one plan a pass but the first; and
-    # four compositions, one per stage, the base map's among them.  The
-    # base map's preimages and plans were built in the previous step,
-    # which inverts its end map and composes nothing with it.  compose
-    # keeps no plan: the base map keeps its inverse alone
+def test_a_fixed_step_builds_four_plans(grid, monkeypatch):
+    # one composition per stage, the base map's among them, and no
+    # inversion: the step carries the Eulerian velocity u.  Inverting
+    # every stage map for u took 10 plans a step with warm starts
+    # (stages 2 and 4 in three Newton passes, stage 3 and the end map,
+    # started from the map inverted just before, in two; one plan a
+    # pass but the first) and 12 when every inversion started from the
+    # base map.  compose keeps no plan, so no map holds a cache entry
     base = _lagrangian_workload_step(grid)
-    assert "inverse" in base.zeta._cache
     plans = count_plans(monkeypatch)
+    composed = count_calls(monkeypatch, calculus.compose)
+    inverted = count_calls(monkeypatch, invert_points)
     state = step_fixed_euler(base, 0.005)
-    assert len(plans) == 10
-    assert set(base.zeta._cache) == set(state.zeta._cache) == {"inverse"}
+    assert (len(plans), len(composed), len(inverted)) == (4, 4, 0)
+    assert composed[0][1] is base.zeta
+    assert "inverse" not in base.zeta._cache
+    assert "inverse" not in state.zeta._cache
 
 
-def test_the_lagrangian_workload_inverts_in_201_newton_passes(
+def test_the_lagrangian_workload_builds_160_plans_and_inverts_nothing(
         grid, monkeypatch):
     # the bench lagrangian_oracle run: 20 fixed steps of dt = 0.005 at
-    # amplitude 0.4 beside the vorticity oracle.  Starting every
-    # inversion from the base map took 321 plans and 241 passes
+    # amplitude 0.4 beside the vorticity oracle, one plan per stage of
+    # each.  Inverting every stage map took 281 plans and 201 Newton
+    # passes with warm starts, and 321 plans and 241 passes when every
+    # inversion started from the base map
     amp, dt = 0.4, 0.005
-    passes = []
-    newton_eval = shape.evaluate_vector_at
-
-    def counted_eval(*args, **kwargs):
-        passes.append(args)
-        return newton_eval(*args, **kwargs)
-
-    per_inversion = []
-
-    def counted_invert(*args):
-        before = len(passes)
-        result = invert_points(*args)
-        per_inversion.append(len(passes) - before)
-        return result
-
-    monkeypatch.setattr(shape, "evaluate_vector_at", counted_eval)
-    monkeypatch.setattr(fixed, "invert_points", counted_invert)
     plans = count_plans(monkeypatch)
+    inverted = count_calls(monkeypatch, invert_points)
     state = FixedEulerState.from_velocity(
         grid, stream_initial_velocity(grid, 2, amp))
     omega = stream_initial_vorticity(grid, 2, amp)
@@ -477,12 +445,22 @@ def test_the_lagrangian_workload_inverts_in_201_newton_passes(
     for _ in range(20):
         state = step_fixed_euler(state, dt)
         omega, phi = vorticity_particle_step(omega, phi, dt)
-    assert (len(plans), len(passes)) == (281, 201)
-    # the identity map at t = 0, then per step stages 2, 3, 4 and the
-    # end map: stage 3 and the end map in two passes
-    assert per_inversion == [1] + [3, 2, 3, 2] * 20
+    assert (len(plans), len(inverted)) == (160, 0)
     gap = sobolev_norm_disk(state.zeta.displacement - phi.displacement, 1)
     assert gap < 1e-9
+
+
+def test_the_carried_velocity_stays_the_maps_rate(grid):
+    # zetadot = u o zeta holds at t = 0 and to time-stepping accuracy
+    # after; the lagrangian workload's 20 steps keep it to roundoff, and
+    # u, projected once a step, divergence free
+    state = FixedEulerState.from_velocity(
+        grid, stream_initial_velocity(grid, 2, 0.4))
+    for _ in range(20):
+        state = step_fixed_euler(state, 0.005)
+    slip = state.zetadot - compose(state.u, state.zeta)
+    assert np.abs(slip.values).max() < 1e-12
+    assert np.abs(divergence(state.u).values).max() < 1e-11
 
 
 def test_reconstruct_eta_builds_one_plan(grid, monkeypatch):
