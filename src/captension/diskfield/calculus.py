@@ -127,10 +127,15 @@ def _ring_weights(grid, points, r0):
     return radial, angular.reshape(2 * M, P), nearest
 
 
-def _clamp_points(grid, points, tol):
+# how far past the circle a point may be evaluated: the stage maps of
+# an explicit step overshoot it by O(dt^2), and so may Newton iterates
+STAGE_CLAMP = 1e-5
+
+
+def _clamp_points(grid, points):
     points = np.asarray(points, dtype=float)
     r0 = np.hypot(points[:, 0], points[:, 1])
-    if not np.all(r0 <= 1.0 + tol):  # NaN fails it too
+    if not np.all(r0 <= 1.0 + STAGE_CLAMP):  # NaN fails it too
         raise PointOutsideDomainError("evaluation point outside the closed "
                                       f"disk (|p| = {r0.max():.6g})")
     return points, r0
@@ -164,16 +169,16 @@ class EvaluationPlan(NamedTuple):
     snap: tuple
 
 
-def evaluation_plan(grid, points, *, clamp_tol):
+def evaluation_plan(grid, points):
     """The plan of evaluating fields at plane points (array-like (P, 2)).
 
-    It runs the clamp check under clamp_tol (see evaluate_vector_at)
-    and holds the radial weights and angular factors of _ring_weights
-    and the node snap, as snap = (rows, i, j): the rows that coincide
-    with the node (grid.r[i], theta_j).  A plan is a value: its arrays
-    are read-only, so it may serve every evaluation at its points.
+    It runs the clamp check (see evaluate_vector_at) and holds the
+    radial weights and angular factors of _ring_weights and the node
+    snap, as snap = (rows, i, j): the rows that coincide with the node
+    (grid.r[i], theta_j).  A plan is a value: its arrays are read-only,
+    so it may serve every evaluation at its points.
     """
-    points, r0 = _clamp_points(grid, points, clamp_tol)
+    points, r0 = _clamp_points(grid, points)
     radial, angular, (i, gap) = _ring_weights(grid, points, r0)
     rows, j = _node_snap(grid, points, gap)
     snap = rows, i[rows], j
@@ -182,33 +187,30 @@ def evaluation_plan(grid, points, *, clamp_tol):
     return EvaluationPlan(radial, angular, snap)
 
 
-def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
+def evaluate_vector_at(fields, points, *, plan=None):
     """Interpolate fields at plane points (array-like (P, 2)).
 
-    fields is one field or a sequence of fields on one grid, none with
-    a member axis; the result is (P, F), one column per component, in
-    the order of the fields and, within a VectorField, x then y.  Exact
+    fields is a sequence of fields on one grid, none with a member
+    axis; the result is (P, F), one column per component, in the order
+    of the fields and, within a VectorField, x then y.  Exact
     trigonometric evaluation in theta, barycentric polynomial
     evaluation in r over the doubled node set.  Points whose radius
-    overshoots 1 by at most clamp_tol are evaluated by the radial
+    overshoots 1 by at most STAGE_CLAMP are evaluated by the radial
     polynomial's natural extension (time-stepper stages land there);
     anything further outside, or NaN, raises.  Grid-node queries
     reproduce the stored samples bit-exactly.  plan is
-    evaluation_plan(grid, points, clamp_tol=...) when the caller keeps
-    it, checked under its own clamp_tol, else one is built for this
-    call.  The rings' mode pairs, scaled by grid.ring_scale, meet the
-    angular factors first, in one product (F, n_r, 2 M) @ (2 M, P) that
-    numpy runs per component, so a column has the bits of its field
-    evaluated alone; the radial weights then scale that result, summed
-    over the rings.
+    evaluation_plan(grid, points) when the caller keeps it, else one
+    is built for this call.  The rings' mode pairs, scaled by
+    grid.ring_scale, meet the angular factors first, in one product
+    (F, n_r, 2 M) @ (2 M, P) that numpy runs per component, so a column
+    has the bits of its field evaluated alone; the radial weights then
+    scale that result, summed over the rings.
     """
-    if isinstance(fields, (ScalarField, VectorField)):
-        fields = (fields,)
     grid = fields[0].grid
     values = np.concatenate(
         [f.values.reshape(-1, grid.n_r, grid.n_theta) for f in fields])
     if plan is None:
-        plan = evaluation_plan(grid, points, clamp_tol=clamp_tol)
+        plan = evaluation_plan(grid, points)
     rings = grid.to_modes(values).view(float)
     rings *= grid.ring_scale
     rings = rings @ plan.angular  # (F, n_r, P)
@@ -220,39 +222,30 @@ def evaluate_vector_at(fields, points, *, clamp_tol=1e-12, plan=None):
     return out
 
 
-# stage maps of an explicit step overshoot the circle by O(dt^2)
-STAGE_CLAMP = 1e-5
-
-
-def sample_at(f, points, plan=None):
-    """f, a field or a tuple of fields (the result takes the same form),
-    at points (n_r*n_theta, 2), one per node in node order, through one
-    plan (plan, if given) under STAGE_CLAMP; each field has the bits of
-    its own evaluation."""
-    fields = f if isinstance(f, tuple) else (f,)
-    vals = evaluate_vector_at(fields, points, clamp_tol=STAGE_CLAMP,
-                              plan=plan)
+def sample_at(fields, points, plan=None):
+    """A tuple of fields at points (n_r*n_theta, 2), one per node in
+    node order, through one plan (plan, if given), as a tuple of the
+    same types; each field has the bits of its own evaluation."""
+    vals = evaluate_vector_at(fields, points, plan=plan)
     out, a = [], 0
     for h in fields:
         b = a + h.values.size // len(vals)
         out.append(type(h)(h.grid, vals[:, a:b].T.reshape(h.values.shape)))
         a = b
-    return tuple(out) if isinstance(f, tuple) else out[0]
+    return tuple(out)
 
 
 def compose(f, g):
-    """f after g: sample f (a field or a tuple of fields, see sample_at)
-    at the image points of the disk map g, through one plan built for
-    this call.  The images may overshoot the circle by STAGE_CLAMP, as
-    those of a time-step stage map do."""
+    """The field f after the disk map g: f sampled at g's image points
+    through one plan built for this call.  The images may overshoot
+    the circle by STAGE_CLAMP, as those of a time-step stage map do."""
     if not isinstance(g, DiskMap):
         raise TypeError("compose expects a DiskMap on the right")
     if g.kind != "diffeo":
         raise ValueError("compose requires a diffeomorphism of the disk")
-    fields = f if isinstance(f, tuple) else (f,)
-    if not all(isinstance(h, (ScalarField, VectorField)) for h in fields):
-        raise TypeError("compose expects a field or a tuple of fields on the left")
-    return sample_at(f, g.image_points())
+    if not isinstance(f, (ScalarField, VectorField)):
+        raise TypeError("compose expects a field on the left")
+    return sample_at((f,), g.image_points())[0]
 
 
 def jacobian_det(g):

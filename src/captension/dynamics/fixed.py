@@ -29,19 +29,16 @@ __all__ = [
 def invert_disk_map(alpha):
     """(preimages, plan): the preimages of the grid nodes under a
     near-identity disk map, and the evaluation plan of Newton's
-    converged pass at them.
+    converged pass at them (shape.invert_points).
 
-    Newton with the stage-map slack STAGE_CLAMP from the first guess
-    x - d(x).  Both are cached on the (immutable) map, so a second call
-    at one alpha pays nothing, and an evaluation at the preimages
-    passes the plan and builds none.  reconstruct_eta inverts gamma
-    here; no fixed-disk step inverts a map.
+    Both are cached on the (immutable) map, so a second call at one
+    alpha pays nothing, and an evaluation at the preimages passes the
+    plan and builds none.  reconstruct_eta inverts gamma here, once
+    per record; no fixed-disk step inverts a map.
     """
     cached = alpha._cache.get("inverse")
     if cached is None:
-        X = alpha.grid.xy.reshape(2, -1).T
-        Y, plan = invert_points(
-            alpha, X, X - alpha.displacement.values.reshape(2, -1).T)
+        Y, plan = invert_points(alpha)
         Y.setflags(write=False)
         cached = alpha._cache["inverse"] = Y, plan
     return cached

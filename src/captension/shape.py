@@ -53,9 +53,6 @@ __all__ = [
 
 TOL_VOL = 1e-9
 
-# below this residual, Newton's next update passes 1e-12 on the last Jacobian
-_STALE_JACOBIAN_RESIDUAL = 1e-7
-
 
 class CurvatureExpansion(NamedTuple):
     M0: BoundaryFunction
@@ -199,33 +196,30 @@ def boundary_length(grad_f):
     return (2.0 * np.pi / grad_f.grid.n_theta) * float(speed.sum())
 
 
-def invert_points(alpha, targets, start):
-    """Solve alpha(y) = target for every row of targets by pointwise Newton.
+def invert_points(alpha):
+    """The preimages of the grid nodes under alpha, by pointwise Newton
+    from the first guess x - d(x), d alpha's displacement.
 
-    targets and start (the first guesses) are (P, 2) arrays.  Returns
-    (Y, plan): a new (P, 2) array of preimages and the plan the
-    converged pass built at them.  The Jacobian of alpha (map_jacobian)
-    is interpolated with the displacement while the last residual tops
-    _STALE_JACOBIAN_RESIDUAL, then kept.  Iterates may overshoot the
-    circle by STAGE_CLAMP: they are pulled back inside radius
-    1 + STAGE_CLAMP after every update, and evaluated with that much
-    clamp allowance.
+    Returns (Y, plan): a new (n_r*n_theta, 2) array of preimages, in
+    node order, and the plan the converged pass built at them.  Every
+    pass evaluates the displacement and the four entries of alpha's
+    Jacobian (map_jacobian) at the iterates.  Iterates may overshoot
+    the circle by STAGE_CLAMP: they are pulled back inside radius
+    1 + STAGE_CLAMP after every update.
     """
-    fields = [alpha.displacement] + [ScalarField(alpha.grid, j)
+    grid = alpha.grid
+    fields = [alpha.displacement] + [ScalarField(grid, j)
                                      for j in map_jacobian(alpha)]
-    Y = np.array(start, dtype=float)
+    X = grid.xy.reshape(2, -1).T
+    Y = X - alpha.displacement.values.reshape(2, -1).T
     _project_into_disk(Y)
-    residual = np.inf
     for _ in range(40):
-        plan = evaluation_plan(alpha.grid, Y, clamp_tol=STAGE_CLAMP)
-        dx, dy, *jacobian = evaluate_vector_at(
-            fields if residual > _STALE_JACOBIAN_RESIDUAL else fields[0],
-            Y, plan=plan).T
-        j11, j12, j21, j22 = jacobian or (j11, j12, j21, j22)
-        rx = Y[:, 0] + dx - targets[:, 0]
-        ry = Y[:, 1] + dy - targets[:, 1]
-        residual = max(np.abs(rx).max(), np.abs(ry).max())
-        if residual < 1e-12:
+        plan = evaluation_plan(grid, Y)
+        dx, dy, j11, j12, j21, j22 = evaluate_vector_at(fields, Y,
+                                                        plan=plan).T
+        rx = Y[:, 0] + dx - X[:, 0]
+        ry = Y[:, 1] + dy - X[:, 1]
+        if max(np.abs(rx).max(), np.abs(ry).max()) < 1e-12:
             return Y, plan
         det = j11 * j22 - j12 * j21
         if np.abs(det).min() < 0.2:
@@ -238,10 +232,12 @@ def invert_points(alpha, targets, start):
 
 
 def _project_into_disk(Y):
-    # Preimages of boundary nodes under a time-step stage map sit O(dt^2)
-    # outside the circle, and a hard projection onto |y| <= 1 would block
-    # the Newton residual from clearing its tolerance.  A slack at that
-    # scale lets those points converge while keeping runaways contained.
+    # gamma's node images drift off the circle as it is transported, so
+    # Newton iterates for the boundary nodes may sit a hair outside it
+    # (1 + 8.2e-12 in the default sweep, 1 + 1.1e-4 at amplitude 0.5
+    # and T = 0.6), and a hard projection onto |y| <= 1 would block the
+    # residual from clearing its tolerance.  A STAGE_CLAMP slack lets
+    # those points converge while keeping runaways contained.
     limit = np.nextafter(1.0 + STAGE_CLAMP, 0.0)
     rad = np.hypot(Y[:, 0], Y[:, 1])
     far = rad > limit

@@ -13,8 +13,8 @@ from captension.diskfield import (BoundaryFunction, DiskMap, ScalarField,
                                   hessian, identity_map, jacobian_det,
                                   l2_norm_disk, laplacian, make_grid,
                                   restrict_boundary, rotation_map,
-                                  sobolev_norm_disk, solve_dirichlet,
-                                  STAGE_CLAMP)
+                                  sample_at, sobolev_norm_disk,
+                                  solve_dirichlet, STAGE_CLAMP)
 from captension.dynamics import (FreeBoundaryState, dt_free_max,
                                  pressure_gradient, rhs_free_boundary,
                                  step_free_boundary)
@@ -32,7 +32,7 @@ def poly(grid):
 
 def evaluate_at(f, points, **kwargs):
     """evaluate_vector_at of one ScalarField, as a (P,) array."""
-    return evaluate_vector_at(f, points, **kwargs)[:, 0]
+    return evaluate_vector_at((f,), points, **kwargs)[:, 0]
 
 
 def test_gradient_of_polynomial(grid):
@@ -101,7 +101,7 @@ def test_plans_match_the_first_formula(shape, rng):
         "nodes": nodes,
     }
     for name, points in point_sets.items():
-        plan = evaluation_plan(grid, points, clamp_tol=STAGE_CLAMP)
+        plan = evaluation_plan(grid, points)
         radial, angular, snap, rho = reference_plan(grid, points)
         got_radial, got_angular = _planned(plan, rho, grid)
         want_angular = angular[0], angular[1] * rho[:, None]
@@ -115,9 +115,9 @@ def test_plans_match_the_first_formula(shape, rng):
             for _ in range(4)]
     sets[2][::7] = nodes[:74]
     stacked = evaluation_plan(make_grid(*shape, members=4),
-                              np.concatenate(sets), clamp_tol=STAGE_CLAMP)
+                              np.concatenate(sets))
     for i, points in enumerate(sets):
-        alone = evaluation_plan(grid, points, clamp_tol=STAGE_CLAMP)
+        alone = evaluation_plan(grid, points)
         part = slice(512 * i, 512 * (i + 1))
         assert np.array_equal(stacked.radial[:, part], alone.radial)
         assert np.array_equal(stacked.angular[:, part], alone.angular)
@@ -132,9 +132,13 @@ def test_evaluate_outside_raises(grid):
     f = poly(grid)
     with pytest.raises(PointOutsideDomainError):
         evaluate_at(f, np.array([[1.2, 0.0]]))
-    # tiny overshoot is tolerated through the polynomial extension
-    val = evaluate_at(f, np.array([[1.0 + 5e-13, 0.0]]), clamp_tol=1e-12)
-    assert val[0] == pytest.approx(2.0, abs=1e-9)
+    # an overshoot within STAGE_CLAMP is evaluated through the
+    # polynomial extension; twice that raises
+    x = 1.0 + 0.5 * STAGE_CLAMP
+    val = evaluate_at(f, np.array([[x, 0.0]]))
+    assert val[0] == pytest.approx(x ** 3 + 1.0, abs=1e-9)
+    with pytest.raises(PointOutsideDomainError):
+        evaluate_at(f, np.array([[1.0 + 2.0 * STAGE_CLAMP, 0.0]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -144,9 +148,9 @@ def test_a_nan_or_infinite_point_raises(grid, bad, column):
     points = np.array([[0.1, 0.2], [0.3, -0.4]])
     points[1, column] = bad
     with pytest.raises(PointOutsideDomainError):
-        evaluation_plan(grid, points, clamp_tol=1e-12)
+        evaluation_plan(grid, points)
     with pytest.raises(PointOutsideDomainError):
-        evaluate_vector_at(poly(grid), points)
+        evaluate_at(poly(grid), points)
 
 
 def test_evaluate_vector_matches_componentwise(grid, rng):
@@ -164,14 +168,14 @@ def test_evaluate_vector_matches_componentwise(grid, rng):
     for sample in (pts, pts[:1], pts[-2:], on_ring):
         vals = evaluate_vector_at(fields, sample)
         assert vals.shape == (len(sample), 6)
-        plan = evaluation_plan(grid, sample, clamp_tol=1e-12)
+        plan = evaluation_plan(grid, sample)
         assert np.array_equal(evaluate_vector_at(fields, sample, plan=plan),
                               vals)
         for k, f in enumerate(fields):
             assert np.array_equal(vals[:, k], evaluate_at(f, sample))
             assert np.array_equal(vals[:, k],
                                   evaluate_at(f, sample, plan=plan))
-        assert np.array_equal(evaluate_vector_at(w, sample), vals[:, :2])
+        assert np.array_equal(evaluate_vector_at((w,), sample), vals[:, :2])
 
 
 @pytest.mark.parametrize("grid_name", ["grid", "coarse_grid"])
@@ -311,7 +315,7 @@ def test_compose_builds_a_read_only_plan_per_call_and_keeps_none(
     f = poly(grid)
     g = DiskMap(VectorField(grid, 1e-6 * grid.xy))
     points = g.image_points()
-    fresh = evaluate_vector_at(f, points, clamp_tol=STAGE_CLAMP)[:, 0]
+    fresh = evaluate_at(f, points)
     plans = count_plans(monkeypatch)
     for calls in (1, 2):
         assert np.array_equal(compose(f, g).values.ravel(), fresh)
@@ -319,20 +323,20 @@ def test_compose_builds_a_read_only_plan_per_call_and_keeps_none(
     with pytest.raises(PointOutsideDomainError):
         compose(f, DiskMap(VectorField(grid, 2.0 * STAGE_CLAMP * grid.xy)))
     assert g._cache == {}
-    plan = evaluation_plan(grid, points, clamp_tol=STAGE_CLAMP)
+    plan = evaluation_plan(grid, points)
     assert not any(a.flags.writeable
                    for a in (plan.radial, plan.angular, *plan.snap))
 
 
-def test_each_field_of_a_tuple_compose_has_its_own_bits(grid, rng):
+def test_each_field_of_a_tuple_sample_at_has_its_own_bits(grid, rng):
     # one plan serves every field of the tuple, one column block each
     s = ScalarField(grid, random_poly_field(grid, rng).values[0])
     v = random_poly_field(grid, rng)
     g = DiskMap(random_poly_field(grid, rng) * (0.01 * (1.0 - grid.rr ** 2)))
     fields = (s, v, s)
-    composed = compose(fields, g)
-    assert isinstance(composed, tuple)
-    for got, field in zip(composed, fields, strict=True):
+    sampled = sample_at(fields, g.image_points())
+    assert isinstance(sampled, tuple)
+    for got, field in zip(sampled, fields, strict=True):
         assert type(got) is type(field)
         assert np.array_equal(got.values, compose(field, g).values)
 
