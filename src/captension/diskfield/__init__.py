@@ -8,7 +8,7 @@ from .calculus import (grad_values, gradient, divergence, laplacian,
                        evaluate_vector_at, sample_at, compose, jacobian_det,
                        map_jacobian, inverse_jacobian, restrict_boundary,
                        STAGE_CLAMP)
-from .elliptic import solve_dirichlet, harmonic_extension
+from .elliptic import solve_dirichlet, dirichlet_values, harmonic_extension
 from .norms import sobolev_norm_disk, l2_norm_disk
 
 __all__ = [
@@ -19,6 +19,6 @@ __all__ = [
     "advect", "evaluation_plan", "evaluate_vector_at", "sample_at", "compose",
     "jacobian_det", "map_jacobian", "inverse_jacobian", "restrict_boundary",
     "STAGE_CLAMP",
-    "solve_dirichlet", "harmonic_extension",
+    "solve_dirichlet", "dirichlet_values", "harmonic_extension",
     "sobolev_norm_disk", "l2_norm_disk",
 ]

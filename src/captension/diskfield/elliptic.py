@@ -11,20 +11,23 @@ import numpy as np
 
 from .fields import ScalarField
 
-__all__ = ["solve_dirichlet", "harmonic_extension"]
+__all__ = ["solve_dirichlet", "dirichlet_values", "harmonic_extension"]
 
 
 def solve_dirichlet(rhs, bdata=None):
     """Solve laplacian(g) = rhs with g = bdata on the boundary circle,
     member by member when rhs (and bdata) carry a member axis."""
-    grid = rhs.grid
-    C = grid.to_modes(rhs.values).swapaxes(-1, -2).copy()  # (..., n_modes, n_r)
-    if bdata is None:
-        C[..., -1] = 0.0
-    else:
-        C[..., -1] = bdata.coeffs
+    return ScalarField(rhs.grid, dirichlet_values(
+        rhs.grid, rhs.values, None if bdata is None else bdata.coeffs))
+
+
+def dirichlet_values(grid, rhs, coeffs=None):
+    """solve_dirichlet on arrays: the samples of g from the samples rhs
+    and the boundary coefficients, None for zero."""
+    C = grid.to_modes(rhs).swapaxes(-1, -2).copy()  # (..., n_modes, n_r)
+    C[..., -1] = 0.0 if coeffs is None else coeffs
     sol = np.einsum("mij,...mj->...mi", grid.dirichlet_inv, C)
-    return ScalarField(grid, grid.from_modes(sol.swapaxes(-1, -2)))
+    return grid.from_modes(sol.swapaxes(-1, -2))
 
 
 def harmonic_extension(bdata):

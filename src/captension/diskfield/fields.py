@@ -5,7 +5,8 @@ radius-major layout.  A ScalarField has no leading axis; a VectorField
 has one of length 2 holding its Cartesian components, values[0] = x and
 values[1] = y, so derivative passes and evaluations take every component
 in one call.  Instances are immutable; every operation returns a new
-object.
+object.  Construction checks the samples' shape, not their finiteness:
+dynamics.states.rk4 checks that once per time step (NonFiniteError).
 
 A field on a grid with M members (grid.with_members(M)) carries a
 member axis of length M just before (n_r, n_theta): M fields of one
@@ -16,7 +17,7 @@ of that operation on member i alone.
 
 import numpy as np
 
-from ..errors import NoConvergenceError, NonFiniteError
+from ..errors import NoConvergenceError
 
 __all__ = ["ScalarField", "VectorField", "BoundaryFunction", "DiskMap",
            "identity_map", "rotation_map", "MemberSolve"]
@@ -36,8 +37,6 @@ class _Field:
             raise ValueError(
                 f"{type(self).__name__} sample shape {values.shape} does not "
                 f"match {shape}")
-        if not np.isfinite(values).all():
-            raise NonFiniteError(f"non-finite {type(self).__name__} samples")
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -225,14 +224,14 @@ class MemberSolve:
     """Convergence of a fixed-point iteration whose members iterate in
     lockstep.
 
-    check(x, res) takes the iterate x, a field or a tuple of fields with
-    or without a member axis, and its residual res, a float or one per
-    member, once per iteration, and returns True once every member has
-    passed: its residual below tol.  Every member iterates until then;
-    result is x as each member first passed, its part of that iterate
-    kept bit for bit.  A member yet to pass whose residual is not below
-    factor times its residual `window` checks earlier raises
-    NoConvergenceError, `stalled` formatted with that residual.
+    check(x, res) takes the iterate x, a sample array with its member
+    axis, if any, third from last, as a field's, and its residual res,
+    a float or one per member, once per iteration, and returns True once
+    every member has passed: its residual below tol.  Every member
+    iterates until then; result is x as each member first passed, its
+    part of that iterate kept bit for bit.  A member yet to pass whose
+    residual is not below factor times its residual `window` checks
+    earlier raises NoConvergenceError, `stalled` formatted with it.
     """
 
     def __init__(self, tol, window, factor, stalled):
@@ -245,7 +244,8 @@ class MemberSolve:
     def check(self, x, res):
         new = np.less(res, self.tol) & self._open
         if new.any():
-            self.result = x if self.result is None else _select(new, x, self.result)
+            self.result = (x if self.result is None
+                           else np.where(new[:, None, None], x, self.result))
             self._open = self._open ^ new
             if not self._open.any():
                 return True
@@ -259,10 +259,3 @@ class MemberSolve:
                     self.stalled.format(np.extract(stuck, res)[0]))
         h.append(res)
         return False
-
-
-def _select(mask, x, y):
-    """The fields of x on the members of mask and of y elsewhere."""
-    if isinstance(x, tuple):
-        return tuple(_select(mask, a, b) for a, b in zip(x, y))
-    return type(x)(x.grid, np.where(mask[:, None, None], x.values, y.values))

@@ -19,6 +19,8 @@ oracle of criterion 09 arbitrates only what the two integrators do
 differently around it.
 """
 
+import numpy as np
+
 from ..diskfield import (
     ScalarField,
     VectorField,
@@ -45,13 +47,16 @@ def pressure_gradient(eta, w, k, det_tol=1e-6, jacobian=None):
     order in derivatives.  A constant in the boundary data shifts q and
     leaves grad q alone, so dropping the mean of kappa keeps the solve
     well scaled.  det_tol bounds |det Deta - 1| for the solve.  jacobian,
-    the entries of Deta when the caller has them, spares their pass.
-    With a member axis, k is a column of one k per member (see
-    FreeBoundaryState.k_factor).
+    the entries of Deta when the caller has them, spares their pass;
+    without it, Deta shares Dw's pass.  With a member axis, k is a
+    column of one k per member (see FreeBoundaryState.k_factor).
     """
     grid = eta.grid
-    _, (b11, b12, b21, b22) = inverse_jacobian(eta, jacobian)
-    (m11, m21), (m12, m22) = grad_values(grid, w.values)
+    dx, dy = grad_values(grid, w.values if jacobian else np.concatenate(
+        [eta.displacement.values, w.values]))
+    _, (b11, b12, b21, b22) = inverse_jacobian(
+        eta, jacobian or (1.0 + dx[0], dy[0], dx[1], 1.0 + dy[1]))
+    (m11, m21), (m12, m22) = dx[-2:], dy[-2:]
     g11 = m11 * b11 + m12 * b21
     g12 = m11 * b12 + m12 * b22
     g21 = m21 * b11 + m22 * b21

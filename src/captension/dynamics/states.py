@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..errors import NonFiniteError
 from ..diskfield import (
     DiskMap,
     ScalarField,
@@ -126,7 +127,9 @@ def rk4(rhs, y, dt):
     only `element + rate` and each rate `float * rate` (a DiskMap adds a
     displacement rate).  Stages are y + h*k and the step is
     y + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), element by element; stage one
-    sees y itself, so data cached on its elements is reused.
+    sees y itself, so data cached on its elements is reused.  Every
+    stage's rate enters the increment (dt/6)*(...), which is checked
+    once: a NaN or inf met at any stage raises NonFiniteError here.
     """
     def stage(k, h):
         return tuple(yi + h * ki for yi, ki in zip(y, k))
@@ -136,5 +139,7 @@ def rk4(rhs, y, dt):
     k3 = rhs(stage(k2, 0.5 * dt))
     k4 = rhs(stage(k3, dt))
     s = dt / 6.0
-    return tuple(yi + s * (a + 2.0 * b + 2.0 * c + d)
-                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+    steps = [s * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)]
+    if not all(np.isfinite(getattr(r, "values", r)).all() for r in steps):
+        raise NonFiniteError("non-finite increment in an RK4 step")
+    return tuple(yi + r for yi, r in zip(y, steps))

@@ -22,7 +22,9 @@ class NoConvergenceError(SolverError):
 
 
 class NonFiniteError(SolverError):
-    """A computed field acquired NaN or infinite samples."""
+    """A computed value is NaN or infinite: checked once per time step,
+    on the increment of its RK4 step (dynamics.states.rk4), and on each
+    value an output time records (harness.run)."""
 
 
 class VolumeDefectError(SolverError):

@@ -3,7 +3,8 @@
 import math
 from typing import NamedTuple
 
-from ..errors import ConfigError, NonpositiveValueError, SolverError
+from ..errors import (ConfigError, NonFiniteError, NonpositiveValueError,
+                      SolverError)
 from ..diskfield import identity_map, make_grid, sobolev_norm_disk
 from ..dynamics import (
     FixedEulerState,
@@ -118,9 +119,9 @@ class _Row:
         self.e0 = self.k = self.fail_time = self.failure = None
 
     def record(self, f_state, ref_displacement, ref_velocity):
-        # every value is computed before any is stored, so a failure
-        # leaves the series as long as times; the first record's energy
-        # is the e0 of the drift
+        # every value is computed and checked before any is stored, so
+        # a failure leaves the series as long as times; the first
+        # record's energy is the e0 of the drift
         derivatives = output_derivatives(f_state)
         gf = derivatives[0]
         eta, etadot = reconstruct_eta(f_state, derivatives)
@@ -134,6 +135,9 @@ class _Row:
             "etadot_gap_H1": sobolev_norm_disk(etadot - ref_velocity, 1),
             "energy_drift": abs(energy - e0) / max(abs(e0), 1e-30),
         }
+        bad = [q for q, value in row.items() if not math.isfinite(value)]
+        if bad:
+            raise NonFiniteError("non-finite " + ", ".join(bad))
         for q, value in row.items():
             self.series[q].append(value)
         self.times.append(f_state.time)

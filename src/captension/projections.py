@@ -23,6 +23,7 @@ from .diskfield import (
     MemberSolve,
     ScalarField,
     VectorField,
+    dirichlet_values,
     grad_values,
     gradient,
     hessian,
@@ -106,8 +107,8 @@ def solve_L1_inverse(f, target, hess=None):
                         "L1 inverse stalled at residual {:.3e} (Hessian too large)")
     for _ in range(5000):
         phw = hodge_P(_hessian_apply(hess, w))
-        if solve.check(w, l2_norm_disk(w + phw - tgt)):
-            return solve.result
+        if solve.check(w.values, l2_norm_disk(w + phw - tgt)):
+            return VectorField(w.grid, solve.result)
         w = tgt - phw
     raise NoConvergenceError(
         "L1 inverse: no convergence in 5000 iterations")
@@ -129,51 +130,53 @@ def solve_pulled_back_laplacian(xi, rhs, bdata=None, det_tol=1e-6):
     tolerance is relative to the data scale, so large sources or large
     boundary values do not demand residuals below the roundoff floor.
     Members iterate in lockstep until every residual has passed, and
-    each member returns its first passing iterate.
+    each member returns its first passing iterate.  It iterates on
+    (g, grad g) stacked in one array and builds fields for the accepted
+    pair alone; finiteness is the calling step's check (states.rk4).
     """
     grid = rhs.grid
     if xi.grid is not grid:
         raise ValueError("map and source live on different grids")
     det, (b11, b12, b21, b22) = inverse_jacobian(xi)
-    if np.abs(det - 1.0).max() > det_tol:
+    defect = np.abs(det - 1.0).max()
+    if not defect <= det_tol:  # NaN fails it too
         raise VolumeDefectError(
             "pulled-back Laplacian needs a volume-preserving map "
-            f"(max |det - 1| = {np.abs(det - 1.0).max():.3e})")
-    a11 = b11 * b11 + b12 * b12
+            f"(max |det - 1| = {defect:.3e})")
     a12 = b11 * b21 + b12 * b22
-    a22 = b21 * b21 + b22 * b22
+    a = np.array([[b11 * b11 + b12 * b12, a12], [a12, b21 * b21 + b22 * b22]])
 
     def op(vals):  # lap_xi vals, and grad vals on the way
         grad = grad_values(grid, vals)
-        gx, gy = grad
-        dx, dy = grad_values(grid, np.stack([a11 * gx + a12 * gy,
-                                             a12 * gx + a22 * gy]))
+        dx, dy = grad_values(grid, (a * grad).sum(axis=1))
         return dx[0] + dy[1], grad
 
-    scale = np.maximum(1.0, l2_norm_disk(rhs))
+    def norm(vals):  # l2_norm_disk's bits
+        return np.sqrt(grid.integrate(vals * vals))
+
+    scale = np.maximum(1.0, norm(rhs.values))
     if bdata is not None:
         scale = np.maximum(scale, np.abs(bdata).max(axis=-1))
         bdata = BoundaryFunction.from_samples(grid, bdata)
-    g = solve_dirichlet(rhs, bdata)
+    g = solve_dirichlet(rhs, bdata).values
     rhs = rhs.values
     # the top angular mode (n_theta is even) has no sine partner, so the
     # composed-derivative operator and the assembled preconditioner
     # disagree on it; the iteration corrects the resolved modes and
     # leaves that aliasing slack alone: each residual ring loses its
     # projection on the Nyquist samples s = (-1)^j (s . s = n_theta)
-    s = np.resize([1.0, -1.0], grid.n_theta)
+    s = (-1.0) ** np.arange(grid.n_theta)
     s_unit = s / grid.n_theta
     solve = MemberSolve(TOL_ELL, 20, 0.9,
                         "pulled-back Laplacian stalled at residual {:.3e}")
     for _ in range(400):
-        lap, grad = op(g.values)
+        lap, grad = op(g)
         resid = rhs - lap
         resid[..., -1, :] = 0.0
         resid -= (resid @ s)[..., None] * s_unit
-        resid = ScalarField(g.grid, resid)
-        if solve.check((g, VectorField(g.grid, grad)),
-                       l2_norm_disk(resid) / scale):
-            return solve.result
-        g = g + solve_dirichlet(resid)
+        if solve.check(np.concatenate([g[None], grad]), norm(resid) / scale):
+            g = solve.result
+            return ScalarField(grid, g[0]), VectorField(grid, g[1:])
+        g = g + dirichlet_values(grid, resid)
     raise NoConvergenceError(
         "pulled-back Laplacian: no convergence in 400 iterations")

@@ -100,8 +100,8 @@ def solve_volume_constraint(h):
     f = base
     for _ in range(400):
         res, det = volume_residual(f)
-        if solve.check(f, res):
-            return solve.result
+        if solve.check(f.values, res):
+            return ScalarField(grid, solve.result)
         f = base - solve_dirichlet(ScalarField(base.grid, det))
     raise NoConvergenceError(
         "volume constraint: no convergence in 400 iterations")
@@ -124,7 +124,7 @@ def _boundary_tangent_data(displacement):
     tx = -np.sin(grid.theta) + ax
     ty = np.cos(grid.theta) + ay
     speed = np.hypot(tx, ty)
-    if speed.min() <= 0.5:
+    if not speed.min() > 0.5:  # NaN fails it too
         raise DegenerateTangentError(
             f"boundary tangent degenerates (min speed {speed.min():.3f})")
     return tx, ty, ax, ay, bx, by, speed
@@ -151,7 +151,7 @@ _GAUSS_T, _GAUSS_W = gauss_legendre(16)
 def _remainder(m_vals, power):
     """integral over [0,1] of (1-t) (1+t m)^-power dt, pointwise in theta."""
     tm = 1.0 + np.outer(_GAUSS_T, m_vals)
-    if tm.min() <= 0.0:
+    if not tm.min() > 0.0:  # NaN fails it too
         raise RemainderBlowupError(
             "Taylor remainder kernel leaves the perturbative regime")
     vals = (1.0 - _GAUSS_T)[:, None] * tm ** (-power)
@@ -222,7 +222,7 @@ def invert_points(alpha):
         if max(np.abs(rx).max(), np.abs(ry).max()) < 1e-12:
             return Y, plan
         det = j11 * j22 - j12 * j21
-        if np.abs(det).min() < 0.2:
+        if not np.abs(det).min() >= 0.2:  # NaN fails it too
             raise InversionFailureError(
                 "map is not invertible at the target points")
         Y[:, 0] -= (j22 * rx - j12 * ry) / det

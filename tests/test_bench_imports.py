@@ -209,7 +209,10 @@ def test_the_tracer_names_resolve_but_for_a_known_stale_set(monkeypatch):
 def test_dirichlet_solves_beneath_the_traced_solvers(coarse_grid,
                                                      monkeypatch):
     # pbl_iters and volume_iters count solve_dirichlet calls beyond the
-    # first guess; converged-at-once data must read 0 iterations
+    # first guess; converged-at-once data must read 0 iterations.  The
+    # pulled-back solve builds only its first guess by solve_dirichlet
+    # and corrects by dirichlet_values, which the tracer does not watch,
+    # so its pbl_iters reads 0 however many iterations it takes
     solves = count_calls(monkeypatch, elliptic.solve_dirichlet)
     rhs = from_function(coarse_grid, lambda x, y: x * y)
     solve_pulled_back_laplacian(identity_map(coarse_grid), rhs)

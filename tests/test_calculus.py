@@ -274,7 +274,7 @@ def test_each_batched_kernel_keeps_every_members_bits(grid, rng, monkeypatch):
     for kernel, counted, args in (
             (solve_volume_constraint, elliptic.solve_dirichlet, [bdry]),
             (solve_L1_inverse, projections.hodge_P, [fs, vecs]),
-            (solve_pulled_back_laplacian, elliptic.solve_dirichlet,
+            (solve_pulled_back_laplacian, elliptic.dirichlet_values,
              [etas, scalars, rings])):
         counts = []
         for member in zip(*args):

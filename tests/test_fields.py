@@ -5,7 +5,7 @@ import pytest
 
 from captension.diskfield import (BoundaryFunction, MemberSolve, ScalarField,
                                   VectorField, make_grid)
-from captension.errors import NoConvergenceError, NonFiniteError
+from captension.errors import NoConvergenceError
 
 KINDS = pytest.mark.parametrize("cls", [ScalarField, VectorField])
 OTHER_KIND = {ScalarField: VectorField, VectorField: ScalarField}
@@ -45,14 +45,6 @@ def test_boundary_zeros_carry_the_member_axis():
 
 
 @KINDS
-def test_nan_sample_is_rejected(grid, cls):
-    values = np.zeros(sample_shape(cls, grid))
-    values.flat[7] = np.nan
-    with pytest.raises(NonFiniteError):
-        cls(grid, values)
-
-
-@KINDS
 def test_fields_are_immutable(grid, cls):
     f = cls(grid, np.ones(sample_shape(cls, grid)))
     with pytest.raises(AttributeError):
@@ -82,18 +74,18 @@ def test_vector_components_sit_on_the_leading_axis(grid, rng):
 def test_member_solve_keeps_each_members_first_passing_iterate(rng):
     # member 0 passes at check 1 and then stays flat, which would stall
     # it; member 1 halves its residual and passes at check 11, past the
-    # window of 3; each is handed its own passing iterate, bit for bit
+    # window of 3; each is handed its own passing iterate, bit for bit.
+    # The iterates stack a scalar and a vector field's samples, as the
+    # pulled-back solve hands in (g, grad g): member axis third from last
     grid = make_grid(16, 8, 2)
-    iterates = [(ScalarField(grid, rng.standard_normal(grid.sample_shape)),
-                 VectorField(grid, rng.standard_normal((2,) + grid.sample_shape)))
+    iterates = [rng.standard_normal((3,) + grid.sample_shape)
                 for _ in range(11)]
     solve = MemberSolve(1e-3, 3, 0.5, "stalled at {:.3e}")
     for n, x in enumerate(iterates):
         assert solve.check(x, np.array([1e-4, 0.5 ** n])) == (n == 10)
-    for got, first, last in zip(solve.result, iterates[0], iterates[-1]):
-        assert type(got) is type(first)
-        assert got.values[..., 0, :, :].tobytes() == first.values[..., 0, :, :].tobytes()
-        assert got.values[..., 1, :, :].tobytes() == last.values[..., 1, :, :].tobytes()
+    got, first, last = solve.result, iterates[0], iterates[-1]
+    assert got[..., 0, :, :].tobytes() == first[..., 0, :, :].tobytes()
+    assert got[..., 1, :, :].tobytes() == last[..., 1, :, :].tobytes()
     # a member yet to pass still stalls, beside one that has passed
     solve = MemberSolve(1e-3, 3, 0.5, "stalled at {:.3e}")
     with pytest.raises(NoConvergenceError, match="stalled at 7.000e-01"):
@@ -103,7 +95,7 @@ def test_member_solve_keeps_each_members_first_passing_iterate(rng):
 
 def test_a_lone_member_solve_takes_float_residuals(rng):
     grid = make_grid(16, 8)
-    x = ScalarField(grid, rng.standard_normal(grid.sample_shape))
+    x = rng.standard_normal(grid.sample_shape)
     # halving past the window converges: result is the passing iterate
     solve = MemberSolve(1e-3, 3, 0.5, "stalled at {:.3e}")
     res = 1.0

@@ -412,12 +412,14 @@ class TestRuns:
         # 1,168 and 1,152 transforms) while hodge_Q took its gradient
         # from the modes and the pressure solve filtered its residual by
         # transforms; 666 inverse transforms while the pressure solve took
-        # its boundary scale from a round trip of its boundary data
+        # its boundary scale from a round trip of its boundary data; 1,163
+        # while the unsplit pressure took D eta (map_jacobian) and D w
+        # in two passes, not one stacked pass
         from captension.diskfield import calculus
         passes = count_calls(monkeypatch, calculus.grad_values)
         ffts = count_ffts(monkeypatch)
         oracle_compare(ExperimentConfig())
-        assert len(passes) == 1163
+        assert len(passes) == 1063
         assert ffts == {"rfft": 673, "irfft": 546}
 
     def test_oracle_names_a_free_flow_failure(self, monkeypatch):
@@ -601,6 +603,31 @@ class TestCli:
         lines = (tmp_path / "run_k1.csv").read_text().splitlines()
         assert lines[0].startswith("time,")
         assert 2 <= len(lines) < 7
+
+    def test_a_non_finite_record_exits_2_without_writing_it(
+            self, tmp_path, capsys, monkeypatch):
+        # the energy of the second output time reads NaN: the row closes
+        # there, and no NaN reaches the CSV
+        original, calls = run_module.energy_report, []
+
+        def nan_at_second(state, derivatives):
+            calls.append(None)
+            report = original(state, derivatives)
+            if len(calls) == 2:
+                return report._replace(E=float("nan"))
+            return report
+
+        monkeypatch.setattr(run_module, "energy_report", nan_at_second)
+        p = tmp_path / "small.cfg"
+        p.write_text("n_theta = 16\nn_r = 8\nt_final = 0.002\nk_list = 100\n"
+                     f"n_outputs = 3\nout_dir = {tmp_path}\n")
+        assert main(["run", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "solver failed at t = 0.001 (free flow, NonFiniteError: "
+            "non-finite energy_drift)\n")
+        lines = (tmp_path / "run_k100.csv").read_text().splitlines()
+        assert lines[0].startswith("time,")
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0]
 
     def test_oracle_breakdown_exits_2_with_the_rows_before_it(
             self, tmp_path, capsys):

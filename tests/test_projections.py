@@ -165,7 +165,8 @@ def test_pulled_back_laplacian_hands_back_the_gradient_of_its_solution(
     data = [random_boundary(grid, rng, 1.0).samples() for _ in fs]
     counts = []
     for member in zip(etas, rhs, data):
-        calls = count_calls(monkeypatch, elliptic.solve_dirichlet)
+        # the first guess and each correction: one Dirichlet application
+        calls = count_calls(monkeypatch, elliptic.dirichlet_values)
         q, grad_q = solve_pulled_back_laplacian(*member)
         assert np.array_equal(grad_q.values, gradient(q).values)
         counts.append(len(calls))
@@ -182,3 +183,12 @@ def test_pulled_back_laplacian_rejects_non_volume_map(grid):
         grid, 0.2 * grid.xx, np.zeros_like(grid.xx)), kind="embedding")
     with pytest.raises(VolumeDefectError):
         solve_pulled_back_laplacian(squash, ScalarField.zeros(grid))
+
+
+def test_pulled_back_laplacian_rejects_a_nan_jacobian(grid):
+    # a NaN determinant fails the volume check instead of slipping by it
+    d = np.zeros((2,) + grid.sample_shape)
+    d[0, 3, 5] = np.nan
+    with pytest.raises(VolumeDefectError, match="nan"):
+        solve_pulled_back_laplacian(DiskMap(VectorField(grid, d)),
+                                    ScalarField.zeros(grid))

@@ -10,10 +10,12 @@ from captension.diskfield import (BoundaryFunction, DiskMap, VectorField,
                                   jacobian_det, l2_norm_disk, laplacian,
                                   restrict_boundary, rotation_map)
 from captension.dynamics import FreeBoundaryState, reconstruct_eta
-from captension.errors import DegenerateTangentError
-from captension.shape import (boundary_length, curvature_exact,
-                              curvature_expansion, invert_points,
-                              solve_volume_constraint)
+from captension import shape
+from captension.errors import (DegenerateTangentError, InversionFailureError,
+                               RemainderBlowupError)
+from captension.shape import (boundary_curvature, boundary_length,
+                              curvature_exact, curvature_expansion,
+                              invert_points, solve_volume_constraint)
 
 
 def graph_map(f):
@@ -135,6 +137,19 @@ def test_degenerate_tangent_raises(grid):
         curvature_exact(shrink)
 
 
+def test_a_nan_tangent_raises(grid):
+    # a NaN on the boundary ring fails the speed check, not slips by it
+    d = np.zeros((2,) + grid.sample_shape)
+    d[0, -1, 3] = np.nan
+    with pytest.raises(DegenerateTangentError, match="nan"):
+        boundary_curvature(VectorField(grid, d))
+
+
+def test_a_nan_remainder_kernel_raises():
+    with pytest.raises(RemainderBlowupError):
+        shape._remainder(np.array([0.1, np.nan, -0.1]), 3.0)
+
+
 def test_boundary_length_and_normal(grid):
     f = solve_volume_constraint(BoundaryFunction.zeros(grid))
     assert boundary_length(gradient(f)) == pytest.approx(2.0 * np.pi,
@@ -184,6 +199,15 @@ def test_reconstruct_eta_with_node_rotation(grid, rng):
     expected = beta.displacement.values + rolled
     assert np.abs(eta.displacement.values - expected).max() < 1e-13
     assert np.abs(eta_dot.values - rolled).max() < 1e-13
+
+
+def test_newton_rejects_a_nan_jacobian(grid, monkeypatch):
+    # the first guess of a rotation misses by about 1e-4, so Newton
+    # takes a step, and a NaN determinant fails the invertibility check
+    nan = np.full(grid.sample_shape, np.nan)
+    monkeypatch.setattr(shape, "map_jacobian", lambda alpha: (nan,) * 4)
+    with pytest.raises(InversionFailureError):
+        invert_points(rotation_map(grid, 0.01))
 
 
 def test_newton_inverts_a_swirl_evaluating_six_columns_a_pass(grid,
